@@ -4,24 +4,31 @@
 The paper built extensions for Google Documents (incremental deltas),
 Mozilla Bespin (whole-file HTTP PUT), and Adobe Buzzword (whole-document
 XML POST with <textRun> elements).  This example drives all three
-simulated services through their respective extensions and shows each
-server holding only ciphertext while the oblivious clients work
-normally.
+simulated services and shows each server holding only ciphertext while
+the oblivious clients work normally.  Bespin and Buzzword share one
+mediator, :class:`WholeFileExtension`, and the plain
+:class:`ResilientClient`; only their :class:`ServiceBackend` differs —
+Bespin's content is the whole PUT body, Buzzword's is each <textRun>.
 
 Run:  python examples/three_services.py
 """
 
-from repro.client import BespinClient, BuzzwordClient
+from repro.client import ResilientClient
 from repro.crypto.random import DeterministicRandomSource
 from repro.encoding.wire import looks_encrypted
 from repro.extension import (
-    BespinExtension,
-    BuzzwordExtension,
     PasswordVault,
     PrivateEditingSession,
+    WholeFileExtension,
 )
 from repro.net.channel import Channel
 from repro.services import BespinServer, BuzzwordServer, buzzword
+from repro.services.backend import (
+    BESPIN,
+    BUZZWORD,
+    join_paragraphs,
+    split_paragraphs,
+)
 
 SECRET_CODE = "API_KEY = 'sk-live-4242424242'"
 SECRET_PROSE = "The merger closes Friday. Tell no one."
@@ -48,18 +55,18 @@ def bespin_demo() -> None:
     print("=== Mozilla Bespin (whole-file PUT) ===")
     server = BespinServer()
     channel = Channel(server)
-    channel.set_mediator(BespinExtension(
-        PasswordVault({"proj/config.py": "pw"}),
+    channel.set_mediator(WholeFileExtension(
+        BESPIN, PasswordVault({"proj/config.py": "pw"}),
         rng=DeterministicRandomSource(2),
     ))
-    client = BespinClient(channel, "proj/config.py")
+    client = ResilientClient(channel, "proj/config.py", BESPIN)
     client.open()
     client.editor.insert(0, SECRET_CODE)
     client.save()
     stored = server.files["proj/config.py"]
     print(f" server stores: {stored[:48]}...")
     assert looks_encrypted(stored) and "sk-live" not in stored
-    reader = BespinClient(channel, "proj/config.py")
+    reader = ResilientClient(channel, "proj/config.py", BESPIN)
     print(f" client reads:  {reader.open()!r}\n")
 
 
@@ -67,12 +74,13 @@ def buzzword_demo() -> None:
     print("=== Adobe Buzzword (XML <textRun> POST) ===")
     server = BuzzwordServer()
     channel = Channel(server)
-    channel.set_mediator(BuzzwordExtension(
-        PasswordVault({"memo": "pw"}),
+    channel.set_mediator(WholeFileExtension(
+        BUZZWORD, PasswordVault({"memo": "pw"}),
         rng=DeterministicRandomSource(3),
     ))
-    client = BuzzwordClient(channel, "memo")
-    client.paragraphs = ["Minutes, 3 June.", SECRET_PROSE]
+    client = ResilientClient(channel, "memo", BUZZWORD)
+    client.editor.set_text(join_paragraphs(["Minutes, 3 June.",
+                                            SECRET_PROSE]))
     client.save()
     stored = server.documents["memo"]
     runs = buzzword.text_runs(stored)
@@ -81,8 +89,8 @@ def buzzword_demo() -> None:
     print(f"   first run: {runs[0][:40]}...")
     assert all(looks_encrypted(run) for run in runs)
     assert "merger" not in stored
-    reader = BuzzwordClient(channel, "memo")
-    print(f" client reads:  {reader.open()!r}\n")
+    reader = ResilientClient(channel, "memo", BUZZWORD)
+    print(f" client reads:  {split_paragraphs(reader.open())!r}\n")
 
 
 def main() -> None:

@@ -1,10 +1,10 @@
-"""Client-side application models: the editor buffer and the benign
-clients for each simulated service.  All clients are oblivious to the
-extension — they speak plaintext and never cooperate with the mediator.
+"""Client-side application models: the editor buffer, the resilient
+client core that speaks any backend's protocol (Bespin and Buzzword use
+it as is), and the Google Documents client with its feature calls.  All
+clients are oblivious to the extension — they speak plaintext and never
+cooperate with the mediator.
 """
 
-from repro.client.bespin_client import BespinClient
-from repro.client.buzzword_client import BuzzwordClient
 from repro.client.coalesce import EditCoalescer
 from repro.client.editor import EditorBuffer
 from repro.client.resilient import ResilientClient
@@ -18,7 +18,5 @@ __all__ = [
     "GDocsClient",
     "SaveOutcome",
     "CONFLICT_COMPLAINT",
-    "BespinClient",
-    "BuzzwordClient",
     "SelfEncryptingGDocsClient",
 ]

@@ -8,8 +8,9 @@ bookkeeping, the retry loop driven by a
 garbled-store full-save fallback.  What *varies* per provider (how to
 phrase an open/save/fetch on the wire, how to read the answers, which
 of these mechanisms the protocol can express at all) lives behind a
-:class:`repro.services.backend.ServiceBackend`; the per-provider
-clients are thin adapters over this core.
+:class:`repro.services.backend.ServiceBackend`.  Bespin and Buzzword
+sessions use this class as is; the Google Documents client adds only
+its server-side feature calls.
 
 Capability flags decide which machinery engages:
 

@@ -1,20 +1,19 @@
-"""The browser-extension layer: mediators for all three services,
-password management, covert-channel countermeasures, and the high-level
+"""The browser-extension layer: the two mediators (incremental Google
+Documents and whole-file Bespin/Buzzword), password management,
+covert-channel countermeasures, and the high-level
 :class:`PrivateEditingSession`."""
 
-from repro.extension.bespin_ext import BespinExtension
-from repro.extension.buzzword_ext import BuzzwordExtension
 from repro.extension.countermeasures import Countermeasures
 from repro.extension.freshness import FreshnessMonitor, RollbackError
 from repro.extension.gdocs_ext import GDocsExtension
 from repro.extension.passwords import PasswordVault
 from repro.extension.proxy import MediatingProxy
 from repro.extension.session import PrivateEditingSession
+from repro.extension.whole_file import WholeFileExtension
 
 __all__ = [
     "GDocsExtension",
-    "BespinExtension",
-    "BuzzwordExtension",
+    "WholeFileExtension",
     "PasswordVault",
     "Countermeasures",
     "FreshnessMonitor",

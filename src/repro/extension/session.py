@@ -11,25 +11,47 @@ object, which is what the examples and macro-benchmarks drive.
 
 The stack is service-parameterized: ``service`` picks any name from
 :data:`repro.services.registry.SERVICE_NAMES` ("gdocs", "bespin",
-"buzzword", "replicated"), and the registry plus
-:mod:`repro.extension.stacks` assemble the matching server, mediating
-extension, and client.  The user-facing surface (open / type / save /
-``server_view``) is identical across services — the paper's claim that
-the mediation approach generalizes, in executable form.
+"buzzword", "replicated"), the registry builds the server, and one
+capability check picks the mediator/client pair.  A backend with
+``incremental_updates`` gets :class:`~repro.extension.gdocs_ext.GDocsExtension`
+and :class:`~repro.client.gdocs_client.GDocsClient`; every other backend
+gets :class:`~repro.extension.whole_file.WholeFileExtension` and a plain
+:class:`~repro.client.resilient.ResilientClient`.  The user-facing
+surface (open / type / save / ``server_view``) is identical across
+services — the paper's claim that the mediation approach generalizes,
+in executable form.
+
+Options a service's protocol cannot express raise ``ValueError``
+rather than being ignored: stego, freshness, countermeasures and
+``decrypt_acks`` need incremental updates; the workspace ``indexer``
+and ``audit`` need ``capabilities.catalog_acks``.
 """
 
 from __future__ import annotations
 
-from repro.client.resilient import SaveOutcome
+from repro.client.gdocs_client import GDocsClient
+from repro.client.resilient import ResilientClient, SaveOutcome
 from repro.extension.countermeasures import Countermeasures
 from repro.extension.freshness import FreshnessMonitor
+from repro.extension.gdocs_ext import GDocsExtension
 from repro.extension.passwords import PasswordVault
-from repro.extension.stacks import build_client, build_extension
+from repro.extension.whole_file import WholeFileExtension
 from repro.net.channel import Channel
 from repro.net.latency import LatencyModel
 from repro.services import registry
 
 __all__ = ["PrivateEditingSession"]
+
+#: (option, capability flag it needs) — set on a backend without the
+#: flag, the option raises instead of being silently ignored
+_REQUIRES = (
+    ("countermeasures", "incremental_updates"),
+    ("decrypt_acks", "incremental_updates"),
+    ("stego", "incremental_updates"),
+    ("freshness", "incremental_updates"),
+    ("indexer", "catalog_acks"),
+    ("audit", "catalog_acks"),
+)
 
 
 class PrivateEditingSession:
@@ -63,6 +85,18 @@ class PrivateEditingSession:
         #: which cloud this session runs against (a
         #: repro.services.registry.SERVICE_NAMES name)
         self.service = service
+        backend = registry.backend_for(service)
+        options = {"countermeasures": countermeasures,
+                   "decrypt_acks": decrypt_acks, "stego": stego,
+                   "freshness": freshness, "indexer": indexer,
+                   "audit": audit}
+        for option, flag in _REQUIRES:
+            if options[option] not in (None, False) and \
+                    not getattr(backend.capabilities, flag):
+                raise ValueError(
+                    f"{option} needs a service with {flag}; "
+                    f"{service!r} has none"
+                )
         #: transport: an optional repro.net.transport.Transport that
         #: replaces the in-process server entirely (e.g. an
         #: AsyncioSocketTransport to a remote repro.net.server); when
@@ -78,15 +112,14 @@ class PrivateEditingSession:
         #: cloud unreliable; retry_policy: the client's
         #: repro.net.policy.RetryPolicy answer to it; verify_acks: have
         #: the extension hash-check every Ack against its mirror
+        #: (whole-file acks carry no hash, so the check abstains there)
         self.faults = faults
         target = transport if transport is not None else self.server
         self.channel = Channel(target, latency=latency, clock=clock,
                                max_log=max_log, faults=faults)
         self.vault = PasswordVault({doc_id: password})
-        self.extension = None
-        if extension_enabled:
-            self.extension = build_extension(
-                service,
+        if backend.capabilities.incremental_updates:
+            extension = GDocsExtension(
                 self.vault,
                 scheme=scheme,
                 block_chars=block_chars,
@@ -98,16 +131,26 @@ class PrivateEditingSession:
                 stego=stego,
                 freshness=freshness,
                 verify_acks=verify_acks,
-                # the workspace seam (PR 10): a shared
+                # the workspace seam: a shared
                 # repro.extension.catalog.WorkspaceIndexer plus the
                 # audit-trail opt-in, threaded per session by
                 # repro.client.workspace.Workspace
                 indexer=indexer,
                 audit=audit,
             )
+            self.client = GDocsClient(self.channel, doc_id,
+                                      policy=retry_policy)
+        else:
+            extension = WholeFileExtension(
+                backend, self.vault, scheme=scheme,
+                block_chars=block_chars, rng=rng,
+                index_factory=index_factory,
+            )
+            self.client = ResilientClient(self.channel, doc_id, backend,
+                                          policy=retry_policy)
+        self.extension = extension if extension_enabled else None
+        if self.extension is not None:
             self.channel.set_mediator(self.extension)
-        self.client = build_client(service, self.channel, doc_id,
-                                   policy=retry_policy)
 
     # -- user actions, delegated to the oblivious client ----------------
 

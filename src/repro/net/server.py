@@ -43,6 +43,7 @@ import asyncio
 import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from time import perf_counter
 
 from repro.encoding.formenc import encode_form, parse_form
 from repro.errors import ProtocolError
@@ -67,7 +68,10 @@ _CONNECTIONS = counter("net.server.connections")
 _ERRORS = counter("net.server.errors")
 _DISPATCHES = counter("server.shard.dispatches")
 _INSTANCES = gauge("server.shard.instances")
+#: frame arrival at a shard -> its executor starting the work
 _QUEUE_SECONDS = histogram("server.shard.queue_seconds")
+#: the backend call itself, on the shard's executor thread
+_EXEC_SECONDS = histogram("server.shard.exec_seconds")
 
 
 class ReproServer:
@@ -142,6 +146,27 @@ class ReproServer:
 
     # -- dispatch --------------------------------------------------------
 
+    async def _on_shard(self, shard: int, fn, *args):
+        """Run ``fn(*args)`` on ``shard``'s executor, observing the wait
+        for the executor and the execution separately."""
+        stamps: list[float] = []
+
+        def run():
+            stamps.append(perf_counter())
+            try:
+                return fn(*args)
+            finally:
+                stamps.append(perf_counter())
+
+        arrived = perf_counter()
+        try:
+            return await asyncio.get_running_loop().run_in_executor(
+                self._executors[shard], run)
+        finally:
+            if stamps:
+                _QUEUE_SECONDS.observe(stamps[0] - arrived)
+                _EXEC_SECONDS.observe(stamps[-1] - stamps[0])
+
     async def _dispatch(self, fields: dict[str, str]) -> dict[str, str]:
         """One frame in, one frame out; never raises."""
         rid = fields.get("id", "")
@@ -155,25 +180,20 @@ class ReproServer:
             return encode_response_frame(
                 HttpResponse(status=200, body="pong"), rid=rid
             )
-        loop = asyncio.get_running_loop()
         if op == OP_VIEW:
             doc_id = fields.get("doc", "")
             shard = self._shard_of(tenant, doc_id)
             inst = self._instance(service, tenant, shard)
             _DISPATCHES.inc()
-            queued = loop.time()
             try:
-                stored = await loop.run_in_executor(
-                    self._executors[shard],
-                    registry.server_view, service, inst, doc_id,
-                )
+                stored = await self._on_shard(
+                    shard, registry.server_view, service, inst, doc_id)
             except Exception as exc:  # backend crash must not kill the loop
                 _ERRORS.inc()
                 return encode_response_frame(
                     HttpResponse(status=500, body=f"view failed: {exc}"),
                     rid=rid,
                 )
-            _QUEUE_SECONDS.observe(loop.time() - queued)
             return encode_response_frame(
                 HttpResponse(status=200, body=stored), rid=rid
             )
@@ -194,15 +214,11 @@ class ReproServer:
             # these overlap on one event loop
             await asyncio.sleep(self.service_time)
         _DISPATCHES.inc()
-        queued = loop.time()
         try:
-            response = await loop.run_in_executor(
-                self._executors[shard], inst, request
-            )
+            response = await self._on_shard(shard, inst, request)
         except Exception as exc:
             _ERRORS.inc()
             response = HttpResponse(status=500, body=f"server error: {exc}")
-        _QUEUE_SECONDS.observe(loop.time() - queued)
         return encode_response_frame(response, rid=rid)
 
     # -- the connection loop ---------------------------------------------

@@ -15,10 +15,13 @@ one cloud editor —
 * **response parsers**: how to read the provider's answers back into
   the neutral :class:`OpenState` / :class:`SaveAck` / :class:`FetchState`
   shapes the shared client core consumes;
-* **replication helpers**: how a multi-provider facade
-  (:class:`repro.services.replicated.ReplicatedService`) classifies a
-  request, extracts its document id, rewrites per-provider session
-  state, and copies raw stored bytes between replicas.
+* **content framing** (``map_content``): where the document content
+  sits inside a body — the whole body, or each Buzzword ``<textRun>``;
+* **routing helpers**: how a request is classified and which document
+  it addresses (shared by the replication facade
+  :class:`repro.services.replicated.ReplicatedService` and the
+  whole-file mediator), plus how the facade rewrites per-provider
+  session state and copies raw stored bytes between replicas.
 
 Everything above this seam — the resilient client core
 (``repro.client.resilient``), the replication facade, the chaos matrix,
@@ -35,7 +38,7 @@ code may import this module without reaching server internals
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, runtime_checkable
+from typing import Callable, Protocol, runtime_checkable
 
 from repro.encoding.formenc import encode_form
 from repro.errors import ProtocolError
@@ -146,10 +149,11 @@ KIND_OTHER = "other"
 class ServiceBackend(Protocol):
     """Everything provider-specific, behind one interface.
 
-    The first block (builders + parsers) serves the client core; the
-    second block (classification, session rewriting, raw-byte copies)
-    serves the replication facade.  Implementations are stateless —
-    all session state lives in the caller.
+    The first block (builders + parsers) serves the client core;
+    ``map_content`` and ``classify``/``doc_id_of`` serve the
+    whole-file mediator; the routing block serves the replication
+    facade.  Implementations are stateless — all session state lives
+    in the caller.
     """
 
     name: str
@@ -201,6 +205,13 @@ class ServiceBackend(Protocol):
                        local_text: str) -> bool | None:
         """Does the ack agree with ``local_text``?  ``None`` = the
         protocol carries no consistency information (check abstains)."""
+        ...
+
+    def map_content(self, body: str, fn: Callable[[str], str]) -> str:
+        """``body`` with every piece of document content inside it
+        rewritten through ``fn`` and the framing left as it is — how a
+        whole-file mediator encrypts a save body or decrypts a read,
+        and how the convergence oracle decrypts stored bytes."""
         ...
 
     # -- replication-side: routing raw stored traffic ---------------------
@@ -340,6 +351,10 @@ class GDocsBackend:
         return ack.content_from_server_hash == \
             protocol.content_hash(local_text)
 
+    def map_content(self, body: str, fn: Callable[[str], str]) -> str:
+        """A stored document is one wire document."""
+        return fn(body)
+
     # -- replication helpers ----------------------------------------------
 
     def classify(self, request: HttpRequest) -> str:
@@ -468,6 +483,10 @@ class BespinBackend:
         """No content information in acks — always abstains."""
         return None
 
+    def map_content(self, body: str, fn: Callable[[str], str]) -> str:
+        """The whole file body is the content."""
+        return fn(body)
+
     # -- replication helpers ----------------------------------------------
 
     def classify(self, request: HttpRequest) -> str:
@@ -477,7 +496,8 @@ class BespinBackend:
                 return KIND_SAVE_FULL
             if request.method == "GET":
                 return KIND_READ
-        if request.path.startswith("/file/list/"):
+        if request.path.startswith("/file/list/") and \
+                request.method == "GET":
             return KIND_READ
         return KIND_OTHER
 
@@ -599,15 +619,22 @@ class BuzzwordBackend:
         """No content information in acks — always abstains."""
         return None
 
+    def map_content(self, body: str, fn: Callable[[str], str]) -> str:
+        """Each ``<textRun>`` body is content; the XML structure
+        (paragraphs, ordering) is framing."""
+        return buzzword.map_text_runs(body, fn)
+
     # -- replication helpers ----------------------------------------------
 
     def classify(self, request: HttpRequest) -> str:
-        """POSTs to ``/doc/`` save whole documents; GETs read."""
+        """POSTs to ``/doc/`` save whole documents; document GETs
+        read.  A GET below a document (``/doc/<id>/wordcount``) is a
+        server feature, not a read."""
         if not request.path.startswith("/doc/"):
             return KIND_OTHER
         if request.method == "POST":
             return KIND_SAVE_FULL
-        if request.method == "GET":
+        if request.method == "GET" and "/" not in self.doc_id_of(request):
             return KIND_READ
         return KIND_OTHER
 

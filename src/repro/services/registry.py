@@ -34,11 +34,8 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.core.document import load_document
 from repro.core.transform import EncryptionEngine
-from repro.encoding.wire import looks_encrypted
 from repro.net.http import HttpRequest, HttpResponse
-from repro.services import buzzword
 from repro.services.backend import (
     BESPIN,
     BUZZWORD,
@@ -156,19 +153,13 @@ def decrypt_view(service: str, stored: str, password: str,
     """Plaintext of ``stored`` bytes as :func:`server_view` returned
     them — the convergence oracle's view of the provider's state.
 
-    Buzzword stores XML whose ``<textRun>`` bodies are independent
-    ciphertext documents (paragraphs joined by newlines client-side);
-    every other service stores one wire document.
+    The backend's ``map_content`` decrypts every content chunk (one
+    wire document, or one per Buzzword ``<textRun>``), and its fetch
+    parser reads the result exactly as the client would.
     """
-    _check(service)
+    backend = backend_for(service)
     if not stored:
         return ""
-    if service == "buzzword":
-        runs = []
-        for run in buzzword.text_runs(stored):
-            if looks_encrypted(run):
-                runs.append(load_document(run, password=password).text)
-            else:
-                runs.append(run)
-        return "\n".join(runs)
-    return EncryptionEngine(password=password, scheme=scheme).decrypt(stored)
+    engine = EncryptionEngine(password=password, scheme=scheme)
+    plain = backend.map_content(stored, engine.decrypt)
+    return backend.parse_fetch("", HttpResponse(200, plain), -1).content

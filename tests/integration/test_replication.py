@@ -115,9 +115,9 @@ class TestWholeFileReplication:
     :class:`~repro.services.backend.ServiceBackend` protocol."""
 
     def _stack(self):
-        from repro.client.bespin_client import BespinClient
-        from repro.extension.bespin_ext import BespinExtension
+        from repro.client.resilient import ResilientClient
         from repro.extension.passwords import PasswordVault
+        from repro.extension.whole_file import WholeFileExtension
         from repro.net.channel import Channel
         from repro.net.policy import RetryPolicy
         from repro.services.backend import BESPIN
@@ -127,11 +127,12 @@ class TestWholeFileReplication:
         service = ReplicatedService(backends, service=BESPIN)
         channel = Channel(service)
         path = "proj/notes.txt"
-        channel.set_mediator(BespinExtension(
-            PasswordVault({path: "pw"}),
+        channel.set_mediator(WholeFileExtension(
+            BESPIN, PasswordVault({path: "pw"}),
             rng=DeterministicRandomSource(5),
         ))
-        client = BespinClient(channel, path, policy=RetryPolicy(seed=5))
+        client = ResilientClient(channel, path, BESPIN,
+                                 policy=RetryPolicy(seed=5))
         return client, service, backends, path
 
     def test_full_save_heals_whole_file_straggler(self):

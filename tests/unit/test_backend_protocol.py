@@ -11,8 +11,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ProtocolError
-from repro.net.http import HttpResponse
-from repro.services import registry
+from repro.net.http import HttpRequest, HttpResponse
+from repro.services import bespin, buzzword, registry
 from repro.services.backend import (
     BESPIN,
     BUZZWORD,
@@ -77,6 +77,9 @@ def test_bespin_classification():
         BESPIN.full_save_request("p", None, 0, "body")) == KIND_SAVE_FULL
     other = GDOCS.open_request("p")  # a gdocs URL is not a Bespin one
     assert BESPIN.classify(other) == KIND_OTHER
+    listing = f"http://{bespin.HOST}/file/list/p/"
+    assert BESPIN.classify(HttpRequest("GET", listing)) == KIND_READ
+    assert BESPIN.classify(HttpRequest("POST", listing)) == KIND_OTHER
 
 
 def test_buzzword_classification():
@@ -84,6 +87,9 @@ def test_buzzword_classification():
     assert BUZZWORD.classify(
         BUZZWORD.full_save_request("n", None, 0, "text")) == KIND_SAVE_FULL
     assert BUZZWORD.classify(GDOCS.open_request("n")) == KIND_OTHER
+    # a server feature below a document is not a read of it
+    assert BUZZWORD.classify(buzzword.get_request("n/wordcount")) == \
+        KIND_OTHER
 
 
 @pytest.mark.parametrize("backend", ALL, ids=lambda b: b.name)

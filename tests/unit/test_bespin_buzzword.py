@@ -1,18 +1,19 @@
-"""Bespin and Buzzword: servers, clients, and their extensions."""
+"""Bespin and Buzzword: servers, and private editing through the one
+whole-file mediator with the plain resilient client."""
 
 import pytest
 
-from repro.client.bespin_client import BespinClient
-from repro.client.buzzword_client import BuzzwordClient
+from repro.client.resilient import ResilientClient
 from repro.crypto.random import DeterministicRandomSource
-from repro.encoding.wire import looks_encrypted
+from repro.encoding.wire import looks_encrypted, split_header
 from repro.errors import BlockedRequestError
-from repro.extension.bespin_ext import BespinExtension
-from repro.extension.buzzword_ext import BuzzwordExtension
 from repro.extension.passwords import PasswordVault
+from repro.extension.session import PrivateEditingSession
+from repro.extension.whole_file import WholeFileExtension
 from repro.net.channel import Channel
 from repro.net.http import HttpRequest
 from repro.services import bespin, buzzword
+from repro.services.backend import BESPIN, BUZZWORD, join_paragraphs
 from repro.services.bespin import BespinServer
 from repro.services.buzzword import BuzzwordServer
 
@@ -50,13 +51,14 @@ class TestBespinPrivateEditing:
         server = BespinServer()
         ch = Channel(server)
         vault = PasswordVault({"proj/secret.py": "pw"})
-        ext = BespinExtension(vault, rng=DeterministicRandomSource(1))
+        ext = WholeFileExtension(BESPIN, vault,
+                                 rng=DeterministicRandomSource(1))
         ch.set_mediator(ext)
         return server, ch
 
     def test_server_sees_only_ciphertext(self):
         server, ch = self._stack()
-        client = BespinClient(ch, "proj/secret.py")
+        client = ResilientClient(ch, "proj/secret.py", BESPIN)
         client.open()
         client.editor.insert(0, "API_KEY = 'hunter2'")
         client.save()
@@ -66,18 +68,36 @@ class TestBespinPrivateEditing:
 
     def test_round_trip_through_extension(self):
         server, ch = self._stack()
-        client = BespinClient(ch, "proj/secret.py")
+        client = ResilientClient(ch, "proj/secret.py", BESPIN)
         client.open()
         client.editor.insert(0, "x = 1")
         client.save()
         # a second client (same vault/extension) reads it back decrypted
-        client2 = BespinClient(ch, "proj/secret.py")
+        client2 = ResilientClient(ch, "proj/secret.py", BESPIN)
         assert client2.open() == "x = 1"
 
     def test_unknown_requests_blocked(self):
         _, ch = self._stack()
         with pytest.raises(BlockedRequestError):
             ch.send(HttpRequest("POST", f"http://{bespin.HOST}/admin"))
+
+    def test_delete_passes_unmodified(self):
+        ext = WholeFileExtension(BESPIN, PasswordVault({"p/a.py": "pw"}),
+                                 rng=DeterministicRandomSource(1))
+        delete = HttpRequest("DELETE", bespin.file_url("p/a.py"))
+        forwarded = ext.on_request(delete)
+        assert forwarded == delete
+        assert forwarded.body == "" and not looks_encrypted(forwarded.body)
+
+    def test_listing_passes_and_names_stay_readable(self):
+        server, ch = self._stack()
+        client = ResilientClient(ch, "proj/secret.py", BESPIN)
+        client.open()
+        client.type_text(0, "x = 1")
+        client.save()
+        resp = ch.send(HttpRequest(
+            "GET", f"http://{bespin.HOST}/file/list/proj/"))
+        assert resp.form["files"] == "proj/secret.py"
 
 
 class TestBuzzwordXml:
@@ -117,14 +137,16 @@ class TestBuzzwordPrivateEditing:
         server = BuzzwordServer()
         ch = Channel(server)
         vault = PasswordVault({"d1": "pw"})
-        ext = BuzzwordExtension(vault, rng=DeterministicRandomSource(2))
+        ext = WholeFileExtension(BUZZWORD, vault,
+                                 rng=DeterministicRandomSource(2))
         ch.set_mediator(ext)
         return server, ch
 
     def test_text_runs_encrypted_structure_visible(self):
         server, ch = self._stack()
-        client = BuzzwordClient(ch, "d1")
-        client.paragraphs = ["top secret paragraph", "another one"]
+        client = ResilientClient(ch, "d1", BUZZWORD)
+        client.editor.set_text(
+            join_paragraphs(["top secret paragraph", "another one"]))
         client.save()
         stored = server.documents["d1"]
         assert "<doc>" in stored and stored.count("<textRun>") == 2
@@ -134,13 +156,44 @@ class TestBuzzwordPrivateEditing:
 
     def test_round_trip(self):
         server, ch = self._stack()
-        client = BuzzwordClient(ch, "d1")
-        client.paragraphs = ["alpha", "beta & <gamma>"]
+        client = ResilientClient(ch, "d1", BUZZWORD)
+        client.editor.set_text(join_paragraphs(["alpha", "beta & <gamma>"]))
         client.save()
-        client2 = BuzzwordClient(ch, "d1")
-        assert client2.open() == ["alpha", "beta & <gamma>"]
+        client2 = ResilientClient(ch, "d1", BUZZWORD)
+        assert client2.open() == "alpha\nbeta & <gamma>"
 
     def test_wordcount_blocked_under_extension(self):
         _, ch = self._stack()
         with pytest.raises(BlockedRequestError):
             ch.send(buzzword.get_request("d1/wordcount"))
+
+
+class TestBuzzwordReopen:
+    def test_reopen_edit_save_reopen_keeps_text_and_salt(self):
+        server = BuzzwordServer()
+
+        def session(seed):
+            return PrivateEditingSession(
+                "memo", "pw", server=server, service="buzzword",
+                rng=DeterministicRandomSource(seed))
+
+        def salts():
+            return {split_header(run)[0].salt
+                    for run in buzzword.text_runs(server.documents["memo"])}
+
+        first = session(1)
+        first.open()
+        first.type_text(0, "first paragraph\nsecond & <third>")
+        assert first.save().ok
+        created = salts()
+        assert len(created) == 1
+
+        second = session(2)
+        assert second.open() == "first paragraph\nsecond & <third>"
+        second.type_text(0, "edited ")
+        assert second.save().ok
+        # the re-save keeps the stored document's salt (as Bespin does)
+        assert salts() == created
+
+        assert session(3).open() == \
+            "edited first paragraph\nsecond & <third>"

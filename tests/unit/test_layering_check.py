@@ -48,13 +48,24 @@ def test_client_importing_the_registry_is_flagged(lint):
 
 def test_extension_may_use_the_registry_but_not_servers(lint):
     assert lint.check_source(
-        "repro.extension.stacks",
+        "repro.extension.session",
         "from repro.services.registry import make_server\n",
     ) == []
     assert lint.check_source(
         "repro.extension.sneaky",
         "import repro.services.replicated\n",
     )
+
+
+@pytest.mark.parametrize("module", ("repro.extension.whole_file",
+                                    "repro.extension.gdocs_ext",
+                                    "repro.extension.sneaky"))
+def test_only_the_session_builder_may_use_the_registry(lint, module):
+    for source in ("from repro.services.registry import make_server\n",
+                   "from repro.services import registry\n",
+                   "import repro.services.registry\n"):
+        problems = lint.check_source(module, source)
+        assert problems and "registry" in problems[0], (module, source)
 
 
 def test_service_importing_the_trusted_layer_is_flagged(lint):
@@ -111,7 +122,7 @@ def test_client_importing_the_pool_is_flagged(lint):
     assert problems and "raw connections" in problems[0]
     # the extension layer may wire transports up (sessions do)
     assert lint.check_source(
-        "repro.extension.stacks",
+        "repro.extension.session",
         "from repro.net.transport import InProcessTransport\n",
     ) == []
 

@@ -13,13 +13,12 @@ enforces the layering that ``docs/architecture.md`` documents:
   ``repro.services.bespin``'s builders, ``repro.services.buzzword``'s
   XML helpers).  The *simulated servers* and their storage
   (``repro.services.gdocs.server`` / ``storage`` / ``pieces``), the
-  replication facade (``repro.services.replicated``), and — for the
-  client layer — the server-constructing ``repro.services.registry``
-  are off limits: a client that imports a server is a client whose
+  replication facade (``repro.services.replicated``), and the
+  server-constructing ``repro.services.registry`` are off limits: a client that imports a server is a client whose
   tests prove nothing about the wire contract.
-  (``repro.extension`` gets a registry exemption: the session/stack
-  builders are exactly the place that turns a service *name* into a
-  server.)
+  (``repro.extension.session`` alone gets a registry exemption: the
+  session builder is exactly the place that turns a service *name*
+  into a server; every other mediator takes a ``ServiceBackend``.)
 * **service code** (``repro.services.*``) may not import
   ``repro.client`` or ``repro.extension`` — providers are untrusted
   and know nothing of the mediation stack above them.
@@ -80,8 +79,10 @@ SERVER_NAMES = frozenset({
     "CatalogService", "CatalogStore",
 })
 
-#: the one extension-layer module family allowed to build servers
+#: the server-constructing registry, banned on the trusted side...
 REGISTRY = "repro.services.registry"
+#: ...except in the one service builder
+REGISTRY_USER = "repro.extension.session"
 
 #: the socket server — untrusted territory, banned on the trusted side
 NET_SERVER = "repro.net.server"
@@ -135,8 +136,11 @@ def _imports(tree: ast.AST):
             yield node.lineno, node.module or "", names
 
 
-def _covers(imported: str, module: str) -> bool:
-    return imported == module or imported.startswith(module + ".")
+def _covers(imported: str, names: tuple[str, ...], module: str) -> bool:
+    """Does ``from imported import names`` (or ``import imported``)
+    reach ``module``?  ``from repro.services import registry`` does."""
+    return any(path == module or path.startswith(module + ".")
+               for path in (imported, *(f"{imported}.{n}" for n in names)))
 
 
 def check(path: pathlib.Path) -> list[str]:
@@ -160,29 +164,29 @@ def check_source(module: str, source: str, where: str = "<source>"
     for lineno, imported, names in _imports(tree):
         spot = f"{where}:{lineno}"
         if in_trusted:
-            if _covers(imported, NET_SERVER):
+            if _covers(imported, names, NET_SERVER):
                 problems.append(
                     f"{spot}: {module} imports the socket server "
                     f"({imported}) — trusted code reaches a server "
                     f"only through the Transport seam"
                 )
-            if (_covers(imported, NET_POOL)
+            if (_covers(imported, names, NET_POOL)
                     and module.startswith("repro.client")):
                 problems.append(
                     f"{spot}: {module} imports {NET_POOL} — clients "
                     f"hold a Transport, never raw connections"
                 )
             for banned in SERVER_MODULES:
-                if _covers(imported, banned):
+                if _covers(imported, names, banned):
                     problems.append(
                         f"{spot}: {module} imports server internals "
                         f"{imported} (go through repro.services.backend)"
                     )
-            if (_covers(imported, REGISTRY)
-                    and module.startswith("repro.client")):
+            if _covers(imported, names, REGISTRY) and module != REGISTRY_USER:
                 problems.append(
                     f"{spot}: {module} imports {REGISTRY} — clients "
-                    f"take a ServiceBackend, they do not build servers"
+                    f"and mediators take a ServiceBackend, only "
+                    f"{REGISTRY_USER} builds servers"
                 )
             bound = SERVER_NAMES.intersection(names)
             if bound:
@@ -190,8 +194,8 @@ def check_source(module: str, source: str, where: str = "<source>"
                     f"{spot}: {module} binds server name(s) "
                     f"{', '.join(sorted(bound))} from {imported}"
                 )
-        if in_services and (_covers(imported, "repro.client")
-                            or _covers(imported, "repro.extension")):
+        if in_services and (_covers(imported, names, "repro.client")
+                            or _covers(imported, names, "repro.extension")):
             problems.append(
                 f"{spot}: service module {module} imports the trusted "
                 f"layer ({imported}) — providers are untrusted and "
@@ -199,7 +203,7 @@ def check_source(module: str, source: str, where: str = "<source>"
             )
         if module == OT_MODULE:
             for banned in OT_BANNED:
-                if _covers(imported, banned):
+                if _covers(imported, names, banned):
                     problems.append(
                         f"{spot}: {module} imports {imported} — the OT "
                         f"merge engine transforms ciphertext deltas "
@@ -208,7 +212,7 @@ def check_source(module: str, source: str, where: str = "<source>"
         if module == CATALOG_MODULE or \
                 module.startswith(CATALOG_MODULE + "."):
             for banned in CATALOG_BANNED:
-                if _covers(imported, banned):
+                if _covers(imported, names, banned):
                     problems.append(
                         f"{spot}: {module} imports {imported} — the "
                         f"catalog stores opaque trapdoors and postings "
@@ -216,7 +220,7 @@ def check_source(module: str, source: str, where: str = "<source>"
                     )
         if module == AUDIT_MODULE:
             for banned in AUDIT_BANNED:
-                if _covers(imported, banned):
+                if _covers(imported, names, banned):
                     problems.append(
                         f"{spot}: {module} imports {imported} — the "
                         f"audit-chain core is shared by verifier and "
@@ -225,7 +229,7 @@ def check_source(module: str, source: str, where: str = "<source>"
                     )
         if in_net:
             for banned in NET_BANNED:
-                if _covers(imported, banned):
+                if _covers(imported, names, banned):
                     problems.append(
                         f"{spot}: transport module {module} imports "
                         f"{imported} — repro.net sits below the trust "
