@@ -29,6 +29,11 @@ exactly those records.  Bookkeeping records are patched as needed — for
 RPC the checksum record is rewritten once per update (its running XOR
 aggregates make that O(1)), which is the paper's "slightly more, but
 constant, extra resources".
+
+The mirror applies the same cdelta to its own kept wire text, so
+:meth:`EncryptedDocument.wire` (which the extension hashes to verify
+every Ack) costs one string splice per update, not a Base32 re-encode
+of every record.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ from repro.encoding.wire import (
     Record,
     encode_records,
     parse_document,
+    split_header,
 )
 from repro.errors import (
     CiphertextFormatError,
@@ -190,6 +196,9 @@ class EncryptedDocument(ABC):
         self._state: object = None
         self._prefix: list[Record] = []
         self._suffix: list[Record] = []
+        #: the stored wire text, built on first :meth:`wire` and then
+        #: kept in step by splicing each update's cdelta into it
+        self._wire: str | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -245,6 +254,7 @@ class EncryptedDocument(ABC):
         first_lead = metas[0].lead if metas else None
         self._prefix = self._codec.prefix(self._state, first_lead)
         self._suffix = self._codec.suffix(self._state)
+        self._wire = None
 
     # -- subclass hooks --------------------------------------------------
 
@@ -306,13 +316,17 @@ class EncryptedDocument(ABC):
         return "".join(meta.text for meta in self._index.values())
 
     def wire(self) -> str:
-        """The full stored form: header + bookkeeping + data records."""
-        records = (
-            self._prefix
-            + [meta.record for meta in self._index.values()]
-            + self._suffix
-        )
-        return self._header.encode() + encode_records(records)
+        """The full stored form: header + bookkeeping + data records.
+
+        Encoded from the records on first use only; every later update
+        splices its cdelta into the kept text, so a delta save encodes
+        just its new records instead of the whole document.
+        """
+        if self._wire is None:
+            self._wire = self._header.encode() + encode_records(
+                self._records()
+            )
+        return self._wire
 
     def wire_length(self) -> int:
         """Length of :meth:`wire` without materializing it."""
@@ -427,6 +441,14 @@ class EncryptedDocument(ABC):
 
     # -- internals -----------------------------------------------------------
 
+    def _records(self) -> list[Record]:
+        """Every stored record in wire order: prefix, data, suffix."""
+        return (
+            self._prefix
+            + [meta.record for meta in self._index.values()]
+            + self._suffix
+        )
+
     def _data_area_start(self) -> int:
         return self._header.wire_length + len(self._prefix) * RECORD_CHARS
 
@@ -436,15 +458,10 @@ class EncryptedDocument(ABC):
         old_area = self.wire_length() - self._header.wire_length
         next_version = getattr(self._state, "version", -1) + 1
         self._build_fresh(new_text, version=next_version)
-        records = (
-            self._prefix
-            + [meta.record for meta in self._index.values()]
-            + self._suffix
-        )
         ops: list[DeltaOp] = [Retain(self._header.wire_length)]
         if old_area:
             ops.append(Delete(old_area))
-        ops.append(Insert(encode_records(records)))
+        ops.append(Insert(encode_records(self._records())))
         return Delta(ops)
 
     def _apply_clusters(self, edits: list[SourceEdit]) -> Delta:
@@ -560,7 +577,10 @@ class EncryptedDocument(ABC):
             ops.append(Insert(encode_records(new_suffix)))
             self._suffix = new_suffix
 
-        return Delta(ops)
+        cdelta = Delta(ops)
+        if self._wire is not None:
+            self._wire = cdelta.apply(self._wire)
+        return cdelta
 
     def _locate_span(
         self, cluster: _Cluster, char_shift: int
@@ -744,12 +764,7 @@ class RpcDocument(EncryptedDocument):
         Mostly a testing/diagnostic aid: tampering normally surfaces on
         :meth:`load` of the *server's* copy.
         """
-        records = (
-            self._prefix
-            + [meta.record for meta in self._index.values()]
-            + self._suffix
-        )
-        self._codec.load(records)
+        self._codec.load(self._records())
 
 
 def _resolve_keys(
@@ -793,7 +808,7 @@ def load_document(
     index_factory: Callable[[], BlockIndex] | None = None,
 ) -> EncryptedDocument:
     """Load a stored wire document, dispatching on its header's scheme."""
-    header, _ = parse_document(wire_text)
+    header, _ = split_header(wire_text)
     cls = scheme_factory(header.scheme)
     return cls.load(
         wire_text,

@@ -29,11 +29,16 @@ import numpy as np
 
 from repro.encoding import base32
 from repro.errors import CiphertextFormatError
+from repro.obs import counter
 
 #: bytes per record before encoding: 1 header byte + one AES block
 RECORD_BYTES = 17
 #: characters one record occupies on the wire
 RECORD_CHARS = base32.encoded_length(RECORD_BYTES)  # == 28
+
+#: records Base32-encoded by :func:`encode_records` — O(records changed)
+#: per save while the mirror splices its kept wire text
+_RECORDS_ENCODED = counter("wire.records_encoded")
 
 _MAGIC = "PE1"
 _HEADER_END = "."
@@ -91,6 +96,7 @@ def encode_records(records: list[Record]) -> str:
     (records are fixed-width, making every record's encoding
     independent and alignment-free).
     """
+    _RECORDS_ENCODED.inc(len(records))
     if len(records) < 8:
         return "".join(encode_record(r) for r in records)
     raw = np.frombuffer(

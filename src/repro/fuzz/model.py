@@ -31,7 +31,14 @@ Invariant catalogue (the names used in ``Violation.kind``):
     checksum verify) failed or produced different plaintext.
 ``cdelta-divergence``
     the ciphertext delta applied server-side (flat string and/or
-    piece table) does not reproduce the client's rewritten wire.
+    piece table) does not reproduce the reference wire re-encoded
+    from the client's records (:func:`reference_wire`).
+``wire-divergence``
+    the mirror's kept wire text (``doc.wire()``, spliced with each
+    cdelta rather than re-encoded) differs from :func:`reference_wire`.
+    Needed on its own because the mirror splices the very cdelta the
+    server applies: a cdelta bug would move both copies in step, so
+    only the from-records reference can tell.
 ``coalesce-divergence``
     a coalesced keystroke burst encrypted with one batched cipher
     call produced different bytes (cdelta wire or full ciphertext)
@@ -60,6 +67,7 @@ from dataclasses import dataclass, field
 
 from repro.core.delta import Delta
 from repro.core.document import EncryptedDocument, load_document
+from repro.encoding.wire import encode_records
 from repro.errors import ReproError
 from repro.fuzz.generators import POS_SCALE
 
@@ -72,6 +80,8 @@ __all__ = [
     "check_document",
     "check_roundtrip",
     "check_store",
+    "check_wire",
+    "reference_wire",
     "check_equal",
     "check_no_leak",
 ]
@@ -195,14 +205,37 @@ def check_roundtrip(doc: EncryptedDocument, oracle: str, step: int) -> None:
               f"reload={_clip(fresh.text)!r} oracle={_clip(oracle)!r}")
 
 
-def check_store(store_name: str, stored_wire: str,
-                doc: EncryptedDocument, step: int) -> None:
-    """cdelta fidelity: the server's copy equals the client rewrite."""
-    want = doc.wire()
-    if stored_wire != want:
+def reference_wire(doc: EncryptedDocument) -> str:
+    """The stored form re-encoded from the mirror's records.
+
+    Independent of the kept, cdelta-spliced text ``doc.wire()`` returns:
+    header plus every record in order, Base32-encoded from scratch.
+    """
+    records = (
+        doc._prefix
+        + [meta.record for meta in doc._index.values()]
+        + doc._suffix
+    )
+    return doc._header.encode() + encode_records(records)
+
+
+def check_store(store_name: str, stored_wire: str, reference: str,
+                step: int) -> None:
+    """cdelta fidelity: the server's copy equals the reference wire."""
+    if stored_wire != reference:
         _fail("cdelta-divergence", step,
-              f"{store_name} store diverged from client wire "
-              f"(server {len(stored_wire)} chars, client {len(want)})")
+              f"{store_name} store diverged from client records "
+              f"(server {len(stored_wire)} chars, "
+              f"reference {len(reference)})")
+
+
+def check_wire(doc: EncryptedDocument, reference: str, step: int) -> None:
+    """The mirror's spliced wire equals the from-records reference."""
+    got = doc.wire()
+    if got != reference:
+        _fail("wire-divergence", step,
+              f"spliced mirror wire ({len(got)} chars) differs from the "
+              f"records re-encoded ({len(reference)} chars)")
 
 
 def check_equal(kind: str, a: str, b: str, step: int, what: str) -> None:

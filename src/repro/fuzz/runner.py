@@ -75,7 +75,9 @@ from repro.fuzz.model import (
     check_no_leak,
     check_roundtrip,
     check_store,
+    check_wire,
     op_delta,
+    reference_wire,
     resolve_pos,
 )
 from repro.net.faults import FaultPlan, FaultSpec, updates_only
@@ -163,12 +165,14 @@ def _run_engine(trace: Trace) -> str:
         if delta is None:
             continue
         cdelta = doc.apply_delta(delta)
+        reference = reference_wire(doc)
+        check_wire(doc, reference, step)
         if flat is not None:
             flat = cdelta.apply(flat)
-            check_store("flat", flat, doc, step)
+            check_store("flat", flat, reference, step)
         if pieces is not None:
             cdelta.apply(pieces)
-            check_store("pieces", pieces.materialize(), doc, step)
+            check_store("pieces", pieces.materialize(), reference, step)
         check_document(doc, oracle, step)
 
     check_roundtrip(doc, oracle, -1)
@@ -216,8 +220,8 @@ def _check_coalescing(trace: Trace) -> None:
         wire_s = sequential.apply_delta(burst).serialize()
         check_equal("coalesce-divergence", wire_b, wire_s, step,
                     "cdelta wire, batched vs per-cluster ciphers")
-        check_equal("coalesce-divergence", batched.wire(),
-                    sequential.wire(), step,
+        check_equal("coalesce-divergence", reference_wire(batched),
+                    reference_wire(sequential), step,
                     "ciphertext, batched vs per-cluster ciphers")
 
     for step, op in enumerate(trace.ops):

@@ -1,0 +1,101 @@
+"""The mirror's kept wire text across every state transition.
+
+``EncryptedDocument.wire()`` is built from the records once and then
+patched with each update's cdelta.  After every transition it must
+equal :func:`repro.fuzz.model.reference_wire` — the same records
+re-encoded from scratch — and the returned cdelta applied to the old
+wire (what the server does) must land on it too.
+"""
+
+import pytest
+
+from repro.core import Delta, KeyMaterial, create_document, load_document
+from repro.core.delta import Delete, Insert, Retain
+from repro.crypto.random import DeterministicRandomSource
+from repro.datastructures import IndexedAVL, IndexedSkipList
+from repro.encoding import wire as wire_module
+from repro.fuzz.model import reference_wire
+
+KEYS = KeyMaterial.from_password("mirror", salt=b"mirror-salt1")
+TEXT = "the quick brown fox jumps over the lazy dog; " * 20
+
+pytestmark = pytest.mark.parametrize("index_factory",
+                                     [IndexedSkipList, IndexedAVL])
+
+
+def _doc(scheme, index_factory, text=TEXT):
+    return create_document(text, key_material=KEYS, scheme=scheme,
+                           block_chars=8, rng=DeterministicRandomSource(7),
+                           index_factory=index_factory)
+
+
+def _step(doc, update):
+    """Run ``update`` on a doc whose wire is already kept; check both
+    the spliced mirror and the server-side replay of the cdelta."""
+    before = doc.wire()
+    cdelta = update()
+    assert doc.wire() == reference_wire(doc)
+    assert cdelta.apply(before) == doc.wire()
+
+
+@pytest.mark.parametrize("scheme", ["recb", "rpc"])
+def test_apply_delta(scheme, index_factory):
+    doc = _doc(scheme, index_factory)
+    for make in (
+        lambda n: Delta.insertion(5, "very "),
+        lambda n: Delta.deletion(100, 37),
+        lambda n: Delta.replacement(40, 200, "short"),
+        lambda n: Delta.insertion(n, " tail"),
+        lambda n: Delta.deletion(0, 3),
+    ):
+        _step(doc, lambda: doc.apply_delta(make(doc.char_length)))
+    # a multi-cluster delta touches several spans in one update
+    _step(doc, lambda: doc.apply_delta(Delta(
+        [Retain(2), Insert("a"), Retain(298), Delete(4), Insert("b")])))
+    assert doc.text == load_document(doc.wire(), key_material=KEYS).text
+
+
+@pytest.mark.parametrize("scheme", ["recb", "rpc"])
+def test_rekey(scheme, index_factory):
+    doc = _doc(scheme, index_factory)
+    doc.apply_delta(Delta.insertion(3, "xyz"))
+    _step(doc, lambda: doc.rekey(password="rotated"))
+    _step(doc, lambda: doc.apply_delta(Delta.deletion(10, 4)))
+    assert load_document(doc.wire(), password="rotated").text == doc.text
+
+
+def test_rpc_rewrite_from_and_to_empty(index_factory):
+    doc = _doc("rpc", index_factory, text="")
+    _step(doc, lambda: doc.apply_delta(Delta.insertion(0, TEXT)))
+    _step(doc, lambda: doc.apply_delta(Delta.insertion(9, "spliced ")))
+    _step(doc, lambda: doc.apply_delta(Delta.deletion(0, doc.char_length)))
+    assert doc.text == ""
+    _step(doc, lambda: doc.apply_delta(Delta.insertion(0, "again")))
+    assert load_document(doc.wire(), key_material=KEYS).text == "again"
+
+
+@pytest.mark.parametrize("scheme", ["recb", "rpc"])
+def test_load_then_delta(scheme, index_factory):
+    stored = _doc(scheme, index_factory).wire()
+    doc = load_document(stored, key_material=KEYS,
+                        rng=DeterministicRandomSource(8),
+                        index_factory=index_factory)
+    assert doc.wire() == stored
+    _step(doc, lambda: doc.apply_delta(Delta.replacement(50, 20, "mid")))
+    assert load_document(doc.wire(), key_material=KEYS).text == doc.text
+
+
+@pytest.mark.parametrize("scheme", ["recb", "rpc"])
+def test_load_document_decodes_records_once(scheme, index_factory,
+                                            monkeypatch):
+    stored = _doc(scheme, index_factory).wire()
+    calls = []
+    original = wire_module.decode_records
+
+    def counting(text):
+        calls.append(len(text))
+        return original(text)
+
+    monkeypatch.setattr(wire_module, "decode_records", counting)
+    load_document(stored, key_material=KEYS, index_factory=index_factory)
+    assert len(calls) == 1

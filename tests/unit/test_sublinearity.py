@@ -16,6 +16,8 @@ import pytest
 
 from repro.core import Delta, KeyMaterial, create_document
 from repro.crypto.random import DeterministicRandomSource
+from repro.extension.gdocs_ext import GDocsExtension
+from repro.extension.session import PrivateEditingSession
 from repro.obs import capture
 
 KEYS = KeyMaterial.from_password("sublinear", salt=b"sublinear1")
@@ -84,3 +86,38 @@ class TestSingleEditIsSublinear:
                                               "x" * doc.char_length))
         assert cap["crypto.aes.calls"] >= n_blocks
         assert cap["index.range_visits"] >= n_blocks
+
+
+@pytest.mark.parametrize("scheme", ["recb", "rpc"])
+def test_verified_delta_save_encodes_only_new_records(scheme, monkeypatch):
+    """One delta save through the full mediated stack, Ack hash check
+    included, Base32-encodes O(cluster) records: the mirror splices the
+    cdelta into its kept wire text instead of re-encoding ~13.5k
+    records to hash-check the Ack."""
+    checked: list[bool] = []
+    original = GDocsExtension._ack_diverges
+
+    def spy(self, doc_id, fields):
+        checked.append(original(self, doc_id, fields))
+        return checked[-1]
+
+    monkeypatch.setattr(GDocsExtension, "_ack_diverges", spy)
+    session = PrivateEditingSession("sublinear", "pw", scheme=scheme,
+                                    rng=DeterministicRandomSource(5),
+                                    verify_acks=True)
+    session.open()
+    session.type_text(0, TEXT)
+    assert session.save().kind == "full"
+    n_blocks = len(TEXT) // 8
+    assert n_blocks >= 10_000
+    session.type_text(len(TEXT) // 2, "word ")
+    with capture() as cap:
+        outcome = session.save()
+    assert outcome.kind == "delta" and outcome.ok and not outcome.complaints
+    assert checked == [False, False], "the Ack hash check must run and pass"
+    bound = cap["doc.blocks_reencrypted"] + 2
+    assert 0 < cap["wire.records_encoded"] <= bound, (
+        f"{scheme}: a verified delta save on {n_blocks} blocks encoded "
+        f"{cap['wire.records_encoded']} records (bound {bound}) — the "
+        f"Ack check re-encodes the whole mirror again"
+    )

@@ -8,7 +8,9 @@ and runs the same ``repro fuzz`` invocation against the clean tree and
 each mutant:
 
 * clean tree  → exit 0 (no violations), or the harness is flaky;
-* mutant tree → exit != 0, or the harness is blind to that bug class.
+* mutant tree → exit != 0 with the entry's violation kind reported,
+  or the harness is blind to that bug class (a catch by some other
+  oracle does not count: it would not prove the intended one fires).
 
 The mutation table covers one oracle per stack layer:
 
@@ -21,6 +23,12 @@ The mutation table covers one oracle per stack layer:
     The catalog server silently withholds the newest posting blob from
     every trapdoor lookup.  The workspace profile's plaintext word
     oracle must flag it (``search-mismatch``).
+``mirror-wire-not-spliced``
+    The mirror stops splicing each update's cdelta into its kept wire
+    text (``EncryptedDocument._apply_clusters``), so ``wire()`` keeps
+    returning the pre-edit ciphertext.  The server-side stores still
+    match the records, so only the engine profile's from-records
+    reference check must flag it (``wire-divergence``).
 ``workspace-ignores-trusted-link``
     The workspace client stops comparing a fetched audit chain against
     its remembered ``(rev, link)`` anchor — exactly the check that
@@ -61,6 +69,7 @@ class Mutation:
     fuzz_args: tuple             #: extra ``repro fuzz`` arguments
     iters: int                   #: iterations (clean and mutant runs)
     blind_to: str                #: what a survival would mean
+    kind: str                    #: the violation kind that must fire
 
 
 MUTATIONS = (
@@ -77,6 +86,17 @@ MUTATIONS = (
         fuzz_args=("--profile", "engine", "--scheme", "rpc"),
         iters=25,
         blind_to="a broken RPC length amendment",
+        kind="roundtrip",
+    ),
+    Mutation(
+        name="mirror-wire-not-spliced",
+        file="repro/core/document.py",
+        target="            self._wire = cdelta.apply(self._wire)",
+        mutant="            pass  # MUTANT: kept wire text not spliced",
+        fuzz_args=("--profile", "engine"),
+        iters=10,
+        blind_to="a mirror wire that no longer tracks its records",
+        kind="wire-divergence",
     ),
     Mutation(
         name="catalog-lookup-drops-posting",
@@ -87,6 +107,7 @@ MUTATIONS = (
         fuzz_args=("--profile", "workspace"),
         iters=6,
         blind_to="a catalog that withholds search postings",
+        kind="search-mismatch",
     ),
     Mutation(
         name="workspace-ignores-trusted-link",
@@ -97,6 +118,7 @@ MUTATIONS = (
         fuzz_args=("--profile", "workspace"),
         iters=6,
         blind_to="a forged (self-consistent) audit chain",
+        kind="audit-miss",
     ),
 )
 
@@ -149,12 +171,17 @@ def check_mutation(mutation: Mutation, iters: int, seed: int) -> int:
               f"tree without a single violation — the oracle is blind "
               f"to {mutation.blind_to}.", file=sys.stderr)
         return 1
-    caught = [line for line in output.splitlines() if "violation" in
-              line.lower() or "[" in line]
+    caught = [line for line in output.splitlines()
+              if f"[{mutation.kind}]" in line]
+    if not caught:
+        print(f"MUTATION CAUGHT BY THE WRONG ORACLE: [{mutation.name}] "
+              f"the mutant failed, but never with [{mutation.kind}]:",
+              file=sys.stderr)
+        print(output, file=sys.stderr)
+        return 1
     print(f"[{mutation.name}] mutant tree: exit {code} — harness "
           f"caught {mutation.blind_to}")
-    if caught:
-        print(f"  e.g. {caught[0].strip()[:100]}")
+    print(f"  e.g. {caught[0].strip()[:100]}")
     return 0
 
 
