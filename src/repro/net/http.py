@@ -23,6 +23,28 @@ _URL_PARSES = counter("net.url_parses")
 _URL_CACHE_HITS = counter("net.url_cache_hits")
 
 
+def _seeded(message, fields: dict[str, str]):
+    """``message`` with its form-parse cache filled from ``fields``.
+
+    ``with_form`` already holds the dict its body encodes, so every
+    later reader of ``.form`` gets a copy instead of decoding the body
+    again.  Only ``with_form`` fills the cache: ``.form`` on any other
+    message parses without keeping the result, so a message kept in an
+    exchange log holds a second copy of its fields only if it was built
+    by ``with_form``.
+    """
+    message.__dict__["_form"] = dict(fields)
+    return message
+
+
+def _form_of(message) -> dict[str, str]:
+    """A fresh dict of ``message``'s form fields (cached or parsed)."""
+    cached = message.__dict__.get("_form")
+    if cached is not None:
+        return dict(cached)
+    return parse_form(message.body)
+
+
 def parse_url(url: str) -> tuple[str, str, dict[str, str]]:
     """Split a URL into ``(host, path, query_params)``."""
     _URL_PARSES.inc()
@@ -83,15 +105,16 @@ class HttpRequest:
     @property
     def form(self) -> dict[str, str]:
         """The body parsed as a form (POST bodies in this protocol)."""
-        return parse_form(self.body)
+        return _form_of(self)
 
     def with_body(self, body: str) -> "HttpRequest":
         """Copy of this request with a replaced body."""
         return replace(self, body=body)
 
     def with_form(self, fields: dict[str, str]) -> "HttpRequest":
-        """Copy of this request with a re-encoded form body."""
-        return self.with_body(encode_form(fields))
+        """Copy of this request with a re-encoded form body; its
+        ``.form`` hands back ``fields`` without decoding the body."""
+        return _seeded(self.with_body(encode_form(fields)), fields)
 
     @property
     def wire_bytes(self) -> int:
@@ -115,15 +138,16 @@ class HttpResponse:
 
     @property
     def form(self) -> dict[str, str]:
-        return parse_form(self.body)
+        return _form_of(self)
 
     def with_body(self, body: str) -> "HttpResponse":
         """Copy of this response with a replaced body."""
         return replace(self, body=body)
 
     def with_form(self, fields: dict[str, str]) -> "HttpResponse":
-        """Copy of this response with a re-encoded form body."""
-        return self.with_body(encode_form(fields))
+        """Copy of this response with a re-encoded form body; its
+        ``.form`` hands back ``fields`` without decoding the body."""
+        return _seeded(self.with_body(encode_form(fields)), fields)
 
     @property
     def wire_bytes(self) -> int:

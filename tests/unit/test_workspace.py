@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import obs
 from repro.client.workspace import Workspace
 from repro.security.adversary import ActiveServerAdversary
 from repro.services import registry
@@ -152,3 +153,44 @@ class TestAuditTrail:
         assert ws.alerts == []
         assert ws._trust["alpha"][0] == \
             ws.session("alpha").client.revision
+
+
+class _RecordingMediator:
+    """Passes every message through the real extension and keeps the
+    body of each one it sees or produces."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.bodies: list[str] = []
+
+    def on_request(self, request):
+        mediated = self.inner.on_request(request)
+        self.bodies += [request.body, mediated.body]
+        return mediated
+
+    def on_response(self, request, response):
+        rewritten = self.inner.on_response(request, response)
+        self.bodies += [response.body, rewritten.body]
+        return rewritten
+
+
+class TestSavePathParsing:
+    def test_delta_save_decodes_each_body_at_most_once(self, ws):
+        """A verified delta save crosses four bodies: the client's
+        request, the mediated request, the server's response and the
+        rewritten response.  The extension, the catalog wrapper, the
+        server and the client share their parses, so no body is
+        decoded twice."""
+        _seed_doc(ws, "alpha", "the walrus sings, loudly & long")
+        session = ws.session("alpha")
+        recorder = _RecordingMediator(session.extension)
+        session.channel.set_mediator(recorder)
+        ws.type_text("alpha", 4, "old ")
+        with obs.capture() as cap:
+            assert ws.save("alpha").ok
+        client_req, mediated, server_resp, rewritten = recorder.bodies
+        assert protocol.F_DELTA + "=" in mediated
+        distinct = {client_req, mediated, server_resp, rewritten}
+        # the extension must read the plaintext request at least once
+        assert len(client_req) <= cap["formenc.bytes_decoded"] \
+            <= sum(map(len, distinct))

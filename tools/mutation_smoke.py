@@ -29,6 +29,12 @@ The mutation table covers one oracle per stack layer:
     returning the pre-edit ciphertext.  The server-side stores still
     match the records, so only the engine profile's from-records
     reference check must flag it (``wire-divergence``).
+``unquote-fast-path-ignores-plus``
+    The form codec's ``unquote`` fast path stops checking for ``+``, so
+    ``a+b`` comes back unchanged instead of as ``a b``.  Ciphertext has
+    no ``+``, but every plaintext save body with a space has one: the
+    default profile's decrypt-versus-client-text oracle must flag it
+    (``convergence``).
 ``workspace-ignores-trusted-link``
     The workspace client stops comparing a fetched audit chain against
     its remembered ``(rev, link)`` anchor — exactly the check that
@@ -108,6 +114,16 @@ MUTATIONS = (
         iters=6,
         blind_to="a catalog that withholds search postings",
         kind="search-mismatch",
+    ),
+    Mutation(
+        name="unquote-fast-path-ignores-plus",
+        file="repro/encoding/formenc.py",
+        target='    plus = plus_spaces and "+" in text',
+        mutant='    plus = False  # MUTANT: fast path ignores "+"',
+        fuzz_args=(),
+        iters=10,
+        blind_to="a form decoder that leaves '+' undecoded",
+        kind="convergence",
     ),
     Mutation(
         name="workspace-ignores-trusted-link",
