@@ -45,10 +45,11 @@ def _skiplist_ops_per_second(p: float) -> float:
         if roll < 0.5:
             structure.find_char(rng.randrange(structure.total_chars))
         elif roll < 0.75:
-            structure.insert(rng.randint(0, len(structure)), step,
-                             rng.randint(1, 8))
+            rank = rng.randint(0, len(structure))
+            structure.splice(rank, rank, [(step, rng.randint(1, 8))])
         else:
-            structure.delete(rng.randrange(len(structure)))
+            rank = rng.randrange(len(structure))
+            structure.splice(rank, rank + 1, [])
     return count / (time.perf_counter() - t0)
 
 

@@ -11,7 +11,9 @@ document scales:
   scans — the "just use an array" strawman).
 
 Measured: mixed find-by-char / insert / delete / width-update operation
-throughput.  Expected shape: the log-time structures stay flat as n
+throughput.  Every write is a ``splice`` — the index's only write, and
+the one the encrypted document runs: insert ``splice(r, r, [block])``,
+delete ``splice(r, r + 1, [])``, update ``splice(r, r + 1, [block])``.  Expected shape: the log-time structures stay flat as n
 grows 100x while the list's per-op cost grows roughly linearly.
 """
 
@@ -48,13 +50,14 @@ def _mixed_ops(structure, count, seed):
         if roll < 0.4:
             structure.find_char(rng.randrange(structure.total_chars))
         elif roll < 0.6:
-            structure.insert(rng.randint(0, len(structure)), step,
-                             rng.randint(1, 8))
+            rank = rng.randint(0, len(structure))
+            structure.splice(rank, rank, [(step, rng.randint(1, 8))])
         elif roll < 0.8 and len(structure) > 1:
-            structure.delete(rng.randrange(len(structure)))
+            rank = rng.randrange(len(structure))
+            structure.splice(rank, rank + 1, [])
         else:
-            structure.replace(rng.randrange(len(structure)), step,
-                              rng.randint(1, 8))
+            rank = rng.randrange(len(structure))
+            structure.splice(rank, rank + 1, [(step, rng.randint(1, 8))])
     return (time.perf_counter() - t0) / count
 
 

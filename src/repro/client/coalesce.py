@@ -117,11 +117,6 @@ class EditCoalescer:
         return self._ops
 
     @property
-    def pending_bytes(self) -> int:
-        """Characters inserted + deleted by the current burst."""
-        return self._bytes
-
-    @property
     def dirty(self) -> bool:
         """Does the current burst change any document?"""
         if not self._journal:

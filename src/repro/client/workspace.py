@@ -153,7 +153,6 @@ class Workspace:
             verify_acks=True,
             clock=self.clock,
             indexer=self.indexer,
-            audit=True,
         )
         text = session.open()
         self._sessions[doc_id] = session

@@ -31,7 +31,7 @@ the identity for all text.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from repro.errors import DeltaApplicationError, DeltaSyntaxError
 
@@ -377,10 +377,3 @@ def _parse_count(body: str, token: str) -> int:
     if value <= 0:
         raise DeltaSyntaxError(f"non-positive count in delta op {token!r}")
     return value
-
-
-def iter_compose(deltas: Iterable[Delta], document: str) -> Iterator[str]:
-    """Apply ``deltas`` in sequence, yielding each intermediate document."""
-    for delta in deltas:
-        document = delta.apply(document)
-        yield document

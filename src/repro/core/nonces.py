@@ -23,11 +23,6 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     ).to_bytes(len(a), "big")
 
 
-def draw_nonce(rng: RandomSource, nbytes: int) -> bytes:
-    """Draw one fresh nonce."""
-    return rng.token(nbytes)
-
-
 def draw_nonces(rng: RandomSource, count: int, nbytes: int) -> list[bytes]:
     """Draw ``count`` fresh nonces in one bulk request."""
     blob = rng.token(count * nbytes)

@@ -6,6 +6,12 @@ sketches; :class:`ReferenceIndex` is the O(n) oracle used by tests and
 ablation baselines.  All three implement the same interface — the
 ``BlockIndex`` protocol — so the encrypted-document layer is generic
 over them.
+
+The contract is four queries (``find_char``, ``get``, ``get_range``,
+``char_start``) and two writers: ``splice(ra, rb, items)`` replaces a
+rank run, ``extend(items)`` appends (the bulk build).  The paper's
+Insert and Delete (SV-C) are ``splice(r, r, [block])``
+and ``splice(r, r + 1, [])``.
 """
 
 from typing import Any, Iterable, Iterator, Protocol, runtime_checkable
@@ -46,16 +52,8 @@ class BlockIndex(Protocol):
         """First character position covered by block ``rank``."""
         ...
 
-    def insert(self, rank: int, value: Any, width: int) -> None:  # pragma: no cover
-        """Insert a block so that it acquires ordinal ``rank``."""
-        ...
-
     def extend(self, items: Iterable[tuple[Any, int]]) -> None:  # pragma: no cover
         """Append blocks at the end (bulk build)."""
-        ...
-
-    def delete(self, rank: int) -> tuple[Any, int]:  # pragma: no cover
-        """Remove block ``rank``; return its ``(value, width)``."""
         ...
 
     def splice(
@@ -63,10 +61,6 @@ class BlockIndex(Protocol):
     ) -> list[tuple[Any, int]]:  # pragma: no cover
         """Replace the contiguous rank run ``[ra, rb)`` with ``items``
         in one search-path walk; return the removed pairs."""
-        ...
-
-    def replace(self, rank: int, value: Any, width: int) -> None:  # pragma: no cover
-        """Swap block ``rank``'s payload and width in place."""
         ...
 
     def items(self) -> Iterator[tuple[Any, int]]:  # pragma: no cover

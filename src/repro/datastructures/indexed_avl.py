@@ -5,7 +5,8 @@ to any of the well-known balanced tree data structures (e.g., AVL tree,
 2-3 tree, etc.) to develop a similar non-probabilistic data structure."
 This module realizes that remark: an AVL tree whose nodes aggregate
 subtree element counts and character widths, giving worst-case
-``O(log n)`` find-by-character-index, insert, delete, and width update.
+``O(log n)`` find-by-character-index and ``O(log n + k + m)`` splice
+of ``k`` blocks for ``m`` new ones.
 
 It implements the same interface as
 :class:`repro.datastructures.indexed_skiplist.IndexedSkipList`, so the
@@ -304,7 +305,7 @@ class IndexedAVL:
         Implemented join-style: split out the doomed run, build a
         perfectly balanced subtree over the replacements, and join the
         three parts back — ``O(log n + k + m)``, one rebalance path per
-        split/join instead of ``rb - ra`` deletes plus ``m`` inserts.
+        split/join.
         """
         if not 0 <= ra <= rb <= len(self):
             raise IndexError(
@@ -333,98 +334,18 @@ class IndexedAVL:
         self._root = _join2(_join2(left, middle), right)
         return removed
 
-    def insert(self, rank: int, value: Any, width: int) -> None:
-        """Insert a block so that it acquires ordinal ``rank``."""
-        if width < 0:
-            raise DataStructureError(f"width must be >= 0, got {width}")
-        if not 0 <= rank <= len(self):
-            raise IndexError(f"rank {rank} out of range [0, {len(self)}]")
-        self._root = self._insert(self._root, rank, value, width)
-
-    def _insert(self, node: _Node | None, rank: int,
-                value: Any, width: int) -> _Node:
-        if node is None:
-            return _Node(value, width)
-        _NODE_VISITS.inc()
-        left = _elems(node.left)
-        if rank <= left:
-            node.left = self._insert(node.left, rank, value, width)
-        else:
-            node.right = self._insert(node.right, rank - left - 1,
-                                      value, width)
-        return _balance(node)
-
-    def delete(self, rank: int) -> tuple[Any, int]:
-        """Remove block ``rank``; return its ``(value, width)``."""
-        node = self._node_at(rank)  # validates rank
-        result = (node.value, node.width)
-        self._root = self._delete(self._root, rank)
-        return result
-
-    def _delete(self, node: _Node | None, rank: int) -> _Node | None:
-        assert node is not None
-        _NODE_VISITS.inc()
-        left = _elems(node.left)
-        if rank < left:
-            node.left = self._delete(node.left, rank)
-        elif rank > left:
-            node.right = self._delete(node.right, rank - left - 1)
-        else:
-            if node.left is None:
-                return node.right
-            if node.right is None:
-                return node.left
-            # Replace with in-order successor, then delete it below.
-            successor = node.right
-            while successor.left is not None:
-                successor = successor.left
-            node.value, node.width = successor.value, successor.width
-            node.right = self._delete(node.right, 0)
-        return _balance(node)
-
     def extend(self, items: "Iterable[tuple[Any, int]]") -> None:
         """Append blocks at the end; O(n) when the tree starts empty
-        (perfectly balanced build), O(n log n) otherwise."""
-        items = list(items)
-        if self._root is None:
-            for _, width in items:
-                if width < 0:
-                    raise DataStructureError(
-                        f"width must be >= 0, got {width}"
-                    )
-            self._root = _build_balanced(items, 0, len(items))
+        (perfectly balanced build), a :meth:`splice` at the end
+        otherwise."""
+        if self._root is not None:
+            self.splice(len(self), len(self), items)
             return
-        for value, width in items:
-            self.insert(len(self), value, width)
-
-    def replace(self, rank: int, value: Any, width: int) -> None:
-        """Swap block ``rank``'s payload and width in place."""
-        if width < 0:
-            raise DataStructureError(f"width must be >= 0, got {width}")
-        if not 0 <= rank < len(self):
-            raise IndexError(f"rank {rank} out of range [0, {len(self)})")
-        # Iterative descent updating aggregates on the way back is awkward
-        # without parent pointers; adjust sub_chars along the path instead.
-        node = self._root
-        path: list[_Node] = []
-        r = rank
-        while node is not None:
-            path.append(node)
-            left = _elems(node.left)
-            if r < left:
-                node = node.left
-            elif r == left:
-                delta = width - node.width
-                node.value = value
-                node.width = width
-                if delta:
-                    for ancestor in path:
-                        ancestor.sub_chars += delta
-                return
-            else:
-                r -= left + 1
-                node = node.right
-        raise DataStructureError("replace fell off the tree")
+        items = list(items)
+        for _, width in items:
+            if width < 0:
+                raise DataStructureError(f"width must be >= 0, got {width}")
+        self._root = _build_balanced(items, 0, len(items))
 
     # -- iteration ------------------------------------------------------
 

@@ -232,8 +232,9 @@ class IndexedSkipList:
         run is unlinked level by level along the existing pointers
         (``O(k)`` extra steps, counted in ``index.range_visits``) and the
         new nodes are threaded in ``extend``-style from the same
-        predecessor state — no per-rank searches, unlike the equivalent
-        ``(rb - ra)`` ``delete`` calls plus ``m`` ``insert`` calls.
+        predecessor state — no per-rank searches.  The paper's Insert
+        and Delete are ``splice(r, r, [block])`` and
+        ``splice(r, r + 1, [])``.
         """
         if not 0 <= ra <= rb <= self._size:
             raise IndexError(
@@ -324,72 +325,13 @@ class IndexedSkipList:
         _LIST_LEVEL.set(self._level)
         return removed
 
-    def insert(self, rank: int, value: Any, width: int) -> None:
-        """Insert a block so that it acquires ordinal ``rank``."""
-        if width < 0:
-            raise DataStructureError(f"width must be >= 0, got {width}")
-        self._check_rank(rank, self._size + 1)
-
-        level = self._random_level()
-        if level > self._level:
-            # Freshly exposed head levels span the entire current list.
-            for i in range(self._level, level):
-                self._head.span_elems[i] = self._size
-                self._head.span_chars[i] = self._chars
-                self._head.forward[i] = None
-            self._level = level
-
-        update, ranks, cends = self._predecessors(rank)
-        node = _Node(value, width, level)
-        end_new = cends[0] + width  # char end of the new node
-
-        for i in range(level):
-            pred = update[i]
-            node.forward[i] = pred.forward[i]
-            node.span_elems[i] = ranks[i] + pred.span_elems[i] + 1 - rank
-            node.span_chars[i] = cends[i] + pred.span_chars[i] - cends[0]
-            pred.forward[i] = node
-            pred.span_elems[i] = rank - ranks[i]
-            pred.span_chars[i] = end_new - cends[i]
-        for i in range(level, self._level):
-            update[i].span_elems[i] += 1
-            update[i].span_chars[i] += width
-
-        self._size += 1
-        self._chars += width
-        _LIST_LEVEL.set(self._level)
-
-    def delete(self, rank: int) -> tuple[Any, int]:
-        """Remove block ``rank``; return its ``(value, width)``."""
-        self._check_rank(rank, self._size)
-        update, _, _ = self._predecessors(rank)
-        target = update[0].forward[0]
-        assert target is not None
-
-        for i in range(self._level):
-            pred = update[i]
-            if i < target.level and pred.forward[i] is target:
-                pred.span_elems[i] += target.span_elems[i] - 1
-                pred.span_chars[i] += target.span_chars[i] - target.width
-                pred.forward[i] = target.forward[i]
-            else:
-                pred.span_elems[i] -= 1
-                pred.span_chars[i] -= target.width
-
-        while self._level > 1 and self._head.forward[self._level - 1] is None:
-            self._level -= 1
-
-        self._size -= 1
-        self._chars -= target.width
-        _LIST_LEVEL.set(self._level)
-        return target.value, target.width
-
     def extend(self, items: Iterable[tuple[Any, int]]) -> None:
         """Append blocks at the end in O(n) total (bulk build).
 
-        Equivalent to ``insert(len(self), value, width)`` per item, but
-        builds the pointers in one left-to-right pass — this is what
-        makes whole-document encryption (10k+ blocks) cheap.
+        Equivalent to ``splice(len(self), len(self), items)``, but
+        builds the pointers in one left-to-right pass with no per-node
+        tail fix-ups — this is what makes whole-document encryption
+        (10k+ blocks) cheap.
         """
         items = list(items)
         if not items:
@@ -424,28 +366,6 @@ class IndexedSkipList:
             node.forward[i] = None
             node.span_elems[i] = self._size - 1 - last_rank
             node.span_chars[i] = self._chars - last_cend
-
-    def replace(self, rank: int, value: Any, width: int) -> None:
-        """Swap block ``rank``'s payload and width in place.
-
-        Used when a block is re-encrypted (fresh nonce) or re-packed
-        (characters added/removed within capacity): the block keeps its
-        ordinal while every pointer crossing it adjusts its character
-        count by the width delta.
-        """
-        if width < 0:
-            raise DataStructureError(f"width must be >= 0, got {width}")
-        self._check_rank(rank, self._size)
-        update, _, _ = self._predecessors(rank)
-        target = update[0].forward[0]
-        assert target is not None
-        delta = width - target.width
-        if delta:
-            for i in range(self._level):
-                update[i].span_chars[i] += delta
-            self._chars += delta
-        target.value = value
-        target.width = width
 
     # -- iteration -----------------------------------------------------------
 

@@ -56,14 +56,6 @@ class ReferenceIndex:
             raise IndexError(f"range [{ra}, {rb}) out of range")
         return self._items[ra:rb]
 
-    def insert(self, rank: int, value: Any, width: int) -> None:
-        """Insert a block so that it acquires ordinal ``rank``."""
-        if width < 0:
-            raise DataStructureError(f"width must be >= 0, got {width}")
-        if not 0 <= rank <= len(self._items):
-            raise IndexError(f"rank {rank} out of range")
-        self._items.insert(rank, (value, width))
-
     def splice(self, ra: int, rb: int, items) -> list[tuple[Any, int]]:
         """Replace ranks ``[ra, rb)`` with ``items``; return the removed
         ``(value, width)`` pairs."""
@@ -77,24 +69,9 @@ class ReferenceIndex:
         self._items[ra:rb] = items
         return removed
 
-    def delete(self, rank: int) -> tuple[Any, int]:
-        """Remove block ``rank``; return its ``(value, width)``."""
-        if not 0 <= rank < len(self._items):
-            raise IndexError(f"rank {rank} out of range")
-        return self._items.pop(rank)
-
     def extend(self, items) -> None:
         """Append blocks at the end."""
-        for value, width in items:
-            self.insert(len(self._items), value, width)
-
-    def replace(self, rank: int, value: Any, width: int) -> None:
-        """Swap block ``rank``'s payload and width in place."""
-        if width < 0:
-            raise DataStructureError(f"width must be >= 0, got {width}")
-        if not 0 <= rank < len(self._items):
-            raise IndexError(f"rank {rank} out of range")
-        self._items[rank] = (value, width)
+        self.splice(len(self._items), len(self._items), items)
 
     def items(self) -> Iterator[tuple[Any, int]]:
         """Yield ``(value, width)`` for every block in order."""

@@ -83,7 +83,6 @@ class GDocsExtension:
         freshness: FreshnessMonitor | None = None,
         verify_acks: bool = False,
         indexer=None,
-        audit: bool = False,
     ):
         self._vault = vault
         self._scheme = scheme
@@ -109,12 +108,11 @@ class GDocsExtension:
         #: workspace seam (PR 10): a
         #: repro.extension.catalog.WorkspaceIndexer fed the plaintext of
         #: every save the extension transforms; its encrypted index
-        #: delta records ride the rewritten request's ``idx`` field
+        #: delta records ride the rewritten request's ``idx`` field,
+        #: and the save opts into the server's hash-chained audit trail
+        #: (``aud=1``), whose acknowledged links are collected per doc
+        #: in ``audit_trail`` for the workspace's trust store
         self._indexer = indexer
-        #: opt every save into the server's hash-chained audit trail
-        #: (``aud=1``); acknowledged links are collected per doc in
-        #: ``audit_trail`` for the workspace's trust store
-        self._audit = audit
         #: doc_id -> (rev, content hash, audit link) of the newest
         #: clean, audited ack witnessed on this channel
         self.audit_trail: dict[str, tuple[int, str, str]] = {}
@@ -232,13 +230,12 @@ class GDocsExtension:
     def _attach_catalog_fields(self, fields: dict[str, str],
                                records) -> None:
         """Ride the workspace's catalog maintenance on this save: the
-        encrypted index delta records and (when enabled) the audit-trail
-        opt-in.  Only indexer-equipped sessions ever reach here, so the
-        legacy single-document wire stays byte-identical."""
+        encrypted index delta records and the audit-trail opt-in.  Only
+        indexer-equipped sessions ever reach here, so the legacy
+        single-document wire stays byte-identical."""
         if records:
             fields[F_INDEX] = encode_records(records)
-        if self._audit:
-            fields[F_AUDIT] = "1"
+        fields[F_AUDIT] = "1"
 
     def _finish_update(
         self, request: HttpRequest, fields: dict[str, str]

@@ -24,7 +24,8 @@ in executable form.
 Options a service's protocol cannot express raise ``ValueError``
 rather than being ignored: stego, freshness, countermeasures and
 ``decrypt_acks`` need incremental updates; the workspace ``indexer``
-and ``audit`` need ``capabilities.catalog_acks``.
+(whose saves always opt into the audit trail) needs
+``capabilities.catalog_acks``.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ _REQUIRES = (
     ("stego", "incremental_updates"),
     ("freshness", "incremental_updates"),
     ("indexer", "catalog_acks"),
-    ("audit", "catalog_acks"),
 )
 
 
@@ -80,7 +80,6 @@ class PrivateEditingSession:
         clock=None,
         max_log: int | None = None,
         indexer=None,
-        audit: bool = False,
     ):
         #: which cloud this session runs against (a
         #: repro.services.registry.SERVICE_NAMES name)
@@ -88,8 +87,7 @@ class PrivateEditingSession:
         backend = registry.backend_for(service)
         options = {"countermeasures": countermeasures,
                    "decrypt_acks": decrypt_acks, "stego": stego,
-                   "freshness": freshness, "indexer": indexer,
-                   "audit": audit}
+                   "freshness": freshness, "indexer": indexer}
         for option, flag in _REQUIRES:
             if options[option] not in (None, False) and \
                     not getattr(backend.capabilities, flag):
@@ -132,11 +130,9 @@ class PrivateEditingSession:
                 freshness=freshness,
                 verify_acks=verify_acks,
                 # the workspace seam: a shared
-                # repro.extension.catalog.WorkspaceIndexer plus the
-                # audit-trail opt-in, threaded per session by
-                # repro.client.workspace.Workspace
+                # repro.extension.catalog.WorkspaceIndexer, threaded per
+                # session by repro.client.workspace.Workspace
                 indexer=indexer,
-                audit=audit,
             )
             self.client = GDocsClient(self.channel, doc_id,
                                       policy=retry_policy)

@@ -43,9 +43,7 @@ knows how to survive.
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 from repro.encoding.formenc import encode_form, parse_form
 from repro.errors import ProtocolError
@@ -54,7 +52,6 @@ from repro.obs import counter
 
 __all__ = [
     "Transport",
-    "WireExchange",
     "InProcessTransport",
     "AsyncioSocketTransport",
     "encode_request_frame",
@@ -78,24 +75,6 @@ OP_VIEW = "view"
 OP_PING = "ping"
 
 
-@dataclass(frozen=True)
-class WireExchange:
-    """One request/response pair as it crossed the transport seam.
-
-    Duck-types as :class:`repro.net.channel.Exchange` for the observers
-    in :mod:`repro.security` (an
-    :class:`~repro.security.adversary.EavesdropperTap` reads
-    ``request``/``response``/``sent_at``), but records what actually hit
-    the wire — *below* the mediating extension, where only ciphertext
-    should ever appear.
-    """
-
-    request: HttpRequest
-    response: HttpResponse
-    sent_at: float
-    latency: float = 0.0
-
-
 class Transport(ABC):
     """Delivers one :class:`HttpRequest` and returns the response.
 
@@ -115,40 +94,6 @@ class Transport(ABC):
 
     def close(self) -> None:
         """Release transport resources (no-op by default)."""
-
-    # -- wire observation ------------------------------------------------
-    #
-    # Subclasses don't call a base __init__, so the tap list is created
-    # lazily: an untapped transport pays one getattr per send and
-    # allocates nothing.
-
-    @property
-    def taps(self) -> tuple:
-        """The wire observers attached to this transport."""
-        return tuple(getattr(self, "_taps", ()))
-
-    def add_tap(self, tap) -> None:
-        """Attach a wire observer — a callable taking one exchange,
-        same convention as :meth:`repro.net.channel.Channel.add_tap`
-        (so :class:`repro.security.adversary.EavesdropperTap` plugs in
-        unchanged).  Taps see every exchange this transport delivers,
-        as a :class:`WireExchange`.  Observation only: taps cannot
-        rewrite traffic, exactly like a passive network adversary."""
-        taps = getattr(self, "_taps", None)
-        if taps is None:
-            taps = []
-            self._taps = taps
-        taps.append(tap)
-
-    def _notify_taps(self, request: HttpRequest,
-                     response: HttpResponse) -> None:
-        taps = getattr(self, "_taps", None)
-        if not taps:
-            return
-        exchange = WireExchange(request=request, response=response,
-                                sent_at=time.monotonic())
-        for tap in taps:
-            tap(exchange)
 
 
 class InProcessTransport(Transport):
@@ -170,9 +115,7 @@ class InProcessTransport(Transport):
     def send(self, request: HttpRequest) -> HttpResponse:
         """Invoke the wrapped server directly."""
         _REQUESTS.inc()
-        response = self._server(request)
-        self._notify_taps(request, response)
-        return response
+        return self._server(request)
 
 
 # -- the frame codec ----------------------------------------------------------
@@ -285,7 +228,6 @@ class AsyncioSocketTransport(Transport):
             _ERRORS.inc()
             raise
         _FRAME_BYTES.inc(len(request.body) + len(response.body))
-        self._notify_taps(request, response)
         return response
 
     def server_view(self, doc_id: str) -> str:

@@ -14,7 +14,10 @@ order:
   resyncs and rebases across the wire exactly as it does in-process;
 * **out-of-order completion** — the pool matches responses to callers
   by request id, proven against a server that deliberately answers in
-  reverse order on one shared connection.
+  reverse order on one shared connection;
+* **no plaintext on the wire** — a channel tap (the paper's passive
+  eavesdropper) sees every exchange of a live socket session, and none
+  carries the document's text.
 
 Everything runs on a module-scoped server with all sessions multiplexed
 over shared pools — the pipelined regime the issue names.
@@ -35,6 +38,7 @@ from repro.net.pool import ConnectionPool, read_frame, write_frame
 from repro.net.server import ServerThread
 from repro.net.transport import AsyncioSocketTransport
 from repro.obs import capture
+from repro.security import EavesdropperTap
 from repro.services import registry
 
 SEED = 404
@@ -202,6 +206,27 @@ def test_out_of_order_responses_match_by_request_id():
     finally:
         pool.close()
         listener.close()
+
+
+def test_channel_tap_sees_no_plaintext_over_the_wire(served, shared_pool):
+    """The channel tap observes what the mediator hands the transport —
+    exactly the frames a socket then carries — so one seam models the
+    network eavesdropper for every transport."""
+    secret = "attack at dawn kilimanjaro"
+    session = _session("tapped-doc", served, shared_pool)
+    tap = EavesdropperTap()
+    session.channel.add_tap(tap)
+    session.open()
+    session.type_text(0, secret)
+    assert session.save().ok
+    session.type_text(0, "and again: ")
+    assert session.save().ok
+    # the tap saw the live traffic: the open plus both save round trips
+    assert len(tap.exchanges) >= 3
+    assert {u.kind for u in tap.observed_updates()} >= {"full", "delta"}
+    # ...but never a byte of plaintext
+    assert tap.plaintext_sightings(secret) == 0
+    assert tap.plaintext_sightings("and again") == 0
 
 
 def test_the_shared_pool_actually_pipelined(shared_pool):

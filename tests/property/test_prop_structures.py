@@ -3,7 +3,10 @@
 A stateful rule machine drives IndexedSkipList and IndexedAVL through
 arbitrary interleavings of every operation, comparing each result with
 the trivially correct ReferenceIndex and re-validating structural
-invariants (spans, AVL balance, aggregates) after every step.
+invariants (spans, AVL balance, aggregates) after every step.  The
+single-block rules are the shapes of ``splice`` the paper names:
+Insert ``splice(r, r, [block])``, Delete ``splice(r, r + 1, [])`` and an
+in-place swap ``splice(r, r + 1, [block])``.
 """
 
 import random
@@ -39,9 +42,9 @@ class IndexAgreement(RuleBasedStateMachine):
         rank = data.draw(st.integers(0, len(self.ref)), label="rank")
         value = self.counter
         self.counter += 1
-        self.ref.insert(rank, value, width)
+        self.ref.splice(rank, rank, [(value, width)])
         for s in self.structs:
-            s.insert(rank, value, width)
+            assert s.splice(rank, rank, [(value, width)]) == []
 
     @rule(data=st.data(), count=st.integers(1, 5), width=WIDTHS)
     def extend(self, data, count, width):
@@ -57,9 +60,9 @@ class IndexAgreement(RuleBasedStateMachine):
     @rule(data=st.data())
     def delete(self, data):
         rank = data.draw(st.integers(0, len(self.ref) - 1), label="rank")
-        want = self.ref.delete(rank)
+        want = self.ref.splice(rank, rank + 1, [])
         for s in self.structs:
-            assert s.delete(rank) == want
+            assert s.splice(rank, rank + 1, []) == want
 
     @precondition(lambda self: len(self.ref) > 0)
     @rule(data=st.data(), width=WIDTHS)
@@ -67,9 +70,9 @@ class IndexAgreement(RuleBasedStateMachine):
         rank = data.draw(st.integers(0, len(self.ref) - 1), label="rank")
         value = -self.counter
         self.counter += 1
-        self.ref.replace(rank, value, width)
+        want = self.ref.splice(rank, rank + 1, [(value, width)])
         for s in self.structs:
-            s.replace(rank, value, width)
+            assert s.splice(rank, rank + 1, [(value, width)]) == want
 
     @rule(data=st.data(), count=st.integers(0, 5), width=WIDTHS)
     def splice(self, data, count, width):

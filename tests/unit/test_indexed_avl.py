@@ -1,5 +1,9 @@
 """IndexedAVL: same behavioural contract as the skip list, plus
-balance invariants."""
+balance invariants.
+
+As there, single-block writes are ``splice`` calls: Insert is
+``splice(r, r, [(v, w)])``, Delete ``splice(r, r + 1, [])``.
+"""
 
 import random
 
@@ -16,7 +20,7 @@ def tree():
 
 def fill(tree, widths):
     for i, w in enumerate(widths):
-        tree.insert(i, f"b{i}", w)
+        tree.splice(i, i, [(f"b{i}", w)])
 
 
 class TestBasics:
@@ -34,7 +38,7 @@ class TestBasics:
 
     def test_find_char(self, tree):
         for i, chunk in enumerate(["abc", "fgh", "ijk"]):
-            tree.insert(i, chunk, len(chunk))
+            tree.splice(i, i, [(chunk, len(chunk))])
         assert tree.find_char(0) == (0, 0)
         assert tree.find_char(4) == (1, 1)
         assert tree.find_char(8) == (2, 2)
@@ -43,13 +47,13 @@ class TestBasics:
 
     def test_delete(self, tree):
         fill(tree, [1, 2, 3])
-        assert tree.delete(1) == ("b1", 2)
+        assert tree.splice(1, 2, []) == [("b1", 2)]
         assert list(tree.values()) == ["b0", "b2"]
         tree.checkrep()
 
     def test_replace_width_propagates(self, tree):
         fill(tree, [4, 4, 4])
-        tree.replace(0, "wide", 8)
+        assert tree.splice(0, 1, [("wide", 8)]) == [("b0", 4)]
         assert tree.find_char(8) == (1, 0)
         assert tree.total_chars == 16
         tree.checkrep()
@@ -62,22 +66,22 @@ class TestBasics:
         with pytest.raises(IndexError):
             tree.get(0)
         with pytest.raises(IndexError):
-            tree.delete(0)
+            tree.splice(0, 1, [])
         with pytest.raises(DataStructureError):
-            tree.insert(0, "x", -2)
+            tree.splice(0, 0, [("x", -2)])
 
 
 class TestBalance:
     def test_sequential_inserts_stay_balanced(self, tree):
         for i in range(512):
-            tree.insert(i, i, 1)
+            tree.splice(i, i, [(i, 1)])
         tree.checkrep()  # raises if any node violates AVL balance
         # height of a balanced tree of 512 nodes is <= 1.44*log2(513)+...
         assert tree._root.height <= 14
 
     def test_front_inserts_stay_balanced(self, tree):
         for i in range(512):
-            tree.insert(0, i, 1)
+            tree.splice(0, 0, [(i, 1)])
         tree.checkrep()
         assert tree._root.height <= 14
 
@@ -85,10 +89,11 @@ class TestBalance:
         rng = random.Random(3)
         for step in range(2000):
             if len(tree) == 0 or rng.random() < 0.55:
-                tree.insert(rng.randint(0, len(tree)), step,
-                            rng.randint(1, 8))
+                rank = rng.randint(0, len(tree))
+                tree.splice(rank, rank, [(step, rng.randint(1, 8))])
             else:
-                tree.delete(rng.randrange(len(tree)))
+                rank = rng.randrange(len(tree))
+                tree.splice(rank, rank + 1, [])
         tree.checkrep()
 
 
@@ -103,12 +108,12 @@ class TestExtend:
         a, b = IndexedAVL(), IndexedAVL()
         items = [(f"v{i}", 1 + i % 5) for i in range(64)]
         for i, (v, w) in enumerate(items):
-            a.insert(i, v, w)
+            a.splice(i, i, [(v, w)])
         b.extend(items)
         assert list(a.items()) == list(b.items())
 
     def test_extend_onto_existing(self, tree):
-        tree.insert(0, "pre", 1)
+        tree.splice(0, 0, [("pre", 1)])
         tree.extend([("a", 2)])
         assert list(tree.items()) == [("pre", 1), ("a", 2)]
         tree.checkrep()

@@ -1,5 +1,10 @@
 """IndexedSkipList unit tests (randomized cross-checks live in
-tests/property)."""
+tests/property).
+
+``splice`` is the only single-block write: the paper's Insert is
+``splice(r, r, [(v, w)])``, Delete is ``splice(r, r + 1, [])`` and an
+in-place swap is ``splice(r, r + 1, [(v, w)])``.
+"""
 
 import random
 
@@ -16,7 +21,7 @@ def sl():
 
 def fill(sl, widths):
     for i, w in enumerate(widths):
-        sl.insert(i, f"b{i}", w)
+        sl.splice(i, i, [(f"b{i}", w)])
 
 
 class TestBasics:
@@ -27,7 +32,7 @@ class TestBasics:
         sl.checkrep()
 
     def test_single_insert(self, sl):
-        sl.insert(0, "hello", 5)
+        sl.splice(0, 0, [("hello", 5)])
         assert len(sl) == 1
         assert sl.total_chars == 5
         assert sl.get(0) == ("hello", 5)
@@ -40,8 +45,8 @@ class TestBasics:
 
     def test_insert_at_front_and_middle(self, sl):
         fill(sl, [2, 2])
-        sl.insert(0, "front", 1)
-        sl.insert(2, "mid", 1)
+        sl.splice(0, 0, [("front", 1)])
+        sl.splice(2, 2, [("mid", 1)])
         assert list(sl.values()) == ["front", "b0", "mid", "b1"]
         sl.checkrep()
 
@@ -51,14 +56,14 @@ class TestBasics:
 
     def test_negative_width_rejected(self, sl):
         with pytest.raises(DataStructureError):
-            sl.insert(0, "x", -1)
+            sl.splice(0, 0, [("x", -1)])
 
 
 class TestFindChar:
     def test_paper_example(self, sl):
         """Figure 3's document 'abcfghijk' in three blocks."""
         for i, chunk in enumerate(["abc", "fgh", "ijk"]):
-            sl.insert(i, chunk, len(chunk))
+            sl.splice(i, i, [(chunk, len(chunk))])
         assert sl.find_char(0) == (0, 0)
         assert sl.find_char(2) == (0, 2)
         assert sl.find_char(3) == (1, 0)
@@ -67,10 +72,10 @@ class TestFindChar:
     def test_insertion_like_figure_3(self, sl):
         """Insert 'xy' at index 3 of 'abcfghijk' → block split at 3."""
         for i, chunk in enumerate(["abc", "fgh", "ijk"]):
-            sl.insert(i, chunk, len(chunk))
+            sl.splice(i, i, [(chunk, len(chunk))])
         rank, offset = sl.find_char(3)
         assert (rank, offset) == (1, 0)
-        sl.insert(rank, "xy", 2)
+        sl.splice(rank, rank, [("xy", 2)])
         assert "".join(sl.values()) == "abcxyfghijk"
         assert sl.find_char(3) == (1, 0)
         assert sl.find_char(5) == (2, 0)
@@ -91,7 +96,7 @@ class TestFindChar:
 class TestMutations:
     def test_delete_returns_value(self, sl):
         fill(sl, [1, 2, 3])
-        assert sl.delete(1) == ("b1", 2)
+        assert sl.splice(1, 2, []) == [("b1", 2)]
         assert len(sl) == 2
         assert sl.total_chars == 4
         sl.checkrep()
@@ -99,13 +104,13 @@ class TestMutations:
     def test_delete_all(self, sl):
         fill(sl, [1, 2, 3])
         for _ in range(3):
-            sl.delete(0)
+            sl.splice(0, 1, [])
         assert len(sl) == 0 and sl.total_chars == 0
         sl.checkrep()
 
     def test_replace_changes_width(self, sl):
         fill(sl, [4, 4, 4])
-        sl.replace(1, "new", 7)
+        assert sl.splice(1, 2, [("new", 7)]) == [("b1", 4)]
         assert sl.get(1) == ("new", 7)
         assert sl.total_chars == 15
         assert sl.find_char(10) == (1, 6)
@@ -113,7 +118,7 @@ class TestMutations:
 
     def test_replace_same_width(self, sl):
         fill(sl, [4])
-        sl.replace(0, "swap", 4)
+        sl.splice(0, 1, [("swap", 4)])
         assert sl.get(0) == ("swap", 4)
         sl.checkrep()
 
@@ -126,16 +131,16 @@ class TestMutations:
         with pytest.raises(IndexError):
             sl.get(1)
         with pytest.raises(IndexError):
-            sl.delete(1)
+            sl.splice(1, 2, [])
         with pytest.raises(IndexError):
-            sl.insert(2, "x", 1)
+            sl.splice(2, 2, [("x", 1)])
 
 
 class TestScale:
     def test_thousand_blocks_logarithmic_shape(self):
         sl = IndexedSkipList(rng=random.Random(1))
         for i in range(1000):
-            sl.insert(i, i, 1 + (i % 8))
+            sl.splice(i, i, [(i, 1 + (i % 8))])
         sl.checkrep()
         assert len(sl) == 1000
         total = sl.total_chars
@@ -150,7 +155,7 @@ class TestExtend:
         b = IndexedSkipList(rng=_r.Random(9))
         items = [(f"v{i}", 1 + i % 8) for i in range(200)]
         for i, (v, w) in enumerate(items):
-            a.insert(i, v, w)
+            a.splice(i, i, [(v, w)])
         b.extend(items)
         assert list(a.items()) == list(b.items())
         b.checkrep()
@@ -158,7 +163,7 @@ class TestExtend:
     def test_extend_onto_existing(self):
         import random as _r
         sl = IndexedSkipList(rng=_r.Random(10))
-        sl.insert(0, "pre", 3)
+        sl.splice(0, 0, [("pre", 3)])
         sl.extend([("a", 2), ("b", 5)])
         assert list(sl.items()) == [("pre", 3), ("a", 2), ("b", 5)]
         assert sl.total_chars == 10
@@ -173,9 +178,11 @@ class TestExtend:
         import random as _r
         sl = IndexedSkipList(rng=_r.Random(11))
         sl.extend([(i, 2) for i in range(100)])
-        sl.insert(50, "mid", 1)
-        sl.delete(0)
-        sl.replace(10, "swap", 7)
+        sl.splice(50, 50, [("mid", 1)])
+        assert sl.splice(0, 1, []) == [(0, 2)]
+        sl.splice(10, 11, [("swap", 7)])
+        assert sl.get(10) == ("swap", 7)
+        assert sl.get(49) == ("mid", 1)
         sl.checkrep()
 
     def test_extend_negative_width(self, sl):

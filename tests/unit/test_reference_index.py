@@ -1,16 +1,21 @@
-"""ReferenceIndex: the oracle itself deserves a sanity pass."""
+"""ReferenceIndex: the oracle itself deserves a sanity pass.
+
+Single-block writes go through ``splice``: Insert is
+``splice(r, r, [(v, w)])``, Delete ``splice(r, r + 1, [])``.
+"""
 
 import pytest
 
 from repro.datastructures.reference import ReferenceIndex
+from repro.errors import DataStructureError
 
 
 class TestReferenceIndex:
     def test_full_surface(self):
         ref = ReferenceIndex()
-        ref.insert(0, "a", 2)
-        ref.insert(1, "b", 3)
-        ref.insert(1, "c", 1)
+        ref.splice(0, 0, [("a", 2)])
+        ref.splice(1, 1, [("b", 3)])
+        ref.splice(1, 1, [("c", 1)])
         assert list(ref.values()) == ["a", "c", "b"]
         assert ref.total_chars == 6
         assert ref.find_char(0) == (0, 0)
@@ -18,9 +23,9 @@ class TestReferenceIndex:
         assert ref.find_char(3) == (2, 0)
         assert ref.char_start(2) == 3
         assert ref.char_start(3) == 6
-        ref.replace(1, "C", 4)
+        ref.splice(1, 2, [("C", 4)])
         assert ref.get(1) == ("C", 4)
-        assert ref.delete(0) == ("a", 2)
+        assert ref.splice(0, 1, []) == [("a", 2)]
         assert len(ref) == 2
         ref.checkrep()
 
@@ -31,8 +36,10 @@ class TestReferenceIndex:
         with pytest.raises(IndexError):
             ref.get(0)
         with pytest.raises(IndexError):
-            ref.delete(0)
+            ref.splice(0, 1, [])
         with pytest.raises(IndexError):
-            ref.insert(1, "x", 1)
+            ref.splice(1, 1, [("x", 1)])
+        with pytest.raises(DataStructureError):
+            ref.splice(0, 0, [("x", -1)])
         with pytest.raises(IndexError):
             ref.char_start(1)

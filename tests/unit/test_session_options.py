@@ -2,8 +2,8 @@
 
 Stego, freshness, countermeasures and ``decrypt_acks`` act on deltas
 and Ack content, so they need ``capabilities.incremental_updates``; the
-workspace ``indexer`` and ``audit`` ride save acks, so they need
-``capabilities.catalog_acks``.  The whole-file services (Bespin,
+workspace ``indexer`` (and the audit trail its saves opt into) rides
+save acks, so it needs ``capabilities.catalog_acks``.  The whole-file services (Bespin,
 Buzzword) have neither.  ``verify_acks`` and ``index_factory`` stay
 accepted everywhere: whole-file acks abstain from the hash check by
 protocol, and the whole-file engine honours the index choice.
@@ -29,7 +29,6 @@ REJECTED = {
     "countermeasures": Countermeasures.none,
     "decrypt_acks": lambda: True,
     "indexer": lambda: WorkspaceIndexer("secret"),
-    "audit": lambda: True,
 }
 
 

@@ -19,6 +19,12 @@ The mutation table covers one oracle per stack layer:
     record (the XOR of the packed document length into the payload
     aggregate, ``RpcCodec.suffix``).  The engine profile's
     checksum-verifying reload must flag it (``roundtrip``).
+``skiplist-splice-skips-upper-span``
+    ``IndexedSkipList.splice`` — the block index's only write besides
+    the bulk ``extend`` — stops widening the upper-level pointers that
+    pass over a newly threaded node (``last_node[i].span_chars[i] +=
+    width``).  Text and ranks stay right, so only the engine profile's
+    per-step representation check must flag it (``index-checkrep``).
 ``catalog-lookup-drops-posting``
     The catalog server silently withholds the newest posting blob from
     every trapdoor lookup.  The workspace profile's plaintext word
@@ -103,6 +109,16 @@ MUTATIONS = (
         iters=10,
         blind_to="a mirror wire that no longer tracks its records",
         kind="wire-divergence",
+    ),
+    Mutation(
+        name="skiplist-splice-skips-upper-span",
+        file="repro/datastructures/indexed_skiplist.py",
+        target="                last_node[i].span_chars[i] += width",
+        mutant="                pass  # MUTANT: upper-level span not widened",
+        fuzz_args=("--profile", "engine"),
+        iters=10,
+        blind_to="a splice that leaves upper-level char spans stale",
+        kind="index-checkrep",
     ),
     Mutation(
         name="catalog-lookup-drops-posting",
