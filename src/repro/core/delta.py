@@ -37,7 +37,7 @@ from repro.errors import DeltaApplicationError, DeltaSyntaxError
 
 __all__ = [
     "Retain", "Insert", "Delete", "DeltaOp", "Delta",
-    "SourceInsert", "SourceDelete", "SourceEdit",
+    "SourceInsert", "SourceDelete", "SourceEdit", "common_affixes",
 ]
 
 
@@ -367,6 +367,63 @@ class Delta:
         if text:
             ops.append(Insert(text))
         return cls(ops)
+
+    @classmethod
+    def between(cls, old: str, new: str) -> "Delta":
+        """The one replacement turning ``old`` into ``new``: the common
+        prefix and suffix are retained, the middle is replaced.  Equal
+        texts give the empty delta."""
+        prefix, suffix = common_affixes(old, new)
+        count = len(old) - prefix - suffix
+        text = new[prefix:len(new) - suffix]
+        if not count and not text:
+            return cls(())
+        return cls.replacement(prefix, count, text)
+
+
+#: first slice width of the galloping affix search
+_GALLOP_START = 64
+
+
+def _matching_run(same, limit: int) -> int:
+    """Length of the longest run ``[0, k)`` with ``same(0, k)``, k <= limit.
+
+    ``same(lo, hi)`` compares one slice of both texts, so every probe
+    runs at C speed: slices double in width until one differs, then
+    that slice is bisected.  Total work is O(k) characters compared.
+    """
+    lo, step = 0, _GALLOP_START
+    while lo < limit:
+        hi = min(limit, lo + step)
+        if not same(lo, hi):
+            break
+        lo, step = hi, step * 2
+    else:
+        return limit
+    # same(0, lo) holds; a mismatch lies in [lo, hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if same(lo, mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def common_affixes(old: str, new: str) -> tuple[int, int]:
+    """``(prefix, suffix)``: how many leading and trailing characters
+    ``old`` and ``new`` share.  The prefix is taken greedily and the
+    suffix never overlaps it, so ``prefix + suffix`` is at most the
+    shorter length (``"aaa"`` vs ``"aa"`` gives ``(2, 0)``)."""
+    limit = min(len(old), len(new))
+    prefix = _matching_run(
+        lambda lo, hi: old[lo:hi] == new[lo:hi], limit)
+    end_old, end_new = len(old), len(new)
+    suffix = _matching_run(
+        lambda lo, hi: (old[end_old - hi:end_old - lo]
+                        == new[end_new - hi:end_new - lo]),
+        limit - prefix)
+    return prefix, suffix
 
 
 def _parse_count(body: str, token: str) -> int:

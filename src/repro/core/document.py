@@ -211,11 +211,17 @@ class EncryptedDocument(ABC):
         block_chars: int = blocks.MAX_BLOCK_CHARS,
         rng: RandomSource | None = None,
         index_factory: Callable[[], BlockIndex] | None = None,
+        version: int = 0,
     ) -> "EncryptedDocument":
-        """Enc: encrypt ``text`` into a fresh document."""
+        """Enc: encrypt ``text`` into a fresh document.
+
+        ``version`` seeds the RPC version counter (ignored by schemes
+        without one), so a fresh re-encryption of a document this
+        client already stored at version N can continue at N + 1.
+        """
         keys = _resolve_keys(password, key_material, rng)
         doc = cls(keys, block_chars, rng, index_factory)
-        doc._build_fresh(text)
+        doc._build_fresh(text, version=version)
         return doc
 
     @classmethod
@@ -787,6 +793,7 @@ def create_document(
     block_chars: int = blocks.MAX_BLOCK_CHARS,
     rng: RandomSource | None = None,
     index_factory: Callable[[], BlockIndex] | None = None,
+    version: int = 0,
 ) -> EncryptedDocument:
     """Encrypt ``text`` under the named scheme (factory for Enc)."""
     cls = scheme_factory(scheme)
@@ -797,6 +804,7 @@ def create_document(
         block_chars=block_chars,
         rng=rng,
         index_factory=index_factory,
+        version=version,
     )
 
 

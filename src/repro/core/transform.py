@@ -1,12 +1,14 @@
 """The ``enc_scheme`` object of Fig. 2.
 
 The extension's request mediator holds one :class:`EncryptionEngine` per
-open document.  It exposes exactly the three public interfaces the
-paper names — ``encrypt``, ``decrypt``, and ``transform_delta`` — and
-"maintains a copy of the state of the ciphertext document which is
-needed to transform the delta" (the :class:`EncryptedDocument` mirror).
+open document.  It exposes the three public interfaces the paper names
+— ``encrypt``, ``decrypt``, and ``transform_delta`` — and "maintains a
+copy of the state of the ciphertext document which is needed to
+transform the delta" (the :class:`EncryptedDocument` mirror).  A fourth,
+``save_full``, answers a full save by splicing the mirror instead of
+re-encrypting the whole document whenever the mirror can be trusted.
 
-All three methods speak *strings*: full saves carry the wire document,
+The methods speak *strings*: full saves carry the wire document,
 incremental saves carry serialized deltas, matching what actually rides
 in the form fields the mediator rewrites.
 """
@@ -47,6 +49,8 @@ class EncryptionEngine:
         self._index_factory = index_factory
         self._keys: KeyMaterial | None = None
         self._mirror: EncryptedDocument | None = None
+        #: set by :meth:`taint`: the next full save re-encrypts afresh
+        self._tainted = False
 
     @property
     def mirror(self) -> EncryptedDocument | None:
@@ -57,12 +61,12 @@ class EncryptionEngine:
     def scheme(self) -> str:
         return self._scheme
 
-    def encrypt(self, plaintext: str) -> str:
-        """Encrypt a full document (the ``docContents`` path).
+    def encrypt(self, plaintext: str, version: int = 0) -> str:
+        """Encrypt a full document afresh.
 
-        Replaces the mirror; the key (and salt) is derived once per
-        engine so re-saves of the same document stay openable with the
-        same password.
+        Replaces the mirror (at RPC version ``version``); the key (and
+        salt) is derived once per engine so re-saves of the same
+        document stay openable with the same password.
         """
         if self._keys is None:
             self._keys = KeyMaterial.from_password(
@@ -75,8 +79,43 @@ class EncryptionEngine:
             block_chars=self._block_chars,
             rng=self._rng,
             index_factory=self._index_factory,
+            version=version,
         )
+        self._tainted = False
         return self._mirror.wire()
+
+    def save_full(self, plaintext: str) -> tuple[str, Delta | None]:
+        """A full save (the ``docContents`` path); ``(wire, delta)``.
+
+        With a trusted mirror the common prefix and suffix of its text
+        and ``plaintext`` leave one replacement ``delta``; IncE applies
+        it (re-encrypting only the blocks it touches) and the mirror's
+        whole wire is returned.  Equal texts give the empty delta and
+        re-send the mirror's bytes unchanged.
+
+        With no mirror, or a tainted one, the text is encrypted afresh
+        and ``delta`` is None.  The RPC version counter continues past
+        the old mirror's, so a reader that saw it does not take the new
+        document for a rollback.
+
+        Kept apart from :meth:`encrypt` on purpose: a caller encrypting
+        several independent texts on one engine (the whole-file
+        mediator's chunks) must never splice one from another, which
+        would give their matching stretches identical records.
+        """
+        mirror = self._mirror
+        if mirror is None or self._tainted:
+            version = getattr(mirror, "version", -1) + 1
+            return self.encrypt(plaintext, version=version), None
+        delta = Delta.between(mirror.text, plaintext)
+        mirror.apply_delta(delta)
+        return mirror.wire(), delta
+
+    def taint(self) -> None:
+        """Stop trusting the mirror for splicing: the server's copy
+        diverged from it, or it was refused.  The next full save
+        re-encrypts afresh; the next :meth:`decrypt` clears the taint."""
+        self._tainted = True
 
     def decrypt(self, wire_text: str) -> str:
         """Decrypt a stored document (document-open path); adopts it as
@@ -90,6 +129,7 @@ class EncryptionEngine:
         self._keys = self._mirror.key_material
         self._scheme = self._mirror.scheme
         self._block_chars = self._mirror.block_chars
+        self._tainted = False
         return self._mirror.text
 
     def transform_delta(self, delta_text: str) -> str:

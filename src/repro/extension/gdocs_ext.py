@@ -3,7 +3,8 @@
 ``GDocsExtension`` is the :class:`repro.net.channel.Mediator` that the
 paper's pseudocode sketches:
 
-* a ``docContents`` full save → encrypt the contents field;
+* a ``docContents`` full save → encrypt the contents field (by IncE on
+  the mirror decrypted at open, when that mirror is trusted);
 * a ``delta`` incremental save → translate through ``transform_delta``;
 * a bare session-open POST and the document GET → allowed;
 * **everything else is dropped** — including every server-side feature
@@ -61,6 +62,10 @@ _MERGE_FOLLOWS = counter("extension.merge_follows")
 #: patch, misaligned patch, hash mismatch, undecryptable result) and
 #: downgraded to the paper's conflict behaviour
 _MERGE_DOWNGRADES = counter("extension.merge_downgrades")
+#: full saves answered by splicing the mirror (IncE on the edit only)
+_FULL_SPLICED = counter("extension.full_saves_spliced")
+#: full saves encrypted afresh (no mirror, or a tainted one)
+_FULL_FRESH = counter("extension.full_saves_fresh")
 
 #: rewritten save requests remembered per extension (ring-capped)
 IDEM_REWRITE_CACHE_SIZE = 64
@@ -185,21 +190,26 @@ class GDocsExtension:
     ) -> HttpRequest:
         engine = self.engine(doc_id)
         plaintext = form[protocol.F_DOC_CONTENTS]
-        if engine.mirror is not None and engine.mirror.text == plaintext:
-            # A session-opening full save of unchanged content: re-send
-            # the mirror's existing ciphertext byte-identically (no
-            # gratuitous re-encryption; the server can dedup it).
-            ciphertext = engine.mirror.wire()
-        else:
-            ciphertext = engine.encrypt(plaintext)
+        # IncE on the mirror decrypted at open: an unchanged text
+        # re-sends its ciphertext byte-identically (the server can
+        # dedup it), an edited one re-encrypts only the touched blocks
+        ciphertext, delta = engine.save_full(plaintext)
+        (_FULL_FRESH if delta is None else _FULL_SPLICED).inc()
         self._note_version(doc_id, engine)
         if self._stego:
             from repro.encoding.stego import stego_wrap
             ciphertext = stego_wrap(ciphertext)
         fields = {**form, protocol.F_DOC_CONTENTS: ciphertext}
         if self._indexer is not None:
-            self._attach_catalog_fields(
-                fields, self._indexer.set_text(doc_id, plaintext))
+            if delta is None:
+                records = self._indexer.set_text(doc_id, plaintext)
+            else:
+                # diffed from the index's own shadow: the mirror's delta
+                # while the two are in step, and still right after a
+                # resync fetch moved the mirror but not the shadow
+                records = self._indexer.apply(doc_id, Delta.between(
+                    self._indexer.text(doc_id), plaintext))
+            self._attach_catalog_fields(fields, records)
         return self._finish_update(request, fields)
 
     def _rewrite_delta_save(
@@ -337,6 +347,7 @@ class GDocsExtension:
             # stored ciphertext — downgrade to the paper's conflict
             # behaviour (complain + full-save recovery).
             _MERGE_DOWNGRADES.inc()
+            self._taint(doc_id)
             neutral[protocol.A_MERGED] = "0"
             neutral[protocol.A_CONFLICT] = "1"
             neutral[protocol.A_MERGE_PATCH] = ""
@@ -344,6 +355,7 @@ class GDocsExtension:
             # The server's stored bytes are not what we believe we
             # stored (corrupted in flight, tampered at rest).  Turn the
             # silent divergence into a conflict so the client resyncs.
+            self._taint(doc_id)
             neutral[protocol.A_CONFLICT] = "1"
         return response.with_form(neutral)
 
@@ -476,8 +488,18 @@ class GDocsExtension:
             self._note_version(doc_id, engine, accepting=True)
         except IntegrityError as exc:  # RollbackError
             self.warnings.append(f"{doc_id}: {exc}")
+            engine.taint()
             return None
         return plain
+
+    def _taint(self, doc_id: str) -> None:
+        """The server's copy left the mirror's line (Ack divergence, a
+        merge we could not follow): the next full save must encrypt
+        afresh rather than show which records changed relative to a
+        state the server may not hold (docs/security.md)."""
+        engine = self._engines.get(doc_id)
+        if engine is not None:
+            engine.taint()
 
     def _note_version(self, doc_id: str, engine: EncryptionEngine,
                       accepting: bool = False) -> None:

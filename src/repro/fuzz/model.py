@@ -43,6 +43,14 @@ Invariant catalogue (the names used in ``Violation.kind``):
     a coalesced keystroke burst encrypted with one batched cipher
     call produced different bytes (cdelta wire or full ciphertext)
     than the sequential per-cluster reference path.
+``full-save-divergence``
+    a full save the extension answered (by IncE on its mirror, or
+    afresh) posted a wire that does not decrypt, under keys derived
+    from the password alone, to the plaintext the client posted; that
+    a fresh encryption of the same plaintext does not decrypt to; or
+    that differs from the mirror's records re-encoded
+    (:func:`reference_wire`).  The mirror itself must also pass
+    :func:`check_document` against the posted plaintext.
 ``convergence``
     after faults quiesce, client text and decrypted server state (or
     two merging clients) disagree.
@@ -66,7 +74,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.delta import Delta
-from repro.core.document import EncryptedDocument, load_document
+from repro.core.document import (
+    EncryptedDocument,
+    create_document,
+    load_document,
+)
+from repro.core.keys import KeyMaterial
+from repro.crypto.random import DeterministicRandomSource
 from repro.encoding.wire import encode_records
 from repro.errors import ReproError
 from repro.fuzz.generators import POS_SCALE
@@ -81,6 +95,7 @@ __all__ = [
     "check_roundtrip",
     "check_store",
     "check_wire",
+    "check_full_save",
     "reference_wire",
     "check_equal",
     "check_no_leak",
@@ -236,6 +251,33 @@ def check_wire(doc: EncryptedDocument, reference: str, step: int) -> None:
         _fail("wire-divergence", step,
               f"spliced mirror wire ({len(got)} chars) differs from the "
               f"records re-encoded ({len(reference)} chars)")
+
+
+def check_full_save(mirror: EncryptedDocument, plaintext: str, wire: str,
+                    keys: KeyMaterial, step: int = -1) -> None:
+    """The differential oracle for one full save: ``wire`` is what the
+    extension posted for ``plaintext``, ``mirror`` its state after the
+    rewrite, ``keys`` derived from the password and the wire's salt."""
+    kind = "full-save-divergence"
+    try:
+        posted = load_document(wire, key_material=keys)
+    except ReproError as exc:
+        _fail(kind, step, f"posted wire does not load: "
+                          f"{type(exc).__name__}: {exc}")
+        return
+    check_equal(kind, posted.text, plaintext, step,
+                "decrypt(posted wire) vs posted plaintext")
+    fresh = create_document(plaintext, key_material=keys,
+                            scheme=posted.scheme,
+                            block_chars=posted.block_chars,
+                            rng=DeterministicRandomSource(len(plaintext)))
+    check_equal(kind, load_document(fresh.wire(), key_material=keys).text,
+                posted.text, step,
+                "decrypt(fresh encryption) vs decrypt(posted wire)")
+    check_document(mirror, plaintext, step)
+    if reference_wire(mirror) != wire:
+        _fail(kind, step, "posted wire differs from the mirror's records "
+                          "re-encoded")
 
 
 def check_equal(kind: str, a: str, b: str, step: int, what: str) -> None:

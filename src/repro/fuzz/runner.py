@@ -21,7 +21,11 @@ Three execution modes, selected by ``Trace.mode``:
     client's text (``registry.decrypt_view`` states the oracle
     uniformly across providers), and a lowercase plaintext sentinel
     must never appear in anything that crossed the wire (lowercase
-    cannot occur in Base32 ciphertext).
+    cannot occur in Base32 ciphertext).  A second session then reopens
+    the stored document, edits it and saves: its first save is a full
+    post the extension answers by IncE on the mirror it decrypted on
+    open.  Every full save of a gdocs session passes the full-save
+    differential oracle (``check_full_save``) as it is rewritten.
 
 ``concurrent``
     Two sessions sharing one server.  rECB runs the merging server
@@ -62,8 +66,10 @@ from repro.core.keys import KeyMaterial
 from repro.core.transform import EncryptionEngine
 from repro.crypto.random import DeterministicRandomSource
 from repro.datastructures import IndexedAVL, IndexedSkipList, ReferenceIndex
+from repro.encoding.wire import split_header
 from repro.errors import ReproError
 from repro.extension.catalog import extract_words
+from repro.extension.gdocs_ext import GDocsExtension
 from repro.extension.session import PrivateEditingSession
 from repro.fuzz.generators import PROFILES, SERVICES, Trace, generate_trace
 from repro.fuzz.model import (
@@ -72,6 +78,7 @@ from repro.fuzz.model import (
     apply_op,
     check_document,
     check_equal,
+    check_full_save,
     check_no_leak,
     check_roundtrip,
     check_store,
@@ -241,9 +248,37 @@ def _check_coalescing(trace: Trace) -> None:
 # -- session mode ------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=8)
+def _password_keys(salt: bytes) -> KeyMaterial:
+    """Keys derived from the fuzz password alone (not the mirror's)."""
+    return KeyMaterial.from_password(_PASSWORD, salt=salt)
+
+
+class _FullSaveOracle:
+    """Mediator wrapper judging every full save the extension rewrites
+    with :func:`check_full_save`, before the request reaches the wire."""
+
+    def __init__(self, extension: GDocsExtension):
+        self._extension = extension
+
+    def on_request(self, request):
+        rewritten = self._extension.on_request(request)
+        if rewritten is not None and rewritten is not request:
+            plaintext = request.form.get(gdocs_protocol.F_DOC_CONTENTS)
+            if plaintext is not None:
+                wire = rewritten.form[gdocs_protocol.F_DOC_CONTENTS]
+                engine = self._extension.engine(request.query["docID"])
+                check_full_save(engine.mirror, plaintext, wire,
+                                _password_keys(split_header(wire)[0].salt))
+        return rewritten
+
+    def on_response(self, request, response):
+        return self._extension.on_response(request, response)
+
+
 def _session(trace: Trace, *, server=None, seed_salt: int = 0,
              faults=None, decrypt_acks: bool = False) -> PrivateEditingSession:
-    return PrivateEditingSession(
+    session = PrivateEditingSession(
         f"fuzz-{trace.seed}",
         _PASSWORD,
         server=server,
@@ -257,6 +292,9 @@ def _session(trace: Trace, *, server=None, seed_salt: int = 0,
         decrypt_acks=decrypt_acks,
         service=trace.service,
     )
+    if isinstance(session.extension, GDocsExtension):
+        session.channel.set_mediator(_FullSaveOracle(session.extension))
+    return session
 
 
 def _apply_session_op(session: PrivateEditingSession, op: tuple) -> None:
@@ -345,8 +383,26 @@ def _run_session(trace: Trace) -> str:
     )
     check_equal("convergence", recovered, session.text, -1,
                 "decrypt(server) vs client text")
-    check_no_leak(_leak_blobs(plan, session), SENTINEL)
-    return session.server_view() + "\n--\n" + session.text
+
+    # reopen on a fault-free link: the new session's first save is a
+    # full post of an edited document, answered from the mirror its
+    # extension decrypted on open
+    reopened = _session(trace, server=session.server, seed_salt=3)
+    check_equal("convergence", reopened.open(), session.text, -1,
+                "reopened text vs client text")
+    reopened.type_text(len(reopened.text) // 2, "reopened ")
+    outcome = reopened.save()
+    if not outcome.ok:
+        raise InvariantViolation(Violation(
+            "save-failed", -1,
+            f"first save after the reopen failed: {outcome.error}"))
+    recovered = registry.decrypt_view(
+        trace.service, reopened.server_view(), _PASSWORD, trace.scheme
+    )
+    check_equal("convergence", recovered, reopened.text, -1,
+                "decrypt(server) vs reopened client text")
+    check_no_leak(_leak_blobs(plan, session, reopened), SENTINEL)
+    return reopened.server_view() + "\n--\n" + reopened.text
 
 
 # -- concurrent mode ---------------------------------------------------------

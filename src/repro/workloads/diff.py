@@ -25,28 +25,7 @@ __all__ = ["simple_delta", "myers_delta", "derive_delta"]
 
 def simple_delta(old: str, new: str) -> Delta:
     """Common-prefix/suffix trim; replace the differing middle."""
-    if old == new:
-        return Delta(())
-    prefix = 0
-    limit = min(len(old), len(new))
-    while prefix < limit and old[prefix] == new[prefix]:
-        prefix += 1
-    suffix = 0
-    while (
-        suffix < limit - prefix
-        and old[len(old) - 1 - suffix] == new[len(new) - 1 - suffix]
-    ):
-        suffix += 1
-    ops: list[DeltaOp] = []
-    if prefix:
-        ops.append(Retain(prefix))
-    deleted = len(old) - prefix - suffix
-    if deleted:
-        ops.append(Delete(deleted))
-    inserted = new[prefix : len(new) - suffix]
-    if inserted:
-        ops.append(Insert(inserted))
-    return Delta(ops)
+    return Delta.between(old, new)
 
 
 def myers_delta(old: str, new: str, max_distance: int | None = None) -> Delta:

@@ -121,6 +121,36 @@ class TestEndToEnd:
         assert reader.open() == session.text
         assert reader.extension.warnings == []
 
+    def test_honest_history_with_reopens_never_trips(self):
+        """Every reopened session's first save is a full post; it must
+        carry the version counter on from the loaded document.  A full
+        save that restarted at version 0 made the next reopen look like
+        a rollback to the shared monitor (and showed the user
+        ciphertext)."""
+        monitor = FreshnessMonitor()
+        writer = session_with_monitor(monitor)
+        writer.open()
+        writer.type_text(0, "start")
+        writer.save()
+        for i in range(5):
+            writer.type_text(0, f"{i} ")
+            writer.save()
+        writer.close()
+        server, text = writer.server, writer.text
+        for seed in (11, 12, 13):
+            session = session_with_monitor(monitor, server=server,
+                                           seed=seed)
+            assert session.open() == text
+            assert session.extension.warnings == []
+            session.type_text(len(text) // 2, "x")
+            assert session.save().kind == "full"
+            session.close()
+            text = session.text
+        assert monitor.last_seen("doc") == 8
+        reader = session_with_monitor(monitor, server=server, seed=14)
+        assert reader.open() == text
+        assert reader.extension.warnings == []
+
     def test_fresh_client_cannot_detect(self):
         """The documented limit: a client with no memory of the
         document accepts the rolled-back version."""

@@ -5,7 +5,7 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.delta import Delete, Delta, Insert, Retain
+from repro.core.delta import Delete, Delta, Insert, Retain, common_affixes
 from repro.workloads.diff import myers_delta, simple_delta
 
 TEXT_ALPHABET = string.ascii_lowercase + " .é中"
@@ -128,3 +128,45 @@ class TestDiffProperties:
     def test_diff_of_identical_is_identity(self, text):
         assert myers_delta(text, text).is_identity
         assert simple_delta(text, text).is_identity
+
+
+def brute_affixes(old, new):
+    limit = min(len(old), len(new))
+    prefix = 0
+    while prefix < limit and old[prefix] == new[prefix]:
+        prefix += 1
+    suffix = 0
+    while suffix < limit - prefix and old[-1 - suffix] == new[-1 - suffix]:
+        suffix += 1
+    return prefix, suffix
+
+
+#: repeated documents: long enough to cross the 64-char first slice,
+#: and full of runs that tempt prefix and suffix to overlap
+long_documents = st.builds(lambda text, times: text * times,
+                           documents, st.integers(1, 40))
+
+
+@st.composite
+def related_pair(draw):
+    document = draw(long_documents)
+    return document, draw(delta_for(document)).apply(document)
+
+
+class TestCommonAffixesProperties:
+    @settings(max_examples=300)
+    @given(related_pair())
+    def test_related_texts_match_brute_force(self, pair):
+        old, new = pair
+        assert common_affixes(old, new) == brute_affixes(old, new)
+        assert Delta.between(old, new).apply(old) == new
+
+    @settings(max_examples=200)
+    @given(long_documents, long_documents)
+    def test_unrelated_texts_match_brute_force(self, old, new):
+        prefix, suffix = common_affixes(old, new)
+        assert (prefix, suffix) == brute_affixes(old, new)
+        assert prefix + suffix <= min(len(old), len(new))
+        between = Delta.between(old, new)
+        assert between.apply(old) == new
+        assert (old == new) == (between == Delta(()))

@@ -10,6 +10,7 @@ from repro.core.delta import (
     Retain,
     SourceDelete,
     SourceInsert,
+    common_affixes,
 )
 from repro.errors import DeltaApplicationError, DeltaSyntaxError
 
@@ -160,3 +161,57 @@ class TestBuilders:
     def test_replacement_degenerate_forms(self):
         assert Delta.replacement(0, 0, "X").apply("ab") == "Xab"
         assert Delta.replacement(0, 2, "").apply("ab") == ""
+
+
+def brute_affixes(old, new):
+    """Reference: per-character prefix, then suffix within the rest."""
+    limit = min(len(old), len(new))
+    prefix = 0
+    while prefix < limit and old[prefix] == new[prefix]:
+        prefix += 1
+    suffix = 0
+    while suffix < limit - prefix and old[-1 - suffix] == new[-1 - suffix]:
+        suffix += 1
+    return prefix, suffix
+
+
+class TestCommonAffixes:
+    @pytest.mark.parametrize("old,new", [
+        ("", ""), ("", "abc"), ("abc", ""),
+        ("abc", "abc"), ("abc", "abXc"), ("abXc", "abc"),
+        ("aaa", "aa"), ("aa", "aaa"), ("abab", "ab"), ("ab", "abab"),
+        ("aaaa", "bbbb"), ("héllo wörld", "héllo wörld!"),
+        ("中文文本", "中文本"), ("😀😀", "😀"),
+    ])
+    def test_matches_brute_force(self, old, new):
+        prefix, suffix = common_affixes(old, new)
+        assert (prefix, suffix) == brute_affixes(old, new)
+        assert prefix + suffix <= min(len(old), len(new))
+        assert Delta.between(old, new).apply(old) == new
+
+    @pytest.mark.parametrize("text", ["", "x", "abab", "中文" * 100])
+    def test_identical_texts_give_the_empty_delta(self, text):
+        assert Delta.between(text, text) == Delta(())
+
+    def test_overlapping_runs_never_exceed_the_shorter_text(self):
+        assert common_affixes("aaa", "aa") == (2, 0)
+        assert common_affixes("abab", "ab") == (2, 0)
+        assert Delta.between("aaa", "aa") == Delta([Retain(2), Delete(1)])
+        assert Delta.between("abab", "ab") == Delta([Retain(2), Delete(2)])
+
+    def test_empty_sides(self):
+        assert Delta.between("", "new") == Delta([Insert("new")])
+        assert Delta.between("old", "") == Delta([Delete(3)])
+
+    @pytest.mark.parametrize("pos", [0, 1, 63, 64, 65, 127, 128, 191,
+                                     192, 4095, 4096, 9998, 9999])
+    def test_long_texts_around_the_gallop_boundaries(self, pos):
+        """The search compares slices of doubling width (64, 128, ...)
+        and bisects the first that differs: an edit at any offset, on
+        either side of a width boundary, must land exactly."""
+        old = "".join(chr(0x61 + (i * 7) % 26) for i in range(10_000))
+        for new in (old[:pos] + "é" + old[pos:],
+                    old[:pos] + old[pos + 1:],
+                    old[:pos] + "Z" + old[pos + 1:]):
+            assert common_affixes(old, new) == brute_affixes(old, new)
+            assert Delta.between(old, new).apply(old) == new

@@ -206,3 +206,72 @@ class TestMediatorResponses:
         )
         assert response.body == wire  # appears as ciphertext
         assert bad.warnings
+
+
+def _full_save(ext, text, rev=0):
+    return ext.on_request(_save_request({
+        protocol.F_SID: "s1", protocol.F_REV: str(rev),
+        protocol.F_DOC_CONTENTS: text,
+    }))
+
+
+def _data_blocks(wire):
+    from repro.encoding.wire import parse_document
+    return {record.block for record in parse_document(wire)[1]}
+
+
+class TestFullSaveSplice:
+    TEXT = "the quick brown fox jumps over the lazy dog " * 8
+
+    def test_second_full_save_splices_the_mirror(self, ext):
+        from repro.obs import capture
+        first = _full_save(ext, self.TEXT).form[protocol.F_DOC_CONTENTS]
+        edited = self.TEXT[:100] + "X" + self.TEXT[100:]
+        with capture() as cap:
+            second = _full_save(ext, edited, rev=1)
+        wire = second.form[protocol.F_DOC_CONTENTS]
+        assert cap["extension.full_saves_spliced"] == 1
+        assert cap["extension.full_saves_fresh"] == 0
+        assert ext.engine("doc").mirror.text == edited
+        assert wire == ext.engine("doc").mirror.wire()
+        # only the edited cluster was re-encrypted
+        new_blocks = _data_blocks(wire) - _data_blocks(first)
+        assert 0 < len(new_blocks) == cap["doc.blocks_reencrypted"] <= 3
+
+    def test_unchanged_full_save_resends_the_mirror_bytes(self, ext):
+        first = _full_save(ext, self.TEXT).form[protocol.F_DOC_CONTENTS]
+        again = _full_save(ext, self.TEXT, rev=1)
+        assert again.form[protocol.F_DOC_CONTENTS] == first
+
+    def test_ack_divergence_forces_a_fresh_full_save(self):
+        """A server whose acknowledged bytes differ from the mirror may
+        not hold the state the mirror descends from: the next full save
+        re-encrypts every block instead of showing which changed."""
+        from repro.encoding.formenc import encode_form
+        from repro.net.http import HttpResponse
+        from repro.obs import capture
+        ext = GDocsExtension(PasswordVault({"doc": "pw"}), scheme="rpc",
+                             rng=DeterministicRandomSource(4),
+                             verify_acks=True)
+        request = _full_save(ext, self.TEXT)
+        first = request.form[protocol.F_DOC_CONTENTS]
+        ack = HttpResponse(200, encode_form({
+            protocol.A_STATUS: "ok", protocol.A_REV: "1",
+            protocol.A_CONTENT_HASH: protocol.content_hash(first + "A"),
+            protocol.A_CONFLICT: "0",
+        }))
+        assert ext.on_response(request, ack).form[protocol.A_CONFLICT] == "1"
+        version = ext.engine("doc").mirror.version
+        edited = self.TEXT + "!"
+        with capture() as cap:
+            wire = _full_save(ext, edited, rev=1).form[
+                protocol.F_DOC_CONTENTS]
+        assert cap["extension.full_saves_fresh"] == 1
+        assert cap["extension.full_saves_spliced"] == 0
+        assert not _data_blocks(wire) & _data_blocks(first)
+        mirror = ext.engine("doc").mirror
+        assert mirror.text == edited and mirror.version == version + 1
+        # the fresh mirror is trusted again: the next full save splices
+        with capture() as cap:
+            _full_save(ext, edited + "?", rev=2)
+        assert cap["extension.full_saves_spliced"] == 1

@@ -121,3 +121,45 @@ def test_verified_delta_save_encodes_only_new_records(scheme, monkeypatch):
         f"{cap['wire.records_encoded']} records (bound {bound}) — the "
         f"Ack check re-encodes the whole mirror again"
     )
+
+
+def _one_keystroke_full_save_after_reopen(scheme: str, chars: int):
+    """Store a ``chars``-long document, reopen it in a new session, type
+    one character, and capture the counters of that session's first
+    save — a full ``docContents`` post."""
+    text = (TEXT * (chars // len(TEXT) + 1))[:chars]
+    writer = PrivateEditingSession("reopened", "pw", scheme=scheme,
+                                   rng=DeterministicRandomSource(6))
+    writer.open()
+    writer.type_text(0, text)
+    writer.save()
+    reader = PrivateEditingSession("reopened", "pw", scheme=scheme,
+                                   server=writer.server,
+                                   rng=DeterministicRandomSource(7),
+                                   verify_acks=True)
+    assert reader.open() == text
+    reader.type_text(2000, "x")
+    with capture() as cap:
+        outcome = reader.save()
+    assert outcome.kind == "full" and outcome.ok
+    assert not outcome.complaints and not outcome.conflict
+    assert reader.server_view() == reader.extension.engine(
+        "reopened").mirror.wire()
+    return cap
+
+
+@pytest.mark.parametrize("scheme", ["recb", "rpc"])
+def test_full_save_after_reopen_costs_the_edit_not_the_document(scheme):
+    """The first save of a reopened session is a full post, but the
+    extension splices it into the mirror it decrypted on open, so its
+    cipher work is the edited cluster's at any document size (a fresh
+    re-encryption would cost one AES call per block: ~500 vs ~5000)."""
+    small = _one_keystroke_full_save_after_reopen(scheme, 4_000)
+    large = _one_keystroke_full_save_after_reopen(scheme, 40_000)
+    assert small["extension.full_saves_spliced"] == 1
+    assert large["extension.full_saves_spliced"] == 1
+    assert small["extension.full_saves_fresh"] == 0
+    assert 0 < small["crypto.aes.calls"] == large["crypto.aes.calls"] \
+        <= small["doc.blocks_reencrypted"] + 2, (
+        f"{scheme}: one keystroke cost {small['crypto.aes.calls']} AES "
+        f"calls at 4k chars and {large['crypto.aes.calls']} at 40k")

@@ -35,6 +35,13 @@ The mutation table covers one oracle per stack layer:
     returning the pre-edit ciphertext.  The server-side stores still
     match the records, so only the engine profile's from-records
     reference check must flag it (``wire-divergence``).
+``full-save-skips-mirror-splice``
+    ``EncryptionEngine.save_full`` stops applying the posted text's
+    delta to the trusted mirror, so a full save after a reopen re-sends
+    the mirror's old wire.  The mirror stays self-consistent and its
+    wire still matches its records, so only the session profile's
+    full-save differential (decrypt the posted wire, compare with the
+    posted plaintext) must flag it (``full-save-divergence``).
 ``unquote-fast-path-ignores-plus``
     The form codec's ``unquote`` fast path stops checking for ``+``, so
     ``a+b`` comes back unchanged instead of as ``a b``.  Ciphertext has
@@ -109,6 +116,16 @@ MUTATIONS = (
         iters=10,
         blind_to="a mirror wire that no longer tracks its records",
         kind="wire-divergence",
+    ),
+    Mutation(
+        name="full-save-skips-mirror-splice",
+        file="repro/core/transform.py",
+        target="        mirror.apply_delta(delta)",
+        mutant="        pass  # MUTANT: full save skips the mirror splice",
+        fuzz_args=("--mode", "session", "--service", "gdocs"),
+        iters=10,
+        blind_to="a full save that re-sends the mirror unspliced",
+        kind="full-save-divergence",
     ),
     Mutation(
         name="skiplist-splice-skips-upper-span",
