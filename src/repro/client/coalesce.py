@@ -13,7 +13,7 @@ per-delta fixed costs N times.
 Flush triggers are explicit, and every burst boundary is counted by
 reason so the flush policy is observable:
 
-* ``ops`` / ``bytes`` — a configured cap was reached mid-burst;
+* ``ops`` — the configured op cap was reached mid-burst;
 * ``save`` — the buffer synced (the burst reached the server);
 * ``resync`` — authoritative content was adopted, pending edits
   discarded;
@@ -38,7 +38,7 @@ __all__ = ["EditCoalescer", "FLUSH_REASONS"]
 
 #: burst-boundary causes; each has a ``client.coalesce.flush.<reason>``
 #: counter
-FLUSH_REASONS = ("ops", "bytes", "save", "resync", "conflict", "drain")
+FLUSH_REASONS = ("ops", "save", "resync", "conflict", "drain")
 
 #: non-empty bursts flushed (one coalesced IncE pass each)
 _BURSTS = counter("client.coalesce.bursts")
@@ -76,12 +76,12 @@ def _compose_all(deltas: list[Delta]) -> Delta:
 class EditCoalescer:
     """Accumulate keystroke deltas; emit one composed delta per burst.
 
-    ``max_ops`` / ``max_bytes`` bound a burst (op count / characters
-    touched); hitting a cap either flushes the burst (``overflow=
-    "flush"``, the default — :meth:`add` returns the composed delta) or
-    invalidates the journal (``overflow="invalidate"`` — the owner
-    falls back to diffing, which keeps worst-case compose cost bounded
-    for callers whose flush points are save-aligned).
+    ``max_ops`` bounds a burst's op count; hitting it either flushes
+    the burst (``overflow="flush"``, the default — :meth:`add` returns
+    the composed delta) or invalidates the journal
+    (``overflow="invalidate"`` — the owner falls back to diffing, which
+    keeps worst-case compose cost bounded for callers whose flush
+    points are save-aligned).
 
     :meth:`add` is O(1): deltas are journaled as a list and composed
     lazily (tree reduction, memoized) when :meth:`peek` or
@@ -89,18 +89,15 @@ class EditCoalescer:
     """
 
     def __init__(self, max_ops: int | None = None,
-                 max_bytes: int | None = None,
                  overflow: str = "flush"):
         if overflow not in ("flush", "invalidate"):
             raise ValueError(
                 f"overflow must be flush/invalidate, got {overflow!r}")
         self._max_ops = max_ops
-        self._max_bytes = max_bytes
         self._overflow = overflow
         self._journal: list[Delta] = []
         self._composed: Delta | None = None  # memoized tree reduction
         self._ops = 0
-        self._bytes = 0
         self._valid = True
 
     # -- inspection ----------------------------------------------------
@@ -146,12 +143,9 @@ class EditCoalescer:
         self._journal.append(delta)
         self._composed = None
         self._ops += 1
-        self._bytes += delta.chars_inserted + delta.chars_deleted
         _OPS_FOLDED.inc()
         if self._max_ops is not None and self._ops >= self._max_ops:
             return self._overflowed("ops")
-        if self._max_bytes is not None and self._bytes >= self._max_bytes:
-            return self._overflowed("bytes")
         return None
 
     def _overflowed(self, reason: str) -> Delta | None:
@@ -181,7 +175,6 @@ class EditCoalescer:
         self._journal = []
         self._composed = None
         self._ops = 0
-        self._bytes = 0
         self._valid = True
         return out
 
@@ -194,4 +187,3 @@ class EditCoalescer:
         self._journal = []
         self._composed = None
         self._ops = 0
-        self._bytes = 0

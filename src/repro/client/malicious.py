@@ -55,7 +55,7 @@ class ShapeLeakClient(GDocsClient):
         response = self._channel.send(request)
         if not response.ok:
             raise ProtocolError(f"save failed: {response.body}")
-        ack = protocol.Ack.from_response(response)
+        ack = self.backend.parse_save(response)
         if not ack.conflict:
             self._rev = ack.rev
             self.editor.mark_synced()

@@ -534,7 +534,7 @@ class ResilientClient:
     def refresh(self) -> str:
         """Fetch current content outside the save path (passive reader)."""
         response = self._send(self.backend.fetch_request(self.doc_id))
-        if not response.ok and not self.backend.is_missing(response):
+        if not response.ok and response.status != 404:
             raise ProtocolError(f"refresh failed: {response.body}")
         fetch = self.backend.parse_fetch(self.doc_id, response, self._rev)
         self.editor.resync(fetch.content)

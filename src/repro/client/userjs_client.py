@@ -79,7 +79,7 @@ class SelfEncryptingGDocsClient(GDocsClient):
         response = self._channel.send(request)
         if not response.ok:
             raise ProtocolError(f"save failed: {response.body}")
-        ack = protocol.Ack.from_response(response)
+        ack = self.backend.parse_save(response)
         outcome = SaveOutcome(kind=kind, ack=ack, conflict=ack.conflict)
         if ack.conflict:
             # The Ack's content is ciphertext; resync through the engine.

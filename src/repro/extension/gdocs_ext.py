@@ -42,6 +42,8 @@ from repro.extension.passwords import PasswordVault
 from repro.net.http import HttpRequest, HttpResponse
 from repro.net.latency import SimClock
 from repro.obs import counter
+from repro.services.backend import GDOCS, KIND_OPEN, KIND_OTHER, \
+    KIND_READ, KIND_SAVE_FULL
 from repro.services.catalog import A_AUDIT_LINK, F_AUDIT, F_INDEX, \
     encode_records
 from repro.services.gdocs import protocol
@@ -147,43 +149,35 @@ class GDocsExtension:
     # -- Mediator: outgoing ------------------------------------------------
 
     def on_request(self, request: HttpRequest) -> HttpRequest | None:
-        """Fig. 2: encrypt docContents, transform delta, drop the rest."""
-        if request.path != protocol.DOC_PATH:
+        """Fig. 2: encrypt docContents, transform delta, pass opens and
+        fetches, drop the rest — by ``GDocsBackend.classify``'s
+        grammar, read off the one parse of the client's body."""
+        form = request.form if request.method == "POST" and request.body \
+            else {}
+        kind = GDOCS.classify_form(request, form)
+        if kind == KIND_OTHER:
             return None  # not part of the understood protocol: drop
-        params = request.query
-        doc_id = params.get("docID")
-        if not doc_id:
-            return None
-        if params.get("action"):
-            return None  # every feature endpoint is blocked
-        if request.method == "GET":
-            return request  # document fetch: ciphertext comes back
-        if request.method != "POST":
-            return None
-
-        form = request.form if request.body else {}
-        if protocol.F_DOC_CONTENTS in form or protocol.F_DELTA in form:
-            idem = form.get(protocol.F_IDEM)
-            if idem is not None:
-                cached = self._idem_rewrites.get((doc_id, idem))
-                if cached is not None:
-                    # A retry of a save we already transformed: re-send
-                    # the identical ciphertext.  Re-transforming would
-                    # advance the mirror a second time for one edit.
-                    _IDEM_REPLAYS.inc()
-                    return cached
-            if protocol.F_DOC_CONTENTS in form:
-                rewritten = self._rewrite_full_save(doc_id, request, form)
-            else:
-                rewritten = self._rewrite_delta_save(doc_id, request, form)
-            if idem is not None:
-                self._idem_rewrites[(doc_id, idem)] = rewritten
-                while len(self._idem_rewrites) > IDEM_REWRITE_CACHE_SIZE:
-                    self._idem_rewrites.popitem(last=False)
-            return rewritten
-        if not form:
-            return request  # session open carries no content
-        return None  # unknown POST shape: drop
+        if kind in (KIND_OPEN, KIND_READ):
+            return request  # no content; a fetch brings ciphertext back
+        doc_id = GDOCS.doc_id_of(request)
+        idem = form.get(protocol.F_IDEM)
+        if idem is not None:
+            cached = self._idem_rewrites.get((doc_id, idem))
+            if cached is not None:
+                # A retry of a save we already transformed: re-send the
+                # identical ciphertext.  Re-transforming would advance
+                # the mirror a second time for one edit.
+                _IDEM_REPLAYS.inc()
+                return cached
+        if kind == KIND_SAVE_FULL:
+            rewritten = self._rewrite_full_save(doc_id, request, form)
+        else:
+            rewritten = self._rewrite_delta_save(doc_id, request, form)
+        if idem is not None:
+            self._idem_rewrites[(doc_id, idem)] = rewritten
+            while len(self._idem_rewrites) > IDEM_REWRITE_CACHE_SIZE:
+                self._idem_rewrites.popitem(last=False)
+        return rewritten
 
     def _rewrite_full_save(
         self, doc_id: str, request: HttpRequest, form: dict[str, str]

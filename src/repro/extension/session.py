@@ -22,17 +22,17 @@ services — the paper's claim that the mediation approach generalizes,
 in executable form.
 
 Options a service's protocol cannot express raise ``ValueError``
-rather than being ignored: stego, freshness, countermeasures and
-``decrypt_acks`` need incremental updates; the workspace ``indexer``
-(whose saves always opt into the audit trail) needs
-``capabilities.catalog_acks``.
+rather than being ignored: stego, freshness and ``decrypt_acks`` need
+incremental updates; the workspace ``indexer`` (whose saves always opt
+into the audit trail) needs ``capabilities.catalog_acks``; and a
+``server`` passed alongside a ``transport`` (which replaces the local
+server) is an error.
 """
 
 from __future__ import annotations
 
 from repro.client.gdocs_client import GDocsClient
 from repro.client.resilient import ResilientClient, SaveOutcome
-from repro.extension.countermeasures import Countermeasures
 from repro.extension.freshness import FreshnessMonitor
 from repro.extension.gdocs_ext import GDocsExtension
 from repro.extension.passwords import PasswordVault
@@ -46,7 +46,6 @@ __all__ = ["PrivateEditingSession"]
 #: (option, capability flag it needs) — set on a backend without the
 #: flag, the option raises instead of being silently ignored
 _REQUIRES = (
-    ("countermeasures", "incremental_updates"),
     ("decrypt_acks", "incremental_updates"),
     ("stego", "incremental_updates"),
     ("freshness", "incremental_updates"),
@@ -65,7 +64,6 @@ class PrivateEditingSession:
         scheme: str = "recb",
         block_chars: int = 8,
         latency: LatencyModel | None = None,
-        countermeasures: Countermeasures | None = None,
         extension_enabled: bool = True,
         rng=None,
         index_factory=None,
@@ -85,8 +83,7 @@ class PrivateEditingSession:
         #: repro.services.registry.SERVICE_NAMES name)
         self.service = service
         backend = registry.backend_for(service)
-        options = {"countermeasures": countermeasures,
-                   "decrypt_acks": decrypt_acks, "stego": stego,
+        options = {"decrypt_acks": decrypt_acks, "stego": stego,
                    "freshness": freshness, "indexer": indexer}
         for option, flag in _REQUIRES:
             if options[option] not in (None, False) and \
@@ -98,8 +95,12 @@ class PrivateEditingSession:
         #: transport: an optional repro.net.transport.Transport that
         #: replaces the in-process server entirely (e.g. an
         #: AsyncioSocketTransport to a remote repro.net.server); when
-        #: set, no local server is built and ``server`` is ignored.
+        #: set, no local server is built, so passing ``server`` too is
+        #: an error.
         #: clock: share one SimClock across many sessions (load tests).
+        if transport is not None and server is not None:
+            raise ValueError("pass server or transport, not both: a "
+                             "transport replaces the local server")
         self.transport = transport
         if transport is not None:
             self.server = None
@@ -123,7 +124,6 @@ class PrivateEditingSession:
                 block_chars=block_chars,
                 rng=rng,
                 index_factory=index_factory,
-                countermeasures=countermeasures,
                 clock=self.channel.clock,
                 decrypt_acks=decrypt_acks,
                 stego=stego,

@@ -14,14 +14,18 @@ one cloud editor —
   save, and a fetch as :class:`~repro.net.http.HttpRequest` objects;
 * **response parsers**: how to read the provider's answers back into
   the neutral :class:`OpenState` / :class:`SaveAck` / :class:`FetchState`
-  shapes the shared client core consumes;
+  shapes that the shared client core and the replication facade
+  consume — the only readers of provider answers on the trusted side;
 * **content framing** (``map_content``): where the document content
   sits inside a body — the whole body, or each Buzzword ``<textRun>``;
-* **routing helpers**: how a request is classified and which document
-  it addresses (shared by the replication facade
-  :class:`repro.services.replicated.ReplicatedService` and the
-  whole-file mediator), plus how the facade rewrites per-provider
-  session state and copies raw stored bytes between replicas.
+* **routing helpers**: the request grammar (``classify``: what a
+  request is, :data:`KIND_OTHER` for everything the mediators drop)
+  and which document a request addresses, shared by both mediators
+  and the replication facade
+  :class:`repro.services.replicated.ReplicatedService`; plus the three
+  writers only the facade needs — per-provider session rewriting, raw
+  stored-byte copies between replicas, and the open answer it
+  fabricates.
 
 Everything above this seam — the resilient client core
 (``repro.client.resilient``), the replication facade, the chaos matrix,
@@ -121,10 +125,10 @@ class FetchState:
 class SaveAck:
     """A provider's acknowledgement of a save, in neutral shape.
 
-    Field names deliberately mirror :class:`repro.services.gdocs.protocol.Ack`
-    — the richest instance — with ``rev=None`` meaning "this provider
-    does not number revisions" (the client keeps its own counter
-    unchanged).
+    The fields are those of the gdocs Ack (docs/protocol.md §4), the
+    richest instance, which :meth:`GDocsBackend.parse_save` reads;
+    ``rev=None`` means "this provider does not number revisions" (the
+    client keeps its own counter unchanged).
     """
 
     rev: int | None = None
@@ -149,11 +153,12 @@ KIND_OTHER = "other"
 class ServiceBackend(Protocol):
     """Everything provider-specific, behind one interface.
 
-    The first block (builders + parsers) serves the client core;
-    ``map_content`` and ``classify``/``doc_id_of`` serve the
-    whole-file mediator; the routing block serves the replication
-    facade.  Implementations are stateless — all session state lives
-    in the caller.
+    The first block (builders + parsers) serves the client core and
+    the replication facade; ``map_content`` serves the whole-file
+    mediator; ``classify``/``doc_id_of`` serve both mediators and the
+    facade, and the facade alone writes through ``rewrite_session``,
+    ``store_request`` and ``synthesize_open``.  Implementations are
+    stateless — all session state lives in the caller.
     """
 
     name: str
@@ -214,15 +219,19 @@ class ServiceBackend(Protocol):
         and how the convergence oracle decrypts stored bytes."""
         ...
 
-    # -- replication-side: routing raw stored traffic ---------------------
+    # -- routing: the request grammar ------------------------------------
 
     def classify(self, request: HttpRequest) -> str:
-        """One of the ``KIND_*`` labels for dispatching ``request``."""
+        """One of the ``KIND_*`` labels for dispatching ``request``;
+        :data:`KIND_OTHER` is every request the protocol does not
+        understand (mediators drop it, the facade answers 404)."""
         ...
 
     def doc_id_of(self, request: HttpRequest) -> str:
         """The document id ``request`` addresses."""
         ...
+
+    # -- replication-side: writing raw stored traffic ---------------------
 
     def rewrite_session(self, request: HttpRequest, sid: str | None,
                         rev: int) -> HttpRequest:
@@ -230,31 +239,10 @@ class ServiceBackend(Protocol):
         (identity for sessionless protocols)."""
         ...
 
-    def session_of_open(self,
-                        response: HttpResponse) -> tuple[str, int] | None:
-        """The ``(sid, rev)`` an open response established, or None."""
-        ...
-
     def store_request(self, doc_id: str, sid: str | None, rev: int,
                       stored_body: str) -> HttpRequest:
         """A write placing *raw stored bytes* — for replica healing;
         unlike :meth:`full_save_request` this must not re-frame."""
-        ...
-
-    def is_missing(self, response: HttpResponse) -> bool:
-        """Is this the protocol's "document does not exist" answer?"""
-        ...
-
-    def rev_of_save(self, response: HttpResponse, prev: int) -> int:
-        """The revision a save response reports (``prev`` if none)."""
-        ...
-
-    def save_conflict(self, response: HttpResponse) -> bool:
-        """Did this save response signal a revision conflict?"""
-        ...
-
-    def content_of_open(self, response: HttpResponse) -> str:
-        """The document content an open response carries."""
         ...
 
     def synthesize_open(self, doc_id: str, sid: str, rev: int,
@@ -331,16 +319,28 @@ class GDocsBackend:
         return FetchState(content=response.body, rev=rev)
 
     def parse_save(self, response: HttpResponse) -> SaveAck:
-        """Parse the Ack (raises ProtocolError when mangled)."""
-        ack = protocol.Ack.from_response(response)
-        return SaveAck(
-            rev=ack.rev,
-            conflict=ack.conflict,
-            merged=ack.merged,
-            content_from_server=ack.content_from_server,
-            content_from_server_hash=ack.content_from_server_hash,
-            merge_patch=ack.merge_patch,
-        )
+        """Parse the Ack form (raises ProtocolError when ``status``,
+        ``rev``, ``contentFromServer`` or ``contentFromServerHash`` is
+        missing or mangled)."""
+        fields = response.form
+        try:
+            if protocol.A_STATUS not in fields:
+                raise KeyError(protocol.A_STATUS)
+            return SaveAck(
+                rev=int(fields[protocol.A_REV]),
+                conflict=fields.get(protocol.A_CONFLICT) == "1",
+                merged=fields.get(protocol.A_MERGED) == "1",
+                content_from_server=fields[protocol.A_CONTENT],
+                content_from_server_hash=fields[protocol.A_CONTENT_HASH],
+                merge_patch=fields.get(protocol.A_MERGE_PATCH, ""),
+            )
+        except KeyError as exc:
+            raise ProtocolError(f"Ack missing field {exc}") from None
+        except ValueError as exc:
+            # a mangled body can still parse as a form whose rev field
+            # is garbage ('&' corrupted away merges adjacent pairs);
+            # that is a malformed ack, not a crash
+            raise ProtocolError(f"Ack field unparseable: {exc}") from None
 
     def ack_consistent(self, ack: SaveAck,
                        local_text: str) -> bool | None:
@@ -355,18 +355,36 @@ class GDocsBackend:
         """A stored document is one wire document."""
         return fn(body)
 
-    # -- replication helpers ----------------------------------------------
+    # -- routing and replication helpers ----------------------------------
 
     def classify(self, request: HttpRequest) -> str:
-        """GET = read; save field present = save; other POSTs open."""
+        """The gdocs request grammar, the one the extension drops by
+        (Fig. 2) and the facade routes by: on ``/Doc`` with a
+        ``docID`` and no ``action``, a GET reads, an empty POST opens
+        and a POST carrying ``docContents``/``delta`` saves.  Anything
+        else — a server feature, another path or method, a POST of
+        unknown fields — is :data:`KIND_OTHER`."""
+        post = request.method == "POST" and request.body
+        return self.classify_form(request, request.form if post else {})
+
+    def classify_form(self, request: HttpRequest,
+                      form: dict[str, str]) -> str:
+        """:meth:`classify` of a request whose POST body the caller has
+        already parsed into ``form`` (``{}`` for no body), so the
+        extension decodes a save's body once."""
+        if request.path != protocol.DOC_PATH or \
+                request.method not in ("GET", "POST"):
+            return KIND_OTHER
+        query = request.query
+        if not query.get("docID") or query.get(protocol.F_ACTION):
+            return KIND_OTHER
         if request.method == "GET":
             return KIND_READ
-        form = request.form if request.body else {}
         if protocol.F_DOC_CONTENTS in form:
             return KIND_SAVE_FULL
         if protocol.F_DELTA in form:
             return KIND_SAVE_DELTA
-        return KIND_OPEN
+        return KIND_OTHER if form else KIND_OPEN
 
     def doc_id_of(self, request: HttpRequest) -> str:
         """The ``docID`` query parameter."""
@@ -382,39 +400,11 @@ class GDocsBackend:
             protocol.F_REV: str(rev),
         })
 
-    def session_of_open(self,
-                        response: HttpResponse) -> tuple[str, int] | None:
-        """The sid/rev pair of a successful open ack."""
-        fields = response.form
-        try:
-            return fields[protocol.F_SID], int(fields[protocol.A_REV])
-        except (KeyError, ValueError):
-            return None
-
     def store_request(self, doc_id: str, sid: str | None, rev: int,
                       stored_body: str) -> HttpRequest:
         """Stored bytes ARE the ``docContents`` payload here."""
         return protocol.full_save_request(doc_id, sid or "", rev,
                                           stored_body)
-
-    def is_missing(self, response: HttpResponse) -> bool:
-        """404 (the simulated server auto-creates, so rarely seen)."""
-        return response.status == 404
-
-    def rev_of_save(self, response: HttpResponse, prev: int) -> int:
-        """The Ack's ``rev`` field, tolerating its absence."""
-        try:
-            return int(response.form.get(protocol.A_REV, prev))
-        except ValueError:
-            return prev
-
-    def save_conflict(self, response: HttpResponse) -> bool:
-        """The Ack's ``conflict`` flag."""
-        return response.form.get(protocol.A_CONFLICT) == "1"
-
-    def content_of_open(self, response: HttpResponse) -> str:
-        """The open ack's ``contentFromServer`` field."""
-        return response.form.get(protocol.A_CONTENT, "")
 
     def synthesize_open(self, doc_id: str, sid: str, rev: int,
                         content: str) -> HttpResponse:
@@ -487,7 +477,7 @@ class BespinBackend:
         """The whole file body is the content."""
         return fn(body)
 
-    # -- replication helpers ----------------------------------------------
+    # -- routing and replication helpers ----------------------------------
 
     def classify(self, request: HttpRequest) -> str:
         """PUT/DELETE mutate whole files; GETs (file or listing) read."""
@@ -513,31 +503,10 @@ class BespinBackend:
         """Identity: no per-provider session state exists."""
         return request
 
-    def session_of_open(self,
-                        response: HttpResponse) -> tuple[str, int] | None:
-        """Never a session."""
-        return None
-
     def store_request(self, doc_id: str, sid: str | None, rev: int,
                       stored_body: str) -> HttpRequest:
         """A PUT already writes raw bytes."""
         return bespin.put_request(doc_id, stored_body)
-
-    def is_missing(self, response: HttpResponse) -> bool:
-        """404 = no such file."""
-        return response.status == 404
-
-    def rev_of_save(self, response: HttpResponse, prev: int) -> int:
-        """Bespin does not number revisions."""
-        return prev
-
-    def save_conflict(self, response: HttpResponse) -> bool:
-        """Last writer wins; conflicts cannot be expressed."""
-        return False
-
-    def content_of_open(self, response: HttpResponse) -> str:
-        """The file body ("" for a file that does not exist yet)."""
-        return "" if response.status == 404 else response.body
 
     def synthesize_open(self, doc_id: str, sid: str, rev: int,
                         content: str) -> HttpResponse:
@@ -624,7 +593,7 @@ class BuzzwordBackend:
         (paragraphs, ordering) is framing."""
         return buzzword.map_text_runs(body, fn)
 
-    # -- replication helpers ----------------------------------------------
+    # -- routing and replication helpers ----------------------------------
 
     def classify(self, request: HttpRequest) -> str:
         """POSTs to ``/doc/`` save whole documents; document GETs
@@ -649,34 +618,11 @@ class BuzzwordBackend:
         """Identity: no per-provider session state exists."""
         return request
 
-    def session_of_open(self,
-                        response: HttpResponse) -> tuple[str, int] | None:
-        """Never a session."""
-        return None
-
     def store_request(self, doc_id: str, sid: str | None, rev: int,
                       stored_body: str) -> HttpRequest:
         """POST the raw stored XML as-is (no paragraph re-framing —
         the bytes are already a stored document)."""
         return buzzword.post_request(doc_id, stored_body)
-
-    def is_missing(self, response: HttpResponse) -> bool:
-        """404 = no such document."""
-        return response.status == 404
-
-    def rev_of_save(self, response: HttpResponse, prev: int) -> int:
-        """Buzzword does not number revisions."""
-        return prev
-
-    def save_conflict(self, response: HttpResponse) -> bool:
-        """Last writer wins; conflicts cannot be expressed."""
-        return False
-
-    def content_of_open(self, response: HttpResponse) -> str:
-        """The stored XML ("" for a document that does not exist)."""
-        if response.status == 404:
-            return ""
-        return response.body
 
     def synthesize_open(self, doc_id: str, sid: str, rev: int,
                         content: str) -> HttpResponse:

@@ -15,18 +15,21 @@ The paper documents these observations, all reproduced here:
   empty string and ``0``.)
 
 This module is the single place the field names and message shapes are
-defined; the server, the benign client, and the extension all build and
-parse messages through it.
+defined; the server, the benign client, and the extension all build
+messages through it.  On the trusted side the answers are read by
+:class:`repro.services.backend.GDocsBackend` (``parse_open``,
+``parse_save`` — the Ack becomes a
+:class:`~repro.services.backend.SaveAck`), which also holds the request
+grammar the extension and the replication facade route by
+(``classify``).
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 from repro.encoding.formenc import encode_form
-from repro.errors import ProtocolError
-from repro.net.http import HttpRequest, HttpResponse
+from repro.net.http import HttpRequest
 
 __all__ = [
     "DOC_PATH", "HOST",
@@ -34,7 +37,7 @@ __all__ = [
     "A_STATUS", "A_REV", "A_CONTENT", "A_CONTENT_HASH", "A_CONFLICT",
     "A_MERGED", "A_MERGE_PATCH", "H_RETRY_AFTER",
     "NEUTRAL_CONTENT", "NEUTRAL_HASH",
-    "content_hash", "Ack",
+    "content_hash",
     "open_request", "full_save_request", "delta_save_request",
     "fetch_request", "feature_request",
 ]
@@ -75,40 +78,6 @@ NEUTRAL_HASH = "0"
 def content_hash(content: str) -> str:
     """The hash the server computes over its stored content."""
     return hashlib.sha1(content.encode("utf-8")).hexdigest()
-
-
-@dataclass(frozen=True)
-class Ack:
-    """Parsed server acknowledgement of a content update."""
-
-    status: str
-    rev: int
-    content_from_server: str
-    content_from_server_hash: str
-    conflict: bool
-    merged: bool = False
-    merge_patch: str = ""
-
-    @classmethod
-    def from_response(cls, response: HttpResponse) -> "Ack":
-        fields = response.form
-        try:
-            return cls(
-                status=fields[A_STATUS],
-                rev=int(fields[A_REV]),
-                content_from_server=fields[A_CONTENT],
-                content_from_server_hash=fields[A_CONTENT_HASH],
-                conflict=fields.get(A_CONFLICT, "0") == "1",
-                merged=fields.get(A_MERGED, "0") == "1",
-                merge_patch=fields.get(A_MERGE_PATCH, ""),
-            )
-        except KeyError as exc:
-            raise ProtocolError(f"Ack missing field {exc}") from None
-        except ValueError as exc:
-            # a mangled body can still parse as a form whose rev field
-            # is garbage ('&' corrupted away merges adjacent pairs);
-            # that is a malformed ack, not a crash
-            raise ProtocolError(f"Ack field unparseable: {exc}") from None
 
 
 def _doc_url(doc_id: str, **params: str) -> str:

@@ -20,6 +20,13 @@ whole-file PUTs, Buzzword XML POSTs), not just Google Documents.
 
 Mechanics worth noting:
 
+* the facade routes by the backend's request grammar (``classify``),
+  the same one the extension drops by: a request it classifies as
+  :data:`~repro.services.backend.KIND_OTHER` (a server feature, an
+  unknown path, method or form) is answered 404 and reaches no
+  replica, and every replica answer is read through the backend's
+  parsers (``parse_open`` for sid, revision and content;
+  ``parse_save`` for revision and conflict);
 * session-capable providers issue their own session ids and revision
   numbers, so the facade maintains per-backend ``sid``/``rev`` maps and
   rewrites them per backend through
@@ -33,9 +40,9 @@ Mechanics worth noting:
   delta fan-out (a delta applied to stale state would diverge);
   whole-file providers are healed by the very next full save, since
   every save rewrites the entire store;
-* reads return the majority body; a provider that answers "missing"
-  casts an empty-content vote (a brand-new document looks missing
-  everywhere — that must not count as degradation); disagreeing
+* reads return the majority body; a provider that answers 404
+  ("missing") casts an empty-content vote (a brand-new document looks
+  missing everywhere — that must not count as degradation); disagreeing
   minorities are logged in ``divergences`` (an actively mismatching
   provider is adversary behaviour the caller may want to know about);
 * writes succeed iff at least ``quorum`` backends acknowledged.
@@ -59,6 +66,8 @@ from repro.services.backend import (
     KIND_READ,
     KIND_SAVE_DELTA,
     KIND_SAVE_FULL,
+    OpenState,
+    SaveAck,
     ServiceBackend,
 )
 
@@ -146,34 +155,26 @@ class ReplicatedService:
     # -- session open -------------------------------------------------------
 
     def _open(self, request: HttpRequest) -> HttpResponse:
+        # Only a session protocol (gdocs) classifies a request as an
+        # open, so every replica answers with a sid and a revision.
         doc_id = self.service.doc_id_of(request)
-        alive: list[HttpResponse] = []
-        sessions: list[tuple[str, int] | None] = []
+        opened: list[OpenState] = []
         for index, slot in enumerate(self._slots):
-            response = slot.backend(request)
-            if response.ok or self.service.is_missing(response):
-                state = slot.doc(doc_id)
-                session = self.service.session_of_open(response)
-                if session is not None:
-                    state.sid, state.rev = session
-                state.degraded = False
-                alive.append(response)
-                sessions.append(session)
-            else:
+            session = self._session(index, doc_id, request)
+            if session is None:
                 self._mark_degraded(index, doc_id, "open failed")
-        if len(alive) < self.quorum:
+            else:
+                slot.doc(doc_id).degraded = False
+                opened.append(session)
+        if len(opened) < self.quorum:
             return HttpResponse(503, encode_form({
-                "error": f"only {len(alive)} of {len(self._slots)} "
+                "error": f"only {len(opened)} of {len(self._slots)} "
                          f"providers reachable (quorum {self.quorum})",
             }))
         # Logical session id: the facade's own token; content by majority.
-        content = self._majority(
-            [self.service.content_of_open(r) for r in alive], doc_id
-        )
-        first = next((s for s in sessions if s is not None), None)
-        rev = first[1] if first is not None else -1
+        content = self._majority([s.content for s in opened], doc_id)
         return self.service.synthesize_open(
-            doc_id, f"rep:{doc_id}", rev, content
+            doc_id, f"rep:{doc_id}", opened[0].rev, content
         )
 
     # -- writes -----------------------------------------------------------
@@ -203,17 +204,16 @@ class ReplicatedService:
                 request, state.sid, state.rev
             )
             response = slot.backend(rewritten)
-            if response.ok:
-                state.rev = self.service.rev_of_save(response, state.rev)
-                if self.service.save_conflict(response):
-                    # The backend diverged from the fleet; full saves heal.
-                    self._mark_degraded(index, doc_id, "conflict")
-                else:
-                    state.degraded = False
-                    acks.append(response)
-            else:
+            ack = self._ack(response, state)
+            if ack is None:
                 self._mark_degraded(index, doc_id,
                                     f"status {response.status}")
+            elif ack.conflict:
+                # The backend diverged from the fleet; full saves heal.
+                self._mark_degraded(index, doc_id, "conflict")
+            else:
+                state.degraded = False
+                acks.append(response)
         if len(acks) < self.quorum:
             return HttpResponse(503, encode_form({
                 "error": f"write acknowledged by {len(acks)} providers; "
@@ -230,7 +230,7 @@ class ReplicatedService:
             response = slot.backend(request)
             if response.ok:
                 votes.append((response.body, response))
-            elif self.service.is_missing(response):
+            elif response.status == 404:
                 # "no such document" is a valid answer (empty vote), not
                 # a provider failure — every replica starts that way.
                 votes.append(("", response))
@@ -270,6 +270,34 @@ class ReplicatedService:
             )
         return winner
 
+    def _session(self, index: int, doc_id: str,
+                 request: HttpRequest) -> OpenState | None:
+        """Send the open ``request`` to replica ``index`` and adopt the
+        session it establishes; None when the open fails."""
+        response = self._slots[index].backend(request)
+        try:
+            opened = self.service.parse_open(doc_id, response)
+        except ProtocolError:
+            return None
+        state = self._slots[index].doc(doc_id)
+        state.sid, state.rev = opened.sid, opened.rev
+        return opened
+
+    def _ack(self, response: HttpResponse,
+             state: _BackendDocState) -> SaveAck | None:
+        """A replica's save answer, its revision adopted into
+        ``state``; None for a failed save (an error status, or an ack
+        that does not parse)."""
+        if not response.ok:
+            return None
+        try:
+            ack = self.service.parse_save(response)
+        except ProtocolError:
+            return None
+        if ack.rev is not None:
+            state.rev = ack.rev
+        return ack
+
     def _mark_degraded(self, index: int, doc_id: str, reason: str) -> None:
         self._slots[index].doc(doc_id).degraded = True
         self.failures.append(f"backend {index} / {doc_id}: {reason}")
@@ -277,15 +305,8 @@ class ReplicatedService:
     def _reopen(self, index: int, doc_id: str) -> bool:
         if not self.service.capabilities.sessions:
             return True  # nothing to establish
-        slot = self._slots[index]
-        response = slot.backend(self.service.open_request(doc_id))
-        session = (self.service.session_of_open(response)
-                   if response.ok else None)
-        if session is None:
-            return False
-        state = slot.doc(doc_id)
-        state.sid, state.rev = session
-        return True
+        return self._session(index, doc_id,
+                             self.service.open_request(doc_id)) is not None
 
     def _heal(self, index: int, doc_id: str) -> bool:
         """Copy the (ciphertext) stored bytes from a healthy replica.
@@ -312,12 +333,10 @@ class ReplicatedService:
             return False
         slot = self._slots[index]
         state = slot.doc(doc_id)
-        response = slot.backend(self.service.store_request(
+        if self._ack(slot.backend(self.service.store_request(
             doc_id, state.sid, state.rev, content
-        ))
-        if not response.ok:
+        )), state) is None:
             return False
-        state.rev = self.service.rev_of_save(response, state.rev)
         state.degraded = False
         self.failures.append(f"backend {index} / {doc_id}: healed")
         return True

@@ -80,12 +80,6 @@ class TestCapsAndOverflow:
         assert burst is not None and burst.apply("") == "abc"
         assert journal.pending_ops == 0  # restarted
 
-    def test_bytes_cap_flushes(self):
-        journal = EditCoalescer(max_bytes=10)
-        assert journal.add(Delta.insertion(0, "abcde")) is None
-        burst = journal.add(Delta.insertion(5, "fghij"))
-        assert burst is not None and burst.apply("") == "abcdefghij"
-
     def test_invalidate_overflow_mode(self):
         journal = EditCoalescer(max_ops=2, overflow="invalidate")
         journal.add(Delta.insertion(0, "a"))

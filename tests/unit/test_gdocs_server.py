@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ProtocolError, QuotaExceededError
 from repro.net.channel import Channel
+from repro.services.backend import GDOCS
 from repro.services.gdocs import protocol
 from repro.services.gdocs.server import GDocsServer
 from repro.services.gdocs.storage import (
@@ -83,7 +84,7 @@ class TestServer:
         resp = channel.send(
             protocol.full_save_request("doc", sid, rev, "hello world")
         )
-        ack = protocol.Ack.from_response(resp)
+        ack = GDOCS.parse_save(resp)
         assert ack.content_from_server == "hello world"
         assert ack.content_from_server_hash == protocol.content_hash(
             "hello world"
@@ -91,7 +92,7 @@ class TestServer:
         resp = channel.send(
             protocol.delta_save_request("doc", sid, ack.rev, "=5\t+!")
         )
-        ack = protocol.Ack.from_response(resp)
+        ack = GDOCS.parse_save(resp)
         # routine delta Acks carry only the hash (no content echo)
         assert ack.content_from_server == ""
         assert ack.content_from_server_hash == protocol.content_hash(
@@ -112,7 +113,7 @@ class TestServer:
         resp = channel.send(
             protocol.delta_save_request("doc", sid, 999, "+x")
         )
-        ack = protocol.Ack.from_response(resp)
+        ack = GDOCS.parse_save(resp)
         assert ack.conflict
         assert ack.content_from_server == "base"
 

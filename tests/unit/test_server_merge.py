@@ -3,6 +3,7 @@
 import pytest
 
 from repro.net.channel import Channel
+from repro.services.backend import GDOCS
 from repro.services.gdocs import protocol
 from repro.services.gdocs.server import GDocsServer
 
@@ -30,7 +31,7 @@ class TestMergePath:
         ch.send(protocol.delta_save_request("doc", sid2, 1, "=6\t+TAIL"))
         # first session's stale delta (base rev 1) inserts at the front
         resp = ch.send(protocol.delta_save_request("doc", sid, 1, "+HEAD "))
-        ack = protocol.Ack.from_response(resp)
+        ack = GDOCS.parse_save(resp)
         assert ack.merged and not ack.conflict
         # no content echo: the Ack carries the mergePatch instead, a
         # delta from the saver's post-save text to the merged text
@@ -51,7 +52,7 @@ class TestMergePath:
         ch.send(protocol.full_save_request("doc", sid2, 1,
                                            "completely new"))  # real full save
         resp = ch.send(protocol.delta_save_request("doc", sid, 1, "+x"))
-        ack = protocol.Ack.from_response(resp)
+        ack = GDOCS.parse_save(resp)
         assert ack.conflict and not ack.merged  # cannot transform past it
         assert server.merges_performed == 0
 
@@ -74,7 +75,7 @@ class TestMergePath:
         ch.send(protocol.full_save_request("doc", sid2, 1, "base"))
         ch.send(protocol.delta_save_request("doc", sid2, 1, "+x"))
         resp = ch.send(protocol.delta_save_request("doc", sid, 1, "+y"))
-        assert protocol.Ack.from_response(resp).conflict
+        assert GDOCS.parse_save(resp).conflict
 
     def test_merge_respects_censor(self):
         server = GDocsServer(merge_concurrent=True, reject_encrypted=True)

@@ -1,12 +1,14 @@
 """Session options a service cannot honour raise instead of vanishing.
 
-Stego, freshness, countermeasures and ``decrypt_acks`` act on deltas
-and Ack content, so they need ``capabilities.incremental_updates``; the
-workspace ``indexer`` (and the audit trail its saves opt into) rides
-save acks, so it needs ``capabilities.catalog_acks``.  The whole-file services (Bespin,
-Buzzword) have neither.  ``verify_acks`` and ``index_factory`` stay
+Stego, freshness and ``decrypt_acks`` act on deltas and Ack content,
+so they need ``capabilities.incremental_updates``; the workspace
+``indexer`` (and the audit trail its saves opt into) rides save acks,
+so it needs ``capabilities.catalog_acks``.  The whole-file services
+(Bespin, Buzzword) have neither.  ``verify_acks`` and ``index_factory`` stay
 accepted everywhere: whole-file acks abstain from the hash check by
-protocol, and the whole-file engine honours the index choice.
+protocol, and the whole-file engine honours the index choice.  A
+``server`` next to a ``transport`` (which replaces the local server)
+raises on every service.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ import pytest
 from repro.client.workspace import Workspace
 from repro.datastructures import IndexedAVL
 from repro.extension.catalog import WorkspaceIndexer
-from repro.extension.countermeasures import Countermeasures
 from repro.extension.freshness import FreshnessMonitor
 from repro.extension.session import PrivateEditingSession
+from repro.net.transport import InProcessTransport
 from repro.services import registry
 
 WHOLE_FILE = ("bespin", "buzzword")
@@ -26,7 +28,6 @@ WHOLE_FILE = ("bespin", "buzzword")
 REJECTED = {
     "stego": lambda: True,
     "freshness": FreshnessMonitor,
-    "countermeasures": Countermeasures.none,
     "decrypt_acks": lambda: True,
     "indexer": lambda: WorkspaceIndexer("secret"),
 }
@@ -63,3 +64,19 @@ def test_workspace_on_whole_file_service_raises_on_open(service):
                    server=registry.make_server(service, catalog=True))
     with pytest.raises(ValueError, match="catalog_acks"):
         ws.open("notes")
+
+
+@pytest.mark.parametrize("service", registry.SERVICE_NAMES)
+def test_server_and_transport_together_raise(service):
+    server = registry.make_server(service)
+    with pytest.raises(ValueError, match="not both"):
+        PrivateEditingSession("d", "pw", service=service, server=server,
+                              transport=InProcessTransport(server))
+    # either one alone still builds a working session
+    for kwargs in ({"server": server},
+                   {"transport": InProcessTransport(server)}):
+        session = PrivateEditingSession("d", "pw", service=service,
+                                        **kwargs)
+        session.open()
+        session.type_text(0, "one of them")
+        assert session.save().ok
