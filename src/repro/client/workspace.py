@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import zlib
 
 from repro.core import auditchain
 from repro.crypto.random import DeterministicRandomSource
@@ -89,6 +90,8 @@ class Workspace:
         self._block_chars = block_chars
         self._index_factory = index_factory
         self._rng_seed = rng_seed
+        #: doc_id -> its nonce stream, when ``rng_seed`` pins them
+        self._rngs: dict[str, DeterministicRandomSource] = {}
         self.clock = clock if clock is not None else SimClock()
         self.indexer = WorkspaceIndexer(secret)
         self._sessions: dict[str, PrivateEditingSession] = {}
@@ -113,11 +116,18 @@ class Workspace:
                         hashlib.sha256).hexdigest()
 
     def _session_rng(self, doc_id: str):
+        """The document's nonce stream under ``rng_seed`` (else None).
+
+        Kept across close and reopen: re-seeding on every open would
+        replay the nonces an earlier session of the document drew.
+        """
         if self._rng_seed is None:
             return None
-        import zlib
-        return DeterministicRandomSource(
-            (self._rng_seed << 8) ^ zlib.crc32(doc_id.encode("utf-8")))
+        rng = self._rngs.get(doc_id)
+        if rng is None:
+            rng = self._rngs[doc_id] = DeterministicRandomSource(
+                (self._rng_seed << 8) ^ zlib.crc32(doc_id.encode("utf-8")))
+        return rng
 
     # -- session lifecycle -----------------------------------------------
 

@@ -233,7 +233,14 @@ class EncryptedDocument(ABC):
         rng: RandomSource | None = None,
         index_factory: Callable[[], BlockIndex] | None = None,
     ) -> "EncryptedDocument":
-        """Dec: parse, verify, and decrypt a stored wire document."""
+        """Dec: parse, verify, and decrypt a stored wire document.
+
+        The fetched text becomes the kept wire: ``decode_records``
+        accepts only the canonical encoding of the records it returns,
+        so the record area is byte-for-byte what :meth:`wire` would
+        encode, and a header that is not spelled canonically is
+        replaced by the canonical one.
+        """
         header, records = parse_document(wire_text)
         if header.scheme != cls._codec_class.name:
             raise CiphertextFormatError(
@@ -246,6 +253,11 @@ class EncryptedDocument(ABC):
             key_material = KeyMaterial.from_password(password, salt=header.salt)
         doc = cls(key_material, header.block_chars, rng, index_factory)
         doc._load_records(records)
+        canonical = doc._header.encode()
+        if not wire_text.startswith(canonical):
+            area = len(records) * RECORD_CHARS
+            wire_text = canonical + wire_text[len(wire_text) - area:]
+        doc._wire = wire_text
         return doc
 
     def _build_fresh(self, text: str, version: int = 0) -> None:

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.core import blocks
 from repro.core.nonces import RECB_NONCE_BYTES, draw_nonces, xor_bytes
 from repro.core.scheme import BlockCodec
@@ -117,34 +119,43 @@ class RecbCodec(BlockCodec):
     def decrypt_record(self, state: RecbState, record: Record) -> str:
         """Decrypt one data record (the random-access path)."""
         plain = self._cipher.decrypt_block(record.block)
-        return self._payload_to_chunk(state, plain, record.char_count)
+        nonce = xor_bytes(plain[:8], state.r0)
+        return _unpack_chunk(xor_bytes(plain[8:], nonce), record.char_count)
 
     def decrypt_records(self, state: RecbState, records: list[Record]) -> list[str]:
-        """Decrypt all data records (batched AES)."""
+        """Decrypt all data records (batched AES, one-pass unmasking).
+
+        Same result and errors as :meth:`decrypt_record` per record:
+        the nonce and payload halves are unmasked for every block in
+        two array XORs, and only the UTF-8 decode and the header check
+        stay per record.
+        """
         if not records:
             return []
-        blob = self._cipher.decrypt_many(b"".join(r.block for r in records))
+        plain = np.frombuffer(
+            self._cipher.decrypt_many(b"".join(r.block for r in records)),
+            dtype=np.uint8,
+        ).reshape(-1, 16)
+        nonces = plain[:, :8] ^ np.frombuffer(state.r0, dtype=np.uint8)
+        payloads = (plain[:, 8:] ^ nonces).tobytes()
         return [
-            self._payload_to_chunk(
-                state, blob[16 * i : 16 * (i + 1)], record.char_count
-            )
+            _unpack_chunk(payloads[8 * i : 8 * i + 8], record.char_count)
             for i, record in enumerate(records)
         ]
 
-    def _payload_to_chunk(self, state: RecbState, plain: bytes,
-                          char_count: int) -> str:
-        nonce = xor_bytes(plain[:8], state.r0)
-        payload = xor_bytes(plain[8:], nonce)
-        try:
-            chunk = blocks.unpack_chars(payload)
-        except UnicodeDecodeError:
-            raise DecryptionError(
-                "data block decodes to invalid UTF-8 (wrong password or "
-                "corrupted ciphertext)"
-            ) from None
-        if len(chunk) != char_count:
-            raise CiphertextFormatError(
-                f"record header claims {char_count} chars, payload holds "
-                f"{len(chunk)}"
-            )
-        return chunk
+
+def _unpack_chunk(payload: bytes, char_count: int) -> str:
+    """An unmasked payload's characters, checked against its header."""
+    try:
+        chunk = blocks.unpack_chars(payload)
+    except UnicodeDecodeError:
+        raise DecryptionError(
+            "data block decodes to invalid UTF-8 (wrong password or "
+            "corrupted ciphertext)"
+        ) from None
+    if len(chunk) != char_count:
+        raise CiphertextFormatError(
+            f"record header claims {char_count} chars, payload holds "
+            f"{len(chunk)}"
+        )
+    return chunk

@@ -37,6 +37,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.core import blocks
 from repro.core.nonces import RPC_NONCE_BYTES, draw_nonces, xor_bytes
 from repro.core.scheme import BlockCodec
@@ -254,15 +256,21 @@ class RpcCodec(BlockCodec):
             blob = self._cipher.decrypt_many(
                 b"".join(r.block for r in data_records)
             )
-            for i, record in enumerate(data_records):
-                plain = blob[16 * i : 16 * (i + 1)]
-                lead = plain[:RPC_NONCE_BYTES]
-                payload = plain[RPC_NONCE_BYTES : RPC_NONCE_BYTES + blocks.PAYLOAD_BYTES]
-                tail = plain[RPC_NONCE_BYTES + blocks.PAYLOAD_BYTES :]
-                if lead != expected_lead:
-                    raise IntegrityError(
-                        f"nonce chain broken at data block {i}"
-                    )
+            lo, hi = RPC_NONCE_BYTES, RPC_NONCE_BYTES + blocks.PAYLOAD_BYTES
+            plain = np.frombuffer(blob, dtype=np.uint8).reshape(-1, 16)
+            leads, payloads = plain[:, :lo], plain[:, lo:hi]
+            # block i's lead must equal block i-1's tail (the start
+            # record's tail for block 0).  The blocks before the first
+            # break get their local checks first, in order, exactly as a
+            # block-by-block walk would raise them.
+            chained = np.empty_like(leads)
+            chained[0] = np.frombuffer(expected_lead, dtype=np.uint8)
+            chained[1:] = plain[:-1, hi:]
+            breaks = np.flatnonzero((leads != chained).any(axis=1))
+            intact = int(breaks[0]) if breaks.size else len(data_records)
+            for i in range(intact):
+                record = data_records[i]
+                payload = blob[16 * i + lo : 16 * i + hi]
                 try:
                     chunk = blocks.unpack_chars(payload)
                 except UnicodeDecodeError:
@@ -274,9 +282,15 @@ class RpcCodec(BlockCodec):
                         f"record {i} header claims {record.char_count} "
                         f"chars, payload holds {len(chunk)}"
                     )
-                state.add_block(lead, payload, len(chunk))
-                out.append((chunk, lead, payload))
-                expected_lead = tail
+                state.length += len(chunk)
+                out.append((chunk, blob[16 * i : 16 * i + lo], payload))
+            if breaks.size:
+                raise IntegrityError(
+                    f"nonce chain broken at data block {intact}"
+                )
+            state.lead_xor = np.bitwise_xor.reduce(leads, axis=0).tobytes()
+            state.payload_xor = np.bitwise_xor.reduce(payloads, axis=0).tobytes()
+            expected_lead = blob[-RPC_NONCE_BYTES:]
         if expected_lead != r0:
             raise IntegrityError(
                 "chain does not close back to r0 (truncation or splice)"

@@ -14,9 +14,15 @@ The element count gives each block's ordinal (its record index on the
 wire, which ciphertext deltas are expressed in) at no extra asymptotic
 cost; the character count is the paper's ``skip_count``.
 
-Span convention: for a node ``x`` and level ``i``,
-``x.span_elems[i]`` / ``x.span_chars[i]`` count the elements/characters
-strictly after ``x`` up to and *including* ``x.forward[i]``; pointers to
+Node layout: a node keeps its per-level pointer and two spans in one
+flat list, ``links[3*i]`` (the forward pointer at level ``i``),
+``links[3*i + 1]`` (elements spanned) and ``links[3*i + 2]``
+(characters spanned), so each block adds only two containers (node and
+list) for the cyclic garbage collector to walk.
+
+Span convention: for a node ``x`` and level ``i``, the element and
+character spans count the elements/characters strictly after ``x`` up
+to and *including* the node ``x`` points to at level ``i``; pointers to
 the end of the list count everything remaining.  All operations are
 expected ``O(log n)``; ``checkrep`` validates every span and is run by
 the property tests after each mutation.
@@ -47,18 +53,17 @@ _LIST_LEVEL = gauge("index.skiplist.level")
 
 
 class _Node:
-    __slots__ = ("value", "width", "forward", "span_elems", "span_chars")
+    __slots__ = ("value", "width", "links")
 
     def __init__(self, value: Any, width: int, level: int):
         self.value = value
         self.width = width
-        self.forward: list[_Node | None] = [None] * level
-        self.span_elems: list[int] = [0] * level
-        self.span_chars: list[int] = [0] * level
+        #: per level i: forward pointer, element span, character span
+        self.links: list[Any] = [None, 0, 0] * level
 
     @property
     def level(self) -> int:
-        return len(self.forward)
+        return len(self.links) // 3
 
 
 class IndexedSkipList:
@@ -117,16 +122,22 @@ class IndexedSkipList:
         ranks = [0] * self._level
         cends = [0] * self._level
         x = self._head
+        links = x.links
         pos = -1
         cend = 0
         visits = 0
         for i in range(self._level - 1, -1, -1):
-            nxt = x.forward[i]
-            while nxt is not None and pos + x.span_elems[i] <= rank - 1:
-                pos += x.span_elems[i]
-                cend += x.span_chars[i]
+            j = 3 * i
+            nxt = links[j]
+            while nxt is not None:
+                step = pos + links[j + 1]
+                if step >= rank:
+                    break
+                pos = step
+                cend += links[j + 2]
                 x = nxt
-                nxt = x.forward[i]
+                links = nxt.links
+                nxt = links[j]
                 visits += 1
             update[i] = x
             ranks[i] = pos
@@ -149,22 +160,24 @@ class IndexedSkipList:
             raise IndexError(
                 f"char index {index} out of range [0, {self._chars})"
             )
-        x = self._head
+        links = self._head.links
         pos = -1
         cend = 0
         visits = 0
-        for i in range(self._level - 1, -1, -1):
-            nxt = x.forward[i]
-            while nxt is not None and cend + x.span_chars[i] <= index:
-                pos += x.span_elems[i]
-                cend += x.span_chars[i]
-                x = nxt
-                nxt = x.forward[i]
+        for j in range(3 * self._level - 3, -1, -3):
+            nxt = links[j]
+            while nxt is not None:
+                end = cend + links[j + 2]
+                if end > index:
+                    break
+                pos += links[j + 1]
+                cend = end
+                links = nxt.links
+                nxt = links[j]
                 visits += 1
         _SEARCHES.inc()
         _NODE_VISITS.inc(visits)
-        target = x.forward[0]
-        assert target is not None  # index < total_chars guarantees this
+        assert links[0] is not None  # index < total_chars guarantees this
         return pos + 1, index - cend
 
     def get(self, rank: int) -> tuple[Any, int]:
@@ -175,14 +188,20 @@ class IndexedSkipList:
     def _node_at(self, rank: int) -> _Node:
         self._check_rank(rank, self._size)
         x = self._head
+        links = x.links
         pos = -1
         visits = 0
         for i in range(self._level - 1, -1, -1):
-            nxt = x.forward[i]
-            while nxt is not None and pos + x.span_elems[i] <= rank:
-                pos += x.span_elems[i]
+            j = 3 * i
+            nxt = links[j]
+            while nxt is not None:
+                step = pos + links[j + 1]
+                if step > rank:
+                    break
+                pos = step
                 x = nxt
-                nxt = x.forward[i]
+                links = nxt.links
+                nxt = links[j]
                 visits += 1
         _SEARCHES.inc()
         _NODE_VISITS.inc(visits)
@@ -212,11 +231,11 @@ class IndexedSkipList:
             return []
         update, _, _ = self._predecessors(ra)
         out: list[tuple[Any, int]] = []
-        node = update[0].forward[0]
+        node = update[0].links[0]
         for _ in range(rb - ra):
             assert node is not None
             out.append((node.value, node.width))
-            node = node.forward[0]
+            node = node.links[0]
         _RANGE_VISITS.inc(rb - ra)
         return out
 
@@ -253,30 +272,30 @@ class IndexedSkipList:
         removed: list[tuple[Any, int]] = []
         dead_ids: set[int] = set()
         walk_steps = 0
-        node = update[0].forward[0]
+        node = update[0].links[0]
         removed_chars = 0
         for _ in range(rb - ra):
             assert node is not None
             removed.append((node.value, node.width))
             removed_chars += node.width
             dead_ids.add(id(node))
-            node = node.forward[0]
+            node = node.links[0]
             walk_steps += 1
         if dead_ids:
             k = rb - ra
             for i in range(self._level):
-                pred = update[i]
-                span_e = pred.span_elems[i]
-                span_c = pred.span_chars[i]
-                nxt = pred.forward[i]
+                j = 3 * i
+                pred = update[i].links
+                nxt, span_e, span_c = pred[j], pred[j + 1], pred[j + 2]
                 while nxt is not None and id(nxt) in dead_ids:
-                    span_e += nxt.span_elems[i]
-                    span_c += nxt.span_chars[i]
-                    nxt = nxt.forward[i]
+                    links = nxt.links
+                    span_e += links[j + 1]
+                    span_c += links[j + 2]
+                    nxt = links[j]
                     walk_steps += 1
-                pred.forward[i] = nxt
-                pred.span_elems[i] = span_e - k
-                pred.span_chars[i] = span_c - removed_chars
+                pred[j] = nxt
+                pred[j + 1] = span_e - k
+                pred[j + 2] = span_c - removed_chars
             self._size -= k
             self._chars -= removed_chars
         _RANGE_VISITS.inc(walk_steps)
@@ -291,36 +310,39 @@ class IndexedSkipList:
         for value, width in items:
             level = self._random_level()
             if level > self._level:
+                head = self._head.links
                 for i in range(self._level, level):
-                    self._head.span_elems[i] = self._size
-                    self._head.span_chars[i] = self._chars
-                    self._head.forward[i] = None
+                    head[3 * i : 3 * i + 3] = [None, self._size, self._chars]
                     last_node.append(self._head)
                     last_rank.append(-1)
                     last_cend.append(0)
                 self._level = level
             node = _Node(value, width, level)
+            links = node.links
             end_new = cstart + width
             for i in range(level):
-                pred = last_node[i]
-                node.forward[i] = pred.forward[i]
-                node.span_elems[i] = last_rank[i] + pred.span_elems[i] + 1 - rank
-                node.span_chars[i] = last_cend[i] + pred.span_chars[i] - cstart
-                pred.forward[i] = node
-                pred.span_elems[i] = rank - last_rank[i]
-                pred.span_chars[i] = end_new - last_cend[i]
+                j = 3 * i
+                pred = last_node[i].links
+                links[j] = pred[j]
+                links[j + 1] = last_rank[i] + pred[j + 1] + 1 - rank
+                links[j + 2] = last_cend[i] + pred[j + 2] - cstart
+                pred[j] = node
+                pred[j + 1] = rank - last_rank[i]
+                pred[j + 2] = end_new - last_cend[i]
                 last_node[i] = node
                 last_rank[i] = rank
                 last_cend[i] = end_new
             for i in range(level, self._level):
-                last_node[i].span_elems[i] += 1
-                last_node[i].span_chars[i] += width
+                upper = last_node[i].links
+                upper[3 * i + 1] += 1
+                upper[3 * i + 2] += width
             self._size += 1
             self._chars += width
             rank += 1
             cstart = end_new
 
-        while self._level > 1 and self._head.forward[self._level - 1] is None:
+        while (self._level > 1
+               and self._head.links[3 * (self._level - 1)] is None):
             self._level -= 1
         _LIST_LEVEL.set(self._level)
         return removed
@@ -353,9 +375,11 @@ class IndexedSkipList:
             end = chars + width
             for i in range(level):
                 prev_node, prev_rank, prev_cend = last[i]
-                prev_node.forward[i] = node
-                prev_node.span_elems[i] = rank - prev_rank
-                prev_node.span_chars[i] = end - prev_cend
+                j = 3 * i
+                prev = prev_node.links
+                prev[j] = node
+                prev[j + 1] = rank - prev_rank
+                prev[j + 2] = end - prev_cend
                 last[i] = (node, rank, end)
             rank += 1
             chars = end
@@ -363,28 +387,28 @@ class IndexedSkipList:
         self._chars = chars
         for i in range(self._level):
             node, last_rank, last_cend = last[i]
-            node.forward[i] = None
-            node.span_elems[i] = self._size - 1 - last_rank
-            node.span_chars[i] = self._chars - last_cend
+            node.links[3 * i : 3 * i + 3] = [
+                None, self._size - 1 - last_rank, self._chars - last_cend
+            ]
 
     # -- iteration -----------------------------------------------------------
 
     def items(self) -> Iterator[tuple[Any, int]]:
         """Yield ``(value, width)`` for every block in order."""
-        x = self._head.forward[0]
+        x = self._head.links[0]
         while x is not None:
             yield x.value, x.width
-            x = x.forward[0]
+            x = x.links[0]
 
     def values(self) -> Iterator[Any]:
         """Yield every block value in order (walks the nodes itself:
         ``EncryptedDocument.text`` joins through this on every open
         and full save, and re-yielding :meth:`items` doubled its
         cost)."""
-        x = self._head.forward[0]
+        x = self._head.links[0]
         while x is not None:
             yield x.value
-            x = x.forward[0]
+            x = x.links[0]
 
     def __iter__(self) -> Iterator[Any]:
         return self.values()
@@ -400,10 +424,10 @@ class IndexedSkipList:
         """
         # Walk level 0 to establish ground truth.
         nodes: list[_Node] = []
-        x = self._head.forward[0]
+        x = self._head.links[0]
         while x is not None:
             nodes.append(x)
-            x = x.forward[0]
+            x = x.links[0]
         if len(nodes) != self._size:
             raise DataStructureError(
                 f"size {self._size} != level-0 walk {len(nodes)}"
@@ -429,12 +453,12 @@ class IndexedSkipList:
         for i in range(self._level):
             x = self._head
             while True:
-                nxt = x.forward[i]
+                nxt, span_e, span_c = x.links[3 * i : 3 * i + 3]
                 de, dc = elems_between(x, nxt)
-                if x.span_elems[i] != de or x.span_chars[i] != dc:
+                if span_e != de or span_c != dc:
                     raise DataStructureError(
                         f"span mismatch at level {i}: "
-                        f"claims ({x.span_elems[i]}, {x.span_chars[i]}), "
+                        f"claims ({span_e}, {span_c}), "
                         f"actual ({de}, {dc})"
                     )
                 if nxt is None:
@@ -445,5 +469,5 @@ class IndexedSkipList:
                     )
                 x = nxt
         for i in range(self._level, _MAX_LEVEL):
-            if self._head.forward[i] is not None:
+            if self._head.links[3 * i] is not None:
                 raise DataStructureError("pointer above list level")

@@ -73,6 +73,8 @@ def decode_record(text: str) -> Record:
         raise CiphertextFormatError(
             f"record must be {RECORD_CHARS} chars, got {len(text)}"
         )
+    if "=" in text:  # base32.decode strips padding; a record has none
+        raise CiphertextFormatError("invalid base32 character in record area")
     raw = base32.decode(text)
     return Record(char_count=raw[0], block=raw[1:])
 
@@ -112,7 +114,13 @@ def encode_records(records: list[Record]) -> str:
 
 
 def decode_records(text: str) -> list[Record]:
-    """Decode contiguous wire text back into records (batched)."""
+    """Decode contiguous wire text back into records (batched).
+
+    Accepts only canonical text — upper-case alphabet, no padding, zero
+    tail bits — so ``encode_records(decode_records(t)) == t`` for every
+    ``t`` it accepts (``EncryptedDocument.load`` keeps fetched text as
+    its wire on that basis).
+    """
     if len(text) % RECORD_CHARS:
         raise CiphertextFormatError(
             f"record area length {len(text)} is not a multiple of "

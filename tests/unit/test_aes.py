@@ -4,7 +4,16 @@ import binascii
 
 import pytest
 
-from repro.crypto.aes import AES, INV_SBOX, SBOX, expand_key, gf_mul
+import random
+
+from repro.crypto.aes import (
+    AES,
+    INV_SBOX,
+    SBOX,
+    _inv_mix_word,
+    expand_key,
+    gf_mul,
+)
 from repro.crypto.selftest import FIPS_197_VECTORS, run_selftest
 from repro.errors import BlockSizeError, KeySizeError
 
@@ -85,6 +94,27 @@ class TestKeySchedule:
 
     def test_aes256_length(self):
         assert len(expand_key(bytes(32))) == 60
+
+    def test_inv_mix_word_matches_the_gf_reference(self):
+        """The table-built InvMixColumns equals the textbook matrix
+        product over GF(2^8) (the decryption schedule's spec)."""
+        def reference(word):
+            col = word.to_bytes(4, "big")
+            rows = ((0x0E, 0x0B, 0x0D, 0x09), (0x09, 0x0E, 0x0B, 0x0D),
+                    (0x0D, 0x09, 0x0E, 0x0B), (0x0B, 0x0D, 0x09, 0x0E))
+            out = 0
+            for row in rows:
+                byte = 0
+                for coeff, b in zip(row, col):
+                    byte ^= gf_mul(b, coeff)
+                out = (out << 8) | byte
+            return out
+
+        rng = random.Random(197)
+        words = [b << shift for b in range(256) for shift in (0, 8, 16, 24)]
+        words += [rng.getrandbits(32) for _ in range(2000)]
+        for word in words:
+            assert _inv_mix_word(word) == reference(word)
 
     @pytest.mark.parametrize("bad", [0, 1, 15, 17, 31, 33, 64])
     def test_bad_key_size(self, bad):

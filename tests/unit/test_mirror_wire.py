@@ -15,6 +15,7 @@ from repro.crypto.random import DeterministicRandomSource
 from repro.datastructures import IndexedAVL, IndexedSkipList
 from repro.encoding import wire as wire_module
 from repro.fuzz.model import reference_wire
+from repro.obs import capture
 
 KEYS = KeyMaterial.from_password("mirror", salt=b"mirror-salt1")
 TEXT = "the quick brown fox jumps over the lazy dog; " * 20
@@ -99,3 +100,43 @@ def test_load_document_decodes_records_once(scheme, index_factory,
     monkeypatch.setattr(wire_module, "decode_records", counting)
     load_document(stored, key_material=KEYS, index_factory=index_factory)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("scheme", ["recb", "rpc"])
+def test_load_keeps_the_fetched_wire(scheme, index_factory):
+    """A loaded document's wire is the text it was loaded from: no
+    record is Base32-encoded again to produce it."""
+    stored = _doc(scheme, index_factory).wire()
+    loaded = load_document(stored, key_material=KEYS,
+                           index_factory=index_factory)
+    with capture() as cap:
+        kept = loaded.wire()
+    assert cap["wire.records_encoded"] == 0
+    assert kept == stored == reference_wire(loaded)
+    _step(loaded, lambda: loaded.insert(10, "kept "))
+
+
+@pytest.mark.parametrize("scheme", ["recb", "rpc"])
+@pytest.mark.parametrize("spelling", ["lower-scheme", "padded-numbers",
+                                      "padded-salt"])
+def test_non_canonical_header_loads_and_re_encodes(scheme, index_factory,
+                                                   spelling):
+    """A header the parser accepts but did not write (lower-case scheme,
+    zero-padded numbers, Base32 padding on the salt) still loads, and
+    the kept wire carries the canonical header."""
+    stored = _doc(scheme, index_factory).wire()
+    end = stored.index(".")
+    magic, name, block_chars, nonce_bits, salt = stored[:end].split("-")
+    if spelling == "lower-scheme":
+        name = name.lower()
+    elif spelling == "padded-numbers":
+        block_chars, nonce_bits = "0" + block_chars, "0" + nonce_bits
+    else:
+        salt += "======"
+    odd = "-".join([magic, name, block_chars, nonce_bits, salt]) + stored[end:]
+    assert odd != stored
+    loaded = load_document(odd, key_material=KEYS,
+                           index_factory=index_factory)
+    assert loaded.text == TEXT
+    assert loaded.wire() == stored == reference_wire(loaded)
+    _step(loaded, lambda: loaded.delete(0, 4))

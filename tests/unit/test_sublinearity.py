@@ -163,3 +163,11 @@ def test_full_save_after_reopen_costs_the_edit_not_the_document(scheme):
         <= small["doc.blocks_reencrypted"] + 2, (
         f"{scheme}: one keystroke cost {small['crypto.aes.calls']} AES "
         f"calls at 4k chars and {large['crypto.aes.calls']} at 40k")
+    # the reopened mirror keeps the fetched text as its wire, so only
+    # the re-encrypted records are Base32-encoded (~500/~5000 if the
+    # whole document were encoded again)
+    for cap in (small, large):
+        assert 0 < cap["wire.records_encoded"] \
+            <= cap["doc.blocks_reencrypted"] + 2, (
+            f"{scheme}: the full save encoded "
+            f"{cap['wire.records_encoded']} records")

@@ -74,6 +74,19 @@ class TestRecordArea:
     def test_empty_area(self):
         assert decode_records("") == []
 
+    @pytest.mark.parametrize("count", [1, 7, 8, 20])
+    def test_only_canonical_text_decodes(self, count):
+        """Both decode paths (scalar below 8 records, batched from 8)
+        accept exactly what ``encode_records`` writes, so a decoded area
+        re-encodes to itself: no lower case, no padding."""
+        area = encode_records([_record(i % 9) for i in range(count)])
+        assert encode_records(decode_records(area)) == area
+        last = area[-RECORD_CHARS:]
+        for bad in (last.lower(), last[:-1] + "=", last[:-2] + "==",
+                    "=" * RECORD_CHARS):
+            with pytest.raises(CiphertextFormatError):
+                decode_records(area[:-RECORD_CHARS] + bad)
+
 
 class TestHeader:
     def _header(self):

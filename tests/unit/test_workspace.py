@@ -14,6 +14,7 @@ import pytest
 
 from repro import obs
 from repro.client.workspace import Workspace
+from repro.crypto.random import DeterministicRandomSource
 from repro.security.adversary import ActiveServerAdversary
 from repro.services import registry
 from repro.services.gdocs import protocol
@@ -93,6 +94,40 @@ class TestEditingAndSearch:
         assert ws.open("alpha") == "persistent walrus"
         assert ws.search("persistent") == ["alpha"]
         assert ws.alerts == []  # a clean reopen raises nothing
+
+    def test_reopen_repeats_no_key_derivation(self, ws):
+        """Closing and reopening an unchanged document derives no key
+        (the KDF memo) and builds one AES key schedule: the document
+        cipher's, not a re-seeded nonce generator's."""
+        _seed_doc(ws, "alpha", "reopened without a kdf " * 40)
+        ws.close("alpha")
+        with obs.capture() as cap:
+            assert ws.open("alpha") == "reopened without a kdf " * 40
+        assert cap["crypto.kdf.derivations"] == 0
+        assert cap["crypto.aes.key_schedules"] == 1
+
+    def test_reopen_continues_the_nonce_stream(self, ws, monkeypatch):
+        """Under ``rng_seed`` each document keeps one nonce stream across
+        close and reopen; re-seeding it would hand the second session
+        the very bytes the first one drew."""
+        drawn: list[bytes] = []
+        token = DeterministicRandomSource.token
+
+        def recording(self, nbytes):
+            drawn.append(token(self, nbytes))
+            return drawn[-1]
+
+        monkeypatch.setattr(DeterministicRandomSource, "token", recording)
+        _seed_doc(ws, "alpha", "first session text")
+        first = b"".join(drawn)
+        ws.close("alpha")
+        drawn.clear()
+        ws.open("alpha")
+        ws.type_text("alpha", 0, "second ")
+        assert ws.save("alpha").ok
+        second = b"".join(drawn)
+        assert len(first) >= 16 and len(second) >= 16
+        assert second[:16] not in first
 
     def test_forged_posting_blobs_are_dropped(self, ws, server):
         """A tampering catalog can suppress results but not inject

@@ -4,13 +4,15 @@
 A differential harness that never fails is indistinguishable from one
 that checks nothing.  This tool injects known-load-bearing bugs — each
 a one-line textual mutation of a temporary copy of the source tree —
-and runs the same ``repro fuzz`` invocation against the clean tree and
+and runs the same ``repro fuzz`` invocation (or, for a bug no fuzz
+oracle can see, the entry's one unit test) against the clean tree and
 each mutant:
 
 * clean tree  → exit 0 (no violations), or the harness is flaky;
-* mutant tree → exit != 0 with the entry's violation kind reported,
-  or the harness is blind to that bug class (a catch by some other
-  oracle does not count: it would not prove the intended one fires).
+* mutant tree → exit != 0 with the entry's violation kind reported (or
+  its test failing), or the harness is blind to that bug class (a catch
+  by some other oracle does not count: it would not prove the intended
+  one fires).
 
 The mutation table covers one oracle per stack layer:
 
@@ -21,10 +23,11 @@ The mutation table covers one oracle per stack layer:
     checksum-verifying reload must flag it (``roundtrip``).
 ``skiplist-splice-skips-upper-span``
     ``IndexedSkipList.splice`` — the block index's only write besides
-    the bulk ``extend`` — stops widening the upper-level pointers that
-    pass over a newly threaded node (``last_node[i].span_chars[i] +=
-    width``).  Text and ranks stay right, so only the engine profile's
-    per-step representation check must flag it (``index-checkrep``).
+    the bulk ``extend`` — stops widening the character span of the
+    upper-level pointers that pass over a newly threaded node
+    (``upper[3 * i + 2] += width`` in the one-list node layout).  Text
+    and ranks stay right, so only the engine profile's per-step
+    representation check must flag it (``index-checkrep``).
 ``catalog-lookup-drops-posting``
     The catalog server silently withholds the newest posting blob from
     every trapdoor lookup.  The workspace profile's plaintext word
@@ -53,6 +56,12 @@ The mutation table covers one oracle per stack layer:
     its remembered ``(rev, link)`` anchor — exactly the check that
     makes a *forged* self-consistent chain detectable.  The workspace
     profile's rollback-attacking server must flag it (``audit-miss``).
+``kdf-memo-ignores-salt``
+    ``KeyMaterial.from_password`` keys its derivation memo by the
+    password alone, so a new salt under a known password gets the old
+    key.  Every party in one process reads the same memo and stays
+    self-consistent, so no fuzz oracle can see it; the entry runs the
+    unit test that derives under a new salt instead, which must fail.
 
 Mutations are applied textually so the tool exercises the real on-disk
 pipeline end to end; the original tree is never touched.
@@ -79,7 +88,9 @@ SRC = REPO / "src"
 
 @dataclass(frozen=True)
 class Mutation:
-    """One injected bug and the fuzz invocation that must catch it."""
+    """One injected bug and the check that must catch it: a ``repro
+    fuzz`` run reporting violation ``kind``, or — when ``test`` names
+    a pytest node — that test failing."""
 
     name: str
     file: str                    #: path under src/
@@ -89,6 +100,7 @@ class Mutation:
     iters: int                   #: iterations (clean and mutant runs)
     blind_to: str                #: what a survival would mean
     kind: str                    #: the violation kind that must fire
+    test: str = ""               #: pytest node id run instead of fuzz
 
 
 MUTATIONS = (
@@ -130,7 +142,7 @@ MUTATIONS = (
     Mutation(
         name="skiplist-splice-skips-upper-span",
         file="repro/datastructures/indexed_skiplist.py",
-        target="                last_node[i].span_chars[i] += width",
+        target="                upper[3 * i + 2] += width",
         mutant="                pass  # MUTANT: upper-level span not widened",
         fuzz_args=("--profile", "engine"),
         iters=10,
@@ -169,17 +181,34 @@ MUTATIONS = (
         blind_to="a forged (self-consistent) audit chain",
         kind="audit-miss",
     ),
+    Mutation(
+        name="kdf-memo-ignores-salt",
+        file="repro/core/keys.py",
+        target="    memo_key = (password, salt, iterations)",
+        mutant="    memo_key = password  # MUTANT: salt and iterations ignored",
+        fuzz_args=(),
+        iters=1,
+        blind_to="a key-derivation memo that ignores the salt",
+        kind="",
+        test=("tests/unit/test_keys.py::TestDerivationMemo::"
+              "test_new_salt_with_the_same_password_derives_once"),
+    ),
 )
 
 
-def run_fuzz(pythonpath: Path, mutation: Mutation, iters: int,
+def run_check(pythonpath: Path, mutation: Mutation, iters: int,
              seed: int) -> tuple[int, str]:
-    """One ``repro fuzz`` subprocess against the given source tree."""
+    """One ``repro fuzz`` (or, for a ``test`` entry, pytest) subprocess
+    against the given source tree."""
     env = dict(os.environ, PYTHONPATH=str(pythonpath))
+    if mutation.test:
+        command = ["-m", "pytest", "-q", "-p", "no:cacheprovider",
+                   mutation.test]
+    else:
+        command = ["-m", "repro", "fuzz", *mutation.fuzz_args,
+                   "--iters", str(iters), "--seed", str(seed)]
     proc = subprocess.run(
-        [sys.executable, "-m", "repro", "fuzz",
-         *mutation.fuzz_args,
-         "--iters", str(iters), "--seed", str(seed)],
+        [sys.executable, *command],
         env=env, capture_output=True, text=True, cwd=str(REPO),
     )
     return proc.returncode, proc.stdout + proc.stderr
@@ -196,7 +225,7 @@ def check_mutation(mutation: Mutation, iters: int, seed: int) -> int:
               file=sys.stderr)
         return 2
 
-    code, output = run_fuzz(SRC, mutation, iters, seed)
+    code, output = run_check(SRC, mutation, iters, seed)
     if code != 0:
         print(f"error: [{mutation.name}] harness failed on the CLEAN "
               f"tree — fix that before trusting a mutation result:",
@@ -213,18 +242,19 @@ def check_mutation(mutation: Mutation, iters: int, seed: int) -> int:
         mutant_file.write_text(
             source.replace(mutation.target, mutation.mutant),
             encoding="utf-8")
-        code, output = run_fuzz(mutant_src, mutation, iters, seed)
+        code, output = run_check(mutant_src, mutation, iters, seed)
 
     if code == 0:
         print(f"MUTATION SURVIVED: [{mutation.name}] ran the mutant "
               f"tree without a single violation — the oracle is blind "
               f"to {mutation.blind_to}.", file=sys.stderr)
         return 1
-    caught = [line for line in output.splitlines()
-              if f"[{mutation.kind}]" in line]
+    marker = (f"FAILED {mutation.test}" if mutation.test
+              else f"[{mutation.kind}]")
+    caught = [line for line in output.splitlines() if marker in line]
     if not caught:
         print(f"MUTATION CAUGHT BY THE WRONG ORACLE: [{mutation.name}] "
-              f"the mutant failed, but never with [{mutation.kind}]:",
+              f"the mutant failed, but never with {marker}:",
               file=sys.stderr)
         print(output, file=sys.stderr)
         return 1
