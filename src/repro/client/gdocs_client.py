@@ -25,8 +25,9 @@ Fault tolerance (beyond the paper): constructed with a
 key (so a replay of an already-processed save is deduplicated by the
 server rather than re-applied), and recovers from revision conflicts by
 re-fetching the document and rebasing its pending local edits over the
-server's state.  Without a policy the behaviour is exactly the legacy
-one: any failed exchange raises.
+server's state.  Without a policy the same save path behaves as the
+paper's client: one attempt, no idempotency key, any failed exchange
+raises, and the next save is a full one.
 """
 
 from __future__ import annotations

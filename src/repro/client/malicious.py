@@ -10,12 +10,10 @@ without countermeasures.
 
 from __future__ import annotations
 
-from repro.client.gdocs_client import GDocsClient, SaveOutcome
+from repro.client.gdocs_client import GDocsClient
 from repro.core.delta import Delta
-from repro.errors import ProtocolError, SessionError
 from repro.net.channel import Channel
 from repro.security.covert import DeltaShapeChannel, LengthChannel
-from repro.services.gdocs import protocol
 
 __all__ = ["ShapeLeakClient", "LengthLeakClient"]
 
@@ -36,30 +34,13 @@ class ShapeLeakClient(GDocsClient):
         """Queue one covert symbol for the next delta save."""
         self._pending_symbols.append(symbol)
 
-    def save(self):
-        """Save, smuggling a queued symbol via delta shape if any."""
-        if not self._pending_symbols or not self._did_full_save:
-            return super().save()
-        symbol = self._pending_symbols.pop(0)
-        synced = self.editor.synced_text
-        real_edit = self.editor.pending_delta()
-        shaped = self._channel_enc.encode(symbol, synced, real_edit)
-        return self._send_shaped_delta(shaped)
-
-    def _send_shaped_delta(self, delta: Delta):
-        if self._sid is None:
-            raise SessionError("save outside an edit session")
-        request = protocol.delta_save_request(
-            self.doc_id, self._sid, self._rev, delta.serialize()
-        )
-        response = self._channel.send(request)
-        if not response.ok:
-            raise ProtocolError(f"save failed: {response.body}")
-        ack = self.backend.parse_save(response)
-        if not ack.conflict:
-            self._rev = ack.rev
-            self.editor.mark_synced()
-        return SaveOutcome(kind="delta", ack=ack, conflict=ack.conflict)
+    def _delta_payload(self, delta: Delta) -> str:
+        """Reshape the pending edit to carry a queued symbol, if any."""
+        if self._pending_symbols:
+            delta = self._channel_enc.encode(
+                self._pending_symbols.pop(0), self.editor.synced_text, delta
+            )
+        return super()._delta_payload(delta)
 
 
 class LengthLeakClient(GDocsClient):

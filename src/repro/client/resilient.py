@@ -26,10 +26,14 @@ Capability flags decide which machinery engages:
 
 The client stays oblivious to the extension: it operates on plaintext
 and never knows a mediator rewrote its traffic (requirement 2 of the
-paper).  Fault behaviour is policy-gated exactly as before: with a
-:class:`RetryPolicy` failures come back as ``SaveOutcome(ok=False)``
-and never raise; without one any failed exchange raises — the
-paper-faithful legacy contract.
+paper).  :meth:`ResilientClient.save` is the one code path that builds,
+sends, parses and recovers a save; the retry policy is a policy of that
+path, not a second one.  With a :class:`RetryPolicy` failures come back
+as ``SaveOutcome(ok=False)`` and never raise, and a conflict is resolved
+by fetch and rebase.  Without one the save is the paper's: one attempt,
+no idempotency key, any failure raises, and a conflict adopts the Ack's
+content or raises the paper's complaint.  Either way one failure
+handler makes the next save a full one.
 """
 
 from __future__ import annotations
@@ -77,8 +81,8 @@ class SaveOutcome:
 
     ``ok`` is False only when a resilient client exhausted its retry
     budget or hit a non-retryable failure — the typed, non-raising
-    surface of an unrecoverable fault (``error`` says which).  Legacy
-    clients (no policy) raise instead, so their outcomes always have
+    surface of an unrecoverable fault (``error`` says which).  Clients
+    without a policy raise instead, so their outcomes always have
     ``ok=True``.
     """
 
@@ -105,8 +109,8 @@ class ResilientClient:
         self._sid: str | None = None
         self._rev = -1
         self._did_full_save = False
-        #: None → legacy behaviour (failures raise, no retries, no idem
-        #: keys, wire byte-identical to the paper's protocol)
+        #: None → the paper's client (failures raise, no retries, no
+        #: idem keys, wire byte-identical to the paper's protocol)
         self._policy = policy
         #: per-session save sequence number; feeds idempotency keys
         self._seq = 0
@@ -124,12 +128,14 @@ class ResilientClient:
 
     def open(self) -> str:
         """Open (or create) the document; returns its current text."""
-        response = self._send(self.backend.open_request(self.doc_id))
+        response = self._send(self.backend.open_request(self.doc_id),
+                              self._retry_state())
         state = self.backend.parse_open(self.doc_id, response)
         self._sid = state.sid
         self._rev = state.rev
         self._did_full_save = False
-        self.editor.resync(state.content)
+        plain = self._plaintext(state.content)
+        self.editor.resync(state.content if plain is None else plain)
         return self.editor.text
 
     def close(self) -> None:
@@ -152,25 +158,48 @@ class ResilientClient:
         """Apply a scripted edit to the local buffer."""
         self.editor.apply_delta(delta)
 
-    # -- resilient delivery (policy-gated) ---------------------------------
+    # -- the rewritable components: a client that rewrites its own
+    # traffic overrides these and inherits every save, open and recovery
 
-    def _send(self, request: HttpRequest) -> HttpResponse:
-        """One exchange, retried under the policy when one is set."""
+    def _full_payload(self, text: str) -> str:
+        """What a full save carries for the document ``text``."""
+        return text
+
+    def _delta_payload(self, delta: Delta) -> str:
+        """What a delta save carries for the pending edit ``delta``."""
+        return delta.serialize()
+
+    def _plaintext(self, content: str) -> str | None:
+        """The text the server's ``content`` stands for; None when it
+        cannot be read."""
+        return content
+
+    def _hashed_text(self) -> str:
+        """The stored form of the document the Ack's hash covers."""
+        return self.editor.text
+
+    # -- delivery (retried under the policy) -------------------------------
+
+    def _retry_state(self) -> RetryState | None:
+        """A fresh retry budget for one operation; None without a
+        policy (one attempt, failures raise)."""
         if self._policy is None:
-            return self._channel.send(request)
-        return self._deliver(request,
-                             self._policy.make_state(self._channel.clock))
+            return None
+        return self._policy.make_state(self._channel.clock)
 
-    def _deliver(self, request: HttpRequest,
-                 state: RetryState) -> HttpResponse:
-        """Send ``request``, retrying timeouts and retryable statuses.
+    def _send(self, request: HttpRequest,
+              state: RetryState | None = None) -> HttpResponse:
+        """Send ``request`` once, or under ``state`` retrying timeouts
+        and retryable statuses.
 
-        Returns the first conclusive response — success or a
-        non-retryable error, or the last retryable error response once
-        the budget is spent.  Raises
+        Under a budget, returns the first conclusive response — success
+        or a non-retryable error, or the last retryable error response
+        once the budget is spent — and raises
         :class:`~repro.errors.RetryBudgetExceededError` only when the
         budget dies on a *timeout* (no response to surface).
         """
+        if state is None:
+            return self._channel.send(request)
         while True:
             try:
                 response = self._channel.send(request)
@@ -202,19 +231,6 @@ class ResilientClient:
 
     # -- saving ------------------------------------------------------------
 
-    def save(self) -> SaveOutcome:
-        """Autosave: full on the session's first save, delta afterwards
-        (providers without ``incremental_updates`` re-send the whole
-        document every time — their protocol has nothing smaller).
-
-        With a retry policy set, failures come back as a typed
-        ``SaveOutcome(ok=False)`` instead of raising, and every save
-        carries an idempotency key when the protocol supports one.
-        """
-        if self._policy is not None:
-            return self._save_resilient()
-        return self._save_legacy()
-
     def _require_session(self) -> None:
         if self.backend.capabilities.sessions and self._sid is None:
             raise SessionError("save outside an edit session")
@@ -226,104 +242,114 @@ class ResilientClient:
         return (self.backend.capabilities.incremental_updates
                 and self._did_full_save and not self.editor.dirty)
 
-    def _build_save(self, idem: str | None) -> tuple[str, HttpRequest]:
-        if self.backend.capabilities.incremental_updates \
-                and self._did_full_save:
-            return "delta", self.backend.delta_save_request(
+    def _build_save(self, kind: str, idem: str | None) -> HttpRequest:
+        if kind == "delta":
+            return self.backend.delta_save_request(
                 self.doc_id, self._sid, self._rev,
-                self.editor.pending_delta().serialize(), idem=idem,
+                self._delta_payload(self.editor.pending_delta()), idem=idem,
             )
-        return "full", self.backend.full_save_request(
-            self.doc_id, self._sid, self._rev, self.editor.text, idem=idem,
+        return self.backend.full_save_request(
+            self.doc_id, self._sid, self._rev,
+            self._full_payload(self.editor.text), idem=idem,
         )
 
-    def _save_legacy(self) -> SaveOutcome:
-        """The paper-faithful save path: any failed exchange raises."""
-        self._require_session()
-        if self._is_noop():
-            return SaveOutcome(kind="noop")
+    def save(self) -> SaveOutcome:
+        """Autosave: full on the session's first save, delta afterwards
+        (providers without ``incremental_updates`` re-send the whole
+        document every time — their protocol has nothing smaller).
 
-        kind, request = self._build_save(idem=None)
-        response = self._channel.send(request)
-        if not response.ok:
-            # Recover conservatively: the server's state is unknown, so
-            # the next save re-sends the whole document (which also lets
-            # a mediating extension rebuild its ciphertext mirror).
-            self._did_full_save = False
-            raise ProtocolError(f"save failed: {response.body}")
-        ack = self.backend.parse_save(response)
-        outcome = SaveOutcome(kind=kind, ack=ack, conflict=ack.conflict)
-
-        if ack.conflict:
-            self._handle_conflict(ack, outcome)
-        elif ack.merged:
-            # The server transformed this delta past concurrent edits
-            # and echoed the merged result: adopt it silently (the
-            # collaboration behaviour of the real client).
-            self._adopt_merge(ack)
-        else:
-            self._adopt_ack(ack)
-            self._check_consistency(ack, outcome)
-        return outcome
-
-    def _save_resilient(self) -> SaveOutcome:
-        """Save under the retry policy: idempotent, typed, non-raising.
-
-        The idempotency key makes the retry loop safe against the
-        blackhole ambiguity (server processed the save but the ack was
-        lost): the re-sent request carries the same key, so the server
-        answers from its replay cache instead of applying twice — and
-        the mediating extension re-sends the same ciphertext instead of
+        With a retry policy set, failures come back as a typed
+        ``SaveOutcome(ok=False)`` instead of raising, and every save
+        carries an idempotency key when the protocol supports one.  The
+        key makes the retry loop safe against the blackhole ambiguity
+        (server processed the save but the ack was lost): the re-sent
+        request carries the same key, so the server answers from its
+        replay cache instead of applying twice — and the mediating
+        extension re-sends the same ciphertext instead of
         re-transforming (which would corrupt its mirror).  Providers
         without idempotency keys get plain at-least-once retries, which
         is safe because their saves are whole-document overwrites.
+
+        Without a policy (the paper's client) the save gets one attempt
+        and no key, and a failure raises.  Either way a failure makes
+        the next save a full one.
         """
         self._require_session()
         if self._is_noop():
             return SaveOutcome(kind="noop")
 
+        state = self._retry_state()
         self._seq += 1
         idem = None
-        if self.backend.capabilities.idempotency_keys:
+        if state is not None and self.backend.capabilities.idempotency_keys:
             idem = f"{self._sid}:{self._seq}"
-        kind, request = self._build_save(idem=idem)
-
-        state = self._policy.make_state(self._channel.clock)
+        kind = "full"
+        if self.backend.capabilities.incremental_updates \
+                and self._did_full_save:
+            kind = "delta"
+        outcome = SaveOutcome(kind=kind)
         try:
-            response = self._deliver(request, state)
-        except RetryBudgetExceededError as exc:
-            return self._save_failed(kind, state, f"timeout: {exc}")
+            response = self._send(self._build_save(kind, idem), state)
+        except (NetworkTimeoutError, RetryBudgetExceededError) as exc:
+            return self._save_failed(outcome, state, f"timeout: {exc}", exc)
         except (DeltaError, CryptoError, PasswordError) as exc:
-            # A mediating extension failed to transform the save (its
-            # mirror diverged — e.g. the stored ciphertext was damaged
-            # and a resync adopted unexpected state).  Typed failure;
-            # the full-save fallback rebuilds the mirror from scratch.
-            return self._save_failed(kind, state, f"transform: {exc}")
+            # A mediating extension (or a rewritten payload component)
+            # failed to transform the save: its mirror diverged — e.g.
+            # the stored ciphertext was damaged and a resync adopted
+            # unexpected state.  The full save rebuilds the mirror.
+            return self._save_failed(outcome, state, f"transform: {exc}",
+                                     exc)
         if not response.ok:
             return self._save_failed(
-                kind, state, f"http {response.status}: {response.body}"
+                outcome, state, f"http {response.status}: {response.body}",
+                ProtocolError(f"save failed: {response.body}"),
             )
         try:
             ack = self.backend.parse_save(response)
         except ProtocolError as exc:
             # The response was mangled in flight; the server's state is
             # unknown, so recover exactly as for an error response.
-            return self._save_failed(kind, state, f"malformed ack: {exc}")
+            return self._save_failed(outcome, state,
+                                     f"malformed ack: {exc}", exc)
 
-        outcome = SaveOutcome(kind=kind, ack=ack, conflict=ack.conflict,
-                              attempts=state.attempts)
-        if ack.conflict:
+        outcome.ack = ack
+        outcome.conflict = ack.conflict
+        if state is not None:
+            outcome.attempts = state.attempts
+        if ack.conflict and state is not None:
             self._resync_and_rebase(outcome, state)
+        elif ack.conflict:
+            self._adopt_conflict(outcome)
         elif ack.merged:
             # The merged content already includes this save's delta
-            # (the server transformed and applied it); adopt it as the
-            # legacy path does.  Rebasing pending edits over it — the
-            # conflict recovery — would apply them a second time.
+            # (the server transformed and applied it): adopt it.
+            # Rebasing pending edits over it — the conflict recovery —
+            # would apply them a second time.
             self._adopt_merge(ack)
         else:
             self._adopt_ack(ack)
             self._check_consistency(ack, outcome)
         return outcome
+
+    def _save_failed(self, outcome: SaveOutcome, state: RetryState | None,
+                     error: str, exc: Exception | None = None) -> SaveOutcome:
+        """The one failure handler.  The server's state is unknown, so
+        the next save re-sends the whole document (rebuilding a
+        mediating extension's mirror along the way).  Under a policy
+        the failure is the typed outcome ``error``; without one, ``exc``
+        is raised."""
+        self._did_full_save = False  # a failed save: full-save next time
+        if state is None:
+            raise exc
+        _SAVE_FAILURES.inc()
+        outcome.ok = False
+        outcome.error = error
+        outcome.attempts = state.attempts
+        return outcome
+
+    def _complain(self, outcome: SaveOutcome, complaint: str) -> None:
+        self.complaints.append(complaint)
+        outcome.complaints.append(complaint)
 
     def _adopt_ack(self, ack: SaveAck) -> None:
         """A clean ack: the save landed; adopt the server's revision
@@ -350,14 +376,14 @@ class ResilientClient:
         if ack.rev is not None:
             self._rev = ack.rev
         self._did_full_save = True
-        if ack.content_from_server:
-            self.editor.resync(ack.content_from_server)
+        merged = self._plaintext(ack.content_from_server)
+        if merged:
+            self.editor.resync(merged)
             return
         if ack.merge_patch:
             if self.backend.ack_consistent(ack, self.editor.text):
                 self.editor.mark_synced()  # replayed merge Ack
                 return
-            merged: str | None
             try:
                 merged = Delta.parse(ack.merge_patch).apply(self.editor.text)
             except DeltaError:
@@ -377,19 +403,25 @@ class ResilientClient:
             return
         self.editor.mark_synced()
 
-    def _save_failed(self, kind: str, state: RetryState,
-                     error: str) -> SaveOutcome:
-        """Typed unrecoverable-save surface: never an exception, and the
-        next save re-sends the whole document (rebuilding the mediating
-        extension's mirror along the way)."""
-        _SAVE_FAILURES.inc()
+    def _adopt_conflict(self, outcome: SaveOutcome) -> None:
+        """The paper's conflict handling: resync from the server's
+        authoritative content when the Ack carries it readably;
+        otherwise (the extension blanked it) complain exactly as the
+        paper observed and full-save next time.  Never fetches."""
+        ack = outcome.ack
+        if ack.rev is not None:
+            self._rev = ack.rev
+        content = self._plaintext(ack.content_from_server)
+        if content:
+            self.editor.resync(content, reason="conflict")
+            return
+        self._complain(outcome, CONFLICT_COMPLAINT)
         self._did_full_save = False
-        return SaveOutcome(kind=kind, ok=False, error=error,
-                           attempts=state.attempts)
 
     def _resync_and_rebase(self, outcome: SaveOutcome,
                            state: RetryState) -> None:
-        """Conflict recovery: fetch, adopt, replay pending local edits.
+        """Conflict recovery under a policy: fetch, adopt, replay
+        pending local edits.
 
         Only reachable on ``revisioned`` backends (others never answer
         ``conflict``).  The server's authoritative content comes from
@@ -406,43 +438,38 @@ class ResilientClient:
         local = self.editor.text
 
         if ack is not None and ack.content_from_server:
-            fetched = ack.content_from_server
+            content = ack.content_from_server
             rev = ack.rev if ack.rev is not None else self._rev
         else:
             try:
-                response = self._deliver(
+                response = self._send(
                     self.backend.fetch_request(self.doc_id), state
                 )
             except RetryBudgetExceededError as exc:
-                outcome.ok = False
-                outcome.error = f"resync fetch timed out: {exc}"
-                outcome.attempts = state.attempts
-                _SAVE_FAILURES.inc()
-                self._did_full_save = False
+                self._save_failed(outcome, state,
+                                  f"resync fetch timed out: {exc}")
                 return
             if not response.ok:
-                outcome.ok = False
-                outcome.error = (
-                    f"resync fetch failed: http {response.status}"
+                self._save_failed(
+                    outcome, state,
+                    f"resync fetch failed: http {response.status}",
                 )
-                outcome.attempts = state.attempts
-                _SAVE_FAILURES.inc()
-                self._did_full_save = False
                 return
             fetch = self.backend.parse_fetch(self.doc_id, response,
                                              self._rev)
-            fetched = fetch.content
+            content = fetch.content
             rev = fetch.rev
 
-        if self._looks_garbled(fetched):
+        fetched = self._plaintext(content)
+        if fetched is None or self._looks_garbled(fetched):
             # What came back is not readable text — under a mediating
             # extension this means the stored ciphertext no longer
             # decrypts (corrupted at rest or in flight).  Abandon the
             # fetched state and schedule a full save: the local
             # plaintext overwrites the damaged store.
-            complaint = "stored document unreadable; re-saving local copy"
-            self.complaints.append(complaint)
-            outcome.complaints.append(complaint)
+            self._complain(
+                outcome, "stored document unreadable; re-saving local copy"
+            )
             self._did_full_save = False
             # adopt the server's stated revision outright: a corrupted
             # Ack may have forged our _rev HIGHER than the server's
@@ -470,9 +497,7 @@ class ResilientClient:
         except DeltaError:
             # Rebase impossible (divergence too deep): keep the server's
             # text; the user's unsaved edits are lost, reported loudly.
-            complaint = CONFLICT_COMPLAINT
-            self.complaints.append(complaint)
-            outcome.complaints.append(complaint)
+            self._complain(outcome, CONFLICT_COMPLAINT)
         self._rev = rev
         self._did_full_save = True
 
@@ -496,48 +521,31 @@ class ResilientClient:
         upper = sum(1 for c in letters if c.isupper())
         return upper / len(letters) > 0.9
 
-    def _handle_conflict(self, ack: SaveAck,
-                         outcome: SaveOutcome) -> None:
-        """Resync from the server's authoritative content when it is
-        available; otherwise (the extension blanked it) complain exactly
-        as the paper observed."""
-        if ack.content_from_server:
-            self.editor.resync(ack.content_from_server, reason="conflict")
-            if ack.rev is not None:
-                self._rev = ack.rev
-        else:
-            complaint = CONFLICT_COMPLAINT
-            self.complaints.append(complaint)
-            outcome.complaints.append(complaint)
-            # Recover by re-entering the full-save path next time.
-            self._did_full_save = False
-            if ack.rev is not None:
-                self._rev = ack.rev
-
     def _check_consistency(self, ack: SaveAck,
                            outcome: SaveOutcome) -> None:
         """The backend's ack-vs-local consistency check, when its
         protocol has one (gdocs' ``contentFromServerHash``; a neutral
         hash carries no information and the check abstains — the
         behaviour the paper relied on when blanking these fields)."""
-        verdict = self.backend.ack_consistent(ack, self.editor.text)
+        verdict = self.backend.ack_consistent(ack, self._hashed_text())
         if verdict is None or verdict:
             return
-        complaint = "local text diverged from server content"
-        self.complaints.append(complaint)
-        outcome.complaints.append(complaint)
-        if ack.content_from_server:
-            self.editor.resync(ack.content_from_server)
+        self._complain(outcome, "local text diverged from server content")
+        content = self._plaintext(ack.content_from_server)
+        if content:
+            self.editor.resync(content)
 
     # -- read-only refresh (the passive collaborator) ------------------
 
     def refresh(self) -> str:
         """Fetch current content outside the save path (passive reader)."""
-        response = self._send(self.backend.fetch_request(self.doc_id))
+        response = self._send(self.backend.fetch_request(self.doc_id),
+                              self._retry_state())
         if not response.ok and response.status != 404:
             raise ProtocolError(f"refresh failed: {response.body}")
         fetch = self.backend.parse_fetch(self.doc_id, response, self._rev)
-        self.editor.resync(fetch.content)
+        plain = self._plaintext(fetch.content)
+        self.editor.resync(fetch.content if plain is None else plain)
         self._rev = fetch.rev
         return self.editor.text
 

@@ -8,22 +8,27 @@ deeper understanding of the client code and rewriting relevant
 components."
 
 Modelled here as a *self-encrypting client*: instead of an oblivious
-client plus a traffic mediator, the client's own save/open components
-are rewritten to run the encryption engine inline.  The server-visible
-behaviour is identical to the extension deployment (the integration
-tests assert byte-level equivalence of what the provider can learn);
-the trade-off is fidelity of the paper's point — this deployment has to
-re-implement client internals instead of wrapping them.
+client plus a traffic mediator, the client's own components are
+rewritten to run the encryption engine inline — the payload encoder
+(encrypt a full save, transform a delta) and the content reader
+(decrypt what the server returns, check the Ack hash against the
+ciphertext mirror).  Everything else, the save path with its failure
+and conflict handling included, is the shared client core's.  The
+server-visible behaviour is identical to the extension deployment (the
+integration tests assert byte-level equivalence of what the provider
+can learn); the trade-off is fidelity of the paper's point — this
+deployment has to re-implement client internals instead of wrapping
+them.
 """
 
 from __future__ import annotations
 
-from repro.client.gdocs_client import GDocsClient, SaveOutcome
+from repro.client.gdocs_client import GDocsClient
+from repro.core.delta import Delta
 from repro.core.transform import EncryptionEngine
 from repro.encoding.wire import looks_encrypted
-from repro.errors import DecryptionError, ProtocolError, SessionError
+from repro.errors import DecryptionError
 from repro.net.channel import Channel
-from repro.services.gdocs import protocol
 
 __all__ = ["SelfEncryptingGDocsClient"]
 
@@ -32,7 +37,8 @@ class SelfEncryptingGDocsClient(GDocsClient):
     """A rewritten client that encrypts within its own save path.
 
     No mediator is installed on the channel; the rewriting happens in
-    the overridden ``open``/``save``/``refresh`` components.
+    the overridden payload encoder and content reader, which run the
+    engine inline for every save, open, refresh and conflict.
     """
 
     def __init__(self, channel: Channel, doc_id: str, password: str,
@@ -44,77 +50,24 @@ class SelfEncryptingGDocsClient(GDocsClient):
 
     # -- rewritten components ------------------------------------------
 
-    def open(self) -> str:
-        """Open and decrypt inline (the rewritten open component)."""
-        content = super().open()
-        if looks_encrypted(content):
-            try:
-                plain = self._engine.decrypt(content)
-            except DecryptionError:
-                return content  # appears as ciphertext
-            self.editor.resync(plain)
-        return self.editor.text
+    def _full_payload(self, text: str) -> str:
+        """Encrypt the whole document afresh (a new mirror)."""
+        return self._engine.encrypt(text)
 
-    def save(self) -> SaveOutcome:
-        """Save through the inline encryption engine (rewritten component)."""
-        if self._sid is None:
-            raise SessionError("save outside an edit session")
-        if self._did_full_save and not self.editor.dirty:
-            return SaveOutcome(kind="noop")
+    def _delta_payload(self, delta: Delta) -> str:
+        """Transform the plaintext delta into its ciphertext delta."""
+        return self._engine.transform_delta(delta.serialize())
 
-        if not self._did_full_save:
-            payload = self._engine.encrypt(self.editor.text)
-            request = protocol.full_save_request(
-                self.doc_id, self._sid, self._rev, payload
-            )
-            kind = "full"
-        else:
-            delta = self.editor.pending_delta()
-            cdelta = self._engine.mirror.apply_delta(delta)
-            request = protocol.delta_save_request(
-                self.doc_id, self._sid, self._rev, cdelta.serialize()
-            )
-            kind = "delta"
+    def _plaintext(self, content: str) -> str | None:
+        """Decrypt stored ciphertext (adopting it as the mirror); other
+        content is shown as it is."""
+        if not looks_encrypted(content):
+            return content
+        try:
+            return self._engine.decrypt(content)
+        except DecryptionError:
+            return None
 
-        response = self._channel.send(request)
-        if not response.ok:
-            raise ProtocolError(f"save failed: {response.body}")
-        ack = self.backend.parse_save(response)
-        outcome = SaveOutcome(kind=kind, ack=ack, conflict=ack.conflict)
-        if ack.conflict:
-            # The Ack's content is ciphertext; resync through the engine.
-            if looks_encrypted(ack.content_from_server):
-                try:
-                    self.editor.resync(
-                        self._engine.decrypt(ack.content_from_server)
-                    )
-                    self._rev = ack.rev
-                    return outcome
-                except DecryptionError:
-                    pass
-            self._did_full_save = False
-            self._rev = ack.rev
-            outcome.complaints.append("conflict; will full-save")
-            return outcome
-        self._rev = ack.rev
-        self._did_full_save = True
-        self.editor.mark_synced()
-        # The hash covers ciphertext; the rewritten client knows that
-        # and checks against its mirror instead of its plaintext.
-        if ack.content_from_server_hash != protocol.NEUTRAL_HASH:
-            mirror = self._engine.mirror
-            if mirror is not None and ack.content_from_server_hash != \
-                    protocol.content_hash(mirror.wire()):
-                outcome.complaints.append("mirror diverged from server")
-                self.complaints.append("mirror diverged from server")
-        return outcome
-
-    def refresh(self) -> str:
-        """Fetch and decrypt inline (rewritten passive-reader path)."""
-        content = super().refresh()
-        if looks_encrypted(content):
-            try:
-                self.editor.resync(self._engine.decrypt(content))
-            except DecryptionError:
-                pass
-        return self.editor.text
+    def _hashed_text(self) -> str:
+        """The hash covers ciphertext: check it against the mirror."""
+        return self._engine.mirror.wire()

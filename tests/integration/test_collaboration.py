@@ -7,10 +7,13 @@ editing the same region of the document.  This is due to the fact that
 the extension does not update the contentFromServerHash value..."
 """
 
+import hashlib
+
 from repro.client.gdocs_client import CONFLICT_COMPLAINT, GDocsClient
 from repro.crypto.random import DeterministicRandomSource
 from repro.extension import GDocsExtension, PasswordVault
 from repro.net.channel import Channel
+from repro.services.gdocs import protocol
 from repro.services.gdocs.server import GDocsServer
 
 
@@ -123,3 +126,48 @@ class TestSimultaneousEditing:
         reader = make_user(server, "doc", "pw", 12)
         text = reader.open()
         assert "alice." in text and "bob." in text  # nothing lost
+
+
+class TestPaperWire:
+    #: SHA-256 of the scripted session's request bodies, recorded from
+    #: the client before its no-policy save path was folded into the
+    #: retrying one; any change here means the paper's wire moved
+    WIRE_SHA256 = (
+        "f0de2e94b71512dfc284beefdbf95d192b34b8987437d45358fffacb0ff8abc3"
+    )
+
+    def test_no_policy_wire_is_pinned(self):
+        """The paper's client (no retry policy) through open, a full
+        save, three delta saves, a conflict whose Ack content the
+        extension blanked, and the recovery full save: no request
+        carries an idempotency key, and the bytes never move."""
+        server = GDocsServer()
+        alice = make_user(server, "doc", "pw", 13)
+        bob = make_user(server, "doc", "pw", 14)
+
+        alice.open()
+        alice.type_text(0, "the first paragraph. ")
+        assert alice.save().kind == "full"
+        for edit in ("one. ", "two. ", "three. "):
+            alice.type_text(0, edit)
+            assert alice.save().kind == "delta"
+
+        bob.open()
+        bob.type_text(0, "bob. ")
+        bob.save()
+        alice.type_text(0, "alice. ")
+        outcome = alice.save()
+        assert outcome.conflict
+        assert outcome.complaints == [CONFLICT_COMPLAINT]
+        recovery = alice.save()
+        assert recovery.kind == "full" and not recovery.conflict
+
+        requests = [exchange.request
+                    for exchange in alice._channel.exchange_log]
+        assert len(requests) == 7
+        assert not any(protocol.F_IDEM in request.form
+                       for request in requests if request.body)
+        digest = hashlib.sha256()
+        for request in requests:
+            digest.update(request.body.encode("utf-8") + b"\n")
+        assert digest.hexdigest() == self.WIRE_SHA256

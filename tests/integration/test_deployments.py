@@ -18,10 +18,11 @@ from repro.client.gdocs_client import GDocsClient
 from repro.client.userjs_client import SelfEncryptingGDocsClient
 from repro.crypto.random import DeterministicRandomSource
 from repro.encoding.wire import looks_encrypted
-from repro.errors import BlockedRequestError
+from repro.errors import BlockedRequestError, ProtocolError
 from repro.extension import GDocsExtension, PasswordVault
 from repro.extension.proxy import MediatingProxy
 from repro.net.channel import Channel
+from repro.net.http import HttpResponse
 from repro.services import BespinServer, bespin
 from repro.services.gdocs import protocol
 from repro.services.gdocs.server import GDocsServer
@@ -182,3 +183,37 @@ class TestUserjsSpecifics:
         client.type_text(0, "check me")
         outcome = client.save()
         assert outcome.complaints == []  # ciphertext hash matches mirror
+
+    def test_refused_delta_save_recovers_with_a_full_save(self):
+        """A delta save the server refuses has already advanced the
+        engine's mirror; the next save must re-encrypt the whole text
+        rather than send a delta against that mirror, which would hold
+        the refused edit twice."""
+        gdocs = GDocsServer()
+        busy = [True]
+
+        def server(request):
+            if busy and request.body and protocol.F_DELTA in request.form:
+                busy.pop()
+                return HttpResponse(503, "busy")
+            return gdocs(request)
+
+        client = SelfEncryptingGDocsClient(
+            Channel(server), "doc", password="pw", scheme="rpc",
+            rng=DeterministicRandomSource(10),
+        )
+        client.open()
+        client.type_text(0, "hello world")
+        client.save()
+        client.type_text(0, "A ")
+        with pytest.raises(ProtocolError):
+            client.save()
+        client.type_text(0, "B ")
+        outcome = client.save()
+        assert outcome.kind == "full" and outcome.complaints == []
+        channel = Channel(gdocs)
+        channel.set_mediator(GDocsExtension(
+            PasswordVault({"doc": "pw"}),
+            rng=DeterministicRandomSource(11),
+        ))
+        assert GDocsClient(channel, "doc").open() == "B A hello world"

@@ -8,8 +8,14 @@ import pytest
 
 from repro.crypto.random import DeterministicRandomSource
 from repro.encoding.wire import looks_encrypted
-from repro.errors import ProtocolError, QuotaExceededError
+from repro.client.gdocs_client import CONFLICT_COMPLAINT
+from repro.errors import (
+    NetworkTimeoutError,
+    ProtocolError,
+    QuotaExceededError,
+)
 from repro.extension import PrivateEditingSession
+from repro.net.faults import FaultPlan, FaultSpec, updates_only
 from repro.net.http import HttpResponse
 from repro.services.gdocs import storage
 from repro.services.gdocs.server import GDocsServer
@@ -146,4 +152,33 @@ class TestBrokenServer:
         session.save()
         session.save()  # possible conflict recovery second round
         reader = make_session(8, server=server)
+        assert reader.open() == session.text
+
+
+class TestLostSaveOnThePapersPath:
+    @pytest.mark.parametrize("kind", ["drop", "blackhole"])
+    def test_lost_save_raises_then_full_save_recovers(self, kind):
+        """Without a retry policy a lost save raises, and the next save
+        re-sends the whole document: the server may or may not have
+        applied the lost delta, so a delta against either state would
+        be refused ("delete past end") or taken for a second writer's
+        conflict."""
+        session = make_session(9, faults=FaultPlan(
+            [FaultSpec(kind, at=(3,), match=updates_only)], seed=1,
+        ))
+        session.open()
+        session.type_text(0, "a lost save must not ")
+        assert session.save().kind == "full"
+        session.type_text(0, "one. ")
+        assert session.save().kind == "delta"
+        session.type_text(0, "two. ")
+        with pytest.raises(NetworkTimeoutError):
+            session.save()
+        session.type_text(0, "three. ")
+        outcome = session.save()
+        assert outcome.kind == "full"
+        assert outcome.ok and not outcome.conflict
+        assert outcome.complaints == []
+        assert CONFLICT_COMPLAINT not in session.client.complaints
+        reader = make_session(10, server=session.server)
         assert reader.open() == session.text

@@ -56,6 +56,12 @@ The mutation table covers one oracle per stack layer:
     its remembered ``(rev, link)`` anchor — exactly the check that
     makes a *forged* self-consistent chain detectable.  The workspace
     profile's rollback-attacking server must flag it (``audit-miss``).
+``save-failure-keeps-delta-mode``
+    The client's one save-failure handler
+    (``ResilientClient._save_failed``) stops resetting full-save mode,
+    so the save after a lost or refused one sends a delta against a
+    server state nobody knows.  The ci profile's faulted sessions must
+    flag it (``save-failed``: the later saves keep failing).
 ``kdf-memo-ignores-salt``
     ``KeyMaterial.from_password`` keys its derivation memo by the
     password alone, so a new salt under a known password gets the old
@@ -180,6 +186,17 @@ MUTATIONS = (
         iters=6,
         blind_to="a forged (self-consistent) audit chain",
         kind="audit-miss",
+    ),
+    Mutation(
+        name="save-failure-keeps-delta-mode",
+        file="repro/client/resilient.py",
+        target=("        self._did_full_save = False"
+                "  # a failed save: full-save next time"),
+        mutant="        pass  # MUTANT: failed save keeps delta mode",
+        fuzz_args=("--profile", "ci"),
+        iters=2000,
+        blind_to="a failed save that leaves the client in delta mode",
+        kind="save-failed",
     ),
     Mutation(
         name="kdf-memo-ignores-salt",
