@@ -13,6 +13,8 @@ on-line editor cannot represent it anyway).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import BlockSizeError
 
 #: payload field width: the paper fixes 64 bits ("Due to the fixed block
@@ -60,6 +62,31 @@ def unpack_chars(payload: bytes) -> str:
             f"payload must be {PAYLOAD_BYTES} bytes, got {len(payload)}"
         )
     return payload.rstrip(b"\x00").decode("utf-8")
+
+
+#: 1-based byte positions within a payload
+_POSITIONS = np.arange(1, PAYLOAD_BYTES + 1, dtype=np.uint8)
+
+
+def unpack_ascii(payloads: np.ndarray, counts: list[int]) -> list[str] | None:
+    """:func:`unpack_chars` over an ``(n, 8)`` payload array, one decode.
+
+    Applies only when every payload byte is ASCII and every ``counts[i]``
+    is payload ``i``'s length without its NUL padding: each chunk is
+    then exactly what :func:`unpack_chars` returns, and of the claimed
+    length.  Otherwise returns None, and the caller takes its
+    per-payload path, which raises whatever it raises, in its order.
+    """
+    if not counts:
+        return []
+    unpadded = ((payloads != 0) * _POSITIONS).max(axis=1)
+    if payloads.max() >= 0x80 or not np.array_equal(unpadded, counts):
+        return None
+    text = payloads.tobytes().decode("ascii")
+    return [
+        text[start : start + count]
+        for start, count in zip(range(0, len(text), PAYLOAD_BYTES), counts)
+    ]
 
 
 def chunk_text(text: str, block_chars: int) -> list[str]:

@@ -97,20 +97,31 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class BlockMeta:
     """Client-side view of one encrypted data block.
 
-    ``record`` is None only transiently inside ``_apply_clusters``:
+    A mirror keeps one per block, so it holds the bare 16-byte AES
+    ``block`` rather than a :class:`Record`: the record's header count
+    is just ``len(text)`` (``load`` checks exactly that), and without a
+    ``__dict__`` or a record this object and its skip-list node are the
+    only two objects per block the cyclic garbage collector tracks.
+
+    ``block`` is None only transiently inside ``_apply_clusters``:
     freshly prepared blocks are spliced into the index before the
     (single, deferred) cipher call of the update, then patched with
-    their records — nothing reads ``record`` in between.
+    their blocks — nothing reads ``block`` in between.
     """
 
     text: str                       #: the plaintext characters in this block
-    record: Record | None = None    #: the wire record currently storing them
+    block: bytes | None = None      #: the AES block currently storing them
     lead: bytes | None = None       #: RPC lead nonce (None for rECB)
     payload: bytes | None = None    #: RPC padded payload (None for rECB)
+
+    @property
+    def record(self) -> Record:
+        """The wire record storing this block (built on demand)."""
+        return Record(char_count=len(self.text), block=self.block)
 
 
 @dataclass
@@ -295,9 +306,9 @@ class EncryptedDocument(ABC):
 
         Draws nonces, updates scheme state, and returns ``(plain,
         metas)``: the span's concatenated pre-cipher block images and
-        its new metas *without records* — the caller runs the cipher
+        its new metas *without blocks* — the caller runs the cipher
         (batched across every span of the update) and patches each
-        meta's record from the output.
+        meta's block from the output.
         """
 
     # -- inspection --------------------------------------------------------
@@ -493,7 +504,7 @@ class EncryptedDocument(ABC):
         image, for schemes that keep one) in a single ``encrypt_many``,
         so a coalesced multi-span burst crosses the batched-AES
         threshold that per-span calls never reached, then patches the
-        records back into the already-spliced metas and builds the
+        blocks back into the already-spliced metas and builds the
         cdelta.  ECB independence plus the buffered DRBG's
         draw-order-only dependence make the output bytes identical to
         the per-span path (``_coalesce_ciphers = False``, kept as the
@@ -509,7 +520,7 @@ class EncryptedDocument(ABC):
         rank_shift = 0  # current rank - old rank, left of the frontier
         char_shift = 0  # current char pos - old char pos, ditto
 
-        #: per cluster: (old-rank span, metas awaiting records)
+        #: per cluster: (old-rank span, metas awaiting blocks)
         staged: list[tuple[int, int, list[BlockMeta]]] = []
         plain_parts: list[bytes] = []
 
@@ -569,10 +580,7 @@ class EncryptedDocument(ABC):
         cursor = 0      # old-wire characters already consumed
         for ra_old, rb_old, new_metas in staged:
             for meta in new_metas:
-                meta.record = Record(
-                    char_count=len(meta.text),
-                    block=blob[off : off + 16],
-                )
+                meta.block = blob[off : off + 16]
                 off += 16
             pos_old = base + ra_old * RECORD_CHARS
             if pos_old > cursor:
@@ -652,7 +660,7 @@ class RecbDocument(EncryptedDocument):
     def _bulk_encrypt(self, chunks: list[str]) -> list[BlockMeta]:
         records = self._codec.encrypt_chunks(self._state, chunks)
         return [
-            BlockMeta(text=chunk, record=record)
+            BlockMeta(text=chunk, block=record.block)
             for chunk, record in zip(chunks, records)
         ]
 
@@ -665,7 +673,7 @@ class RecbDocument(EncryptedDocument):
         texts = self._codec.decrypt_records(self._state, records[1:])
         self._index = self._index_factory()
         self._index.extend(
-            (BlockMeta(text=chunk, record=record), len(chunk))
+            (BlockMeta(chunk, record.block), len(chunk))
             for chunk, record in zip(texts, records[1:])
         )
 
@@ -731,9 +739,7 @@ class RpcDocument(EncryptedDocument):
         metas: list[BlockMeta] = []
         for chunk, (record, lead, payload) in zip(chunks, triples):
             self._state.add_block(lead, payload, len(chunk))
-            metas.append(
-                BlockMeta(text=chunk, record=record, lead=lead, payload=payload)
-            )
+            metas.append(BlockMeta(chunk, record.block, lead, payload))
         return metas
 
     def _load_records(self, records: list[Record]) -> None:
@@ -743,8 +749,7 @@ class RpcDocument(EncryptedDocument):
         self._suffix = [records[-1]]
         self._index = self._index_factory()
         self._index.extend(
-            (BlockMeta(text=chunk, record=record, lead=lead,
-                       payload=payload), len(chunk))
+            (BlockMeta(chunk, record.block, lead, payload), len(chunk))
             for record, (chunk, lead, payload) in zip(records[1:-1], data)
         )
 

@@ -127,8 +127,9 @@ class RecbCodec(BlockCodec):
 
         Same result and errors as :meth:`decrypt_record` per record:
         the nonce and payload halves are unmasked for every block in
-        two array XORs, and only the UTF-8 decode and the header check
-        stay per record.
+        two array XORs, and an all-ASCII document whose header counts
+        all match is decoded in one pass; any other input takes the
+        per-record decode and header check.
         """
         if not records:
             return []
@@ -137,9 +138,13 @@ class RecbCodec(BlockCodec):
             dtype=np.uint8,
         ).reshape(-1, 16)
         nonces = plain[:, :8] ^ np.frombuffer(state.r0, dtype=np.uint8)
-        payloads = (plain[:, 8:] ^ nonces).tobytes()
+        payloads = plain[:, 8:] ^ nonces
+        chunks = blocks.unpack_ascii(payloads, [r.char_count for r in records])
+        if chunks is not None:
+            return chunks
+        raw = payloads.tobytes()
         return [
-            _unpack_chunk(payloads[8 * i : 8 * i + 8], record.char_count)
+            _unpack_chunk(raw[8 * i : 8 * i + 8], record.char_count)
             for i, record in enumerate(records)
         ]
 

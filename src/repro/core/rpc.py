@@ -268,26 +268,26 @@ class RpcCodec(BlockCodec):
             chained[1:] = plain[:-1, hi:]
             breaks = np.flatnonzero((leads != chained).any(axis=1))
             intact = int(breaks[0]) if breaks.size else len(data_records)
-            for i in range(intact):
-                record = data_records[i]
-                payload = blob[16 * i + lo : 16 * i + hi]
-                try:
-                    chunk = blocks.unpack_chars(payload)
-                except UnicodeDecodeError:
-                    raise IntegrityError(
-                        f"data block {i} decodes to invalid UTF-8"
-                    ) from None
-                if len(chunk) != record.char_count:
-                    raise IntegrityError(
-                        f"record {i} header claims {record.char_count} "
-                        f"chars, payload holds {len(chunk)}"
-                    )
-                state.length += len(chunk)
-                out.append((chunk, blob[16 * i : 16 * i + lo], payload))
+            chunks = blocks.unpack_ascii(
+                payloads[:intact],
+                [r.char_count for r in data_records[:intact]],
+            )
+            if chunks is None:
+                chunks = [
+                    _checked_chunk(i, blob[16 * i + lo : 16 * i + hi],
+                                   data_records[i].char_count)
+                    for i in range(intact)
+                ]
             if breaks.size:
                 raise IntegrityError(
                     f"nonce chain broken at data block {intact}"
                 )
+            state.length = sum(map(len, chunks))
+            out = [
+                (chunk, blob[16 * i : 16 * i + lo],
+                 blob[16 * i + lo : 16 * i + hi])
+                for i, chunk in enumerate(chunks)
+            ]
             state.lead_xor = np.bitwise_xor.reduce(leads, axis=0).tobytes()
             state.payload_xor = np.bitwise_xor.reduce(payloads, axis=0).tobytes()
             expected_lead = blob[-RPC_NONCE_BYTES:]
@@ -326,3 +326,19 @@ class RpcCodec(BlockCodec):
                 )
             raise IntegrityError("checksum record: payload aggregate mismatch")
         return state, out
+
+
+def _checked_chunk(i: int, payload: bytes, char_count: int) -> str:
+    """Data block ``i``'s characters, checked against its header."""
+    try:
+        chunk = blocks.unpack_chars(payload)
+    except UnicodeDecodeError:
+        raise IntegrityError(
+            f"data block {i} decodes to invalid UTF-8"
+        ) from None
+    if len(chunk) != char_count:
+        raise IntegrityError(
+            f"record {i} header claims {char_count} "
+            f"chars, payload holds {len(chunk)}"
+        )
+    return chunk

@@ -50,12 +50,13 @@ class AesCipher:
     """
 
     #: below this many blocks the scalar loop beats NumPy's fixed costs.
-    #: Measured crossover (CPython 3.11, this container): the NumPy path
-    #: carries ~520-580us of fixed array setup while the scalar loop
-    #: costs ~23us/block, so the ratio crosses 1.0 around 24-32 blocks;
-    #: 28 splits that band.  The old value of 16 sent 16-27-block jobs
-    #: (the most common coalesced-burst sizes) down the slower path.
-    _BATCH_THRESHOLD_BLOCKS = 28
+    #: Measured crossover (CPython 3.11, NumPy 2.4, 2-vCPU shared host):
+    #: timing both paths on 1-12 random blocks, interleaved, median of
+    #: 15 rounds of 50 calls each, the byte-sliced batch kernel costs a
+    #: flat ~160-185us per call (about ten NumPy calls per round) while
+    #: the scalar loop costs ~27us/block, so the batch path wins from 7
+    #: blocks on, encrypting and decrypting alike.
+    _BATCH_THRESHOLD_BLOCKS = 7
 
     block_size = BLOCK_SIZE
 

@@ -14,11 +14,11 @@ The element count gives each block's ordinal (its record index on the
 wire, which ciphertext deltas are expressed in) at no extra asymptotic
 cost; the character count is the paper's ``skip_count``.
 
-Node layout: a node keeps its per-level pointer and two spans in one
-flat list, ``links[3*i]`` (the forward pointer at level ``i``),
-``links[3*i + 1]`` (elements spanned) and ``links[3*i + 2]``
-(characters spanned), so each block adds only two containers (node and
-list) for the cyclic garbage collector to walk.
+Node layout: a node *is* one flat list, ``node[3*i]`` (the forward
+pointer at level ``i``), ``node[3*i + 1]`` (elements spanned) and
+``node[3*i + 2]`` (characters spanned) for each of its levels, then
+``node[-2]`` (the value) and ``node[-1]`` (the width), so each block
+adds one container for the cyclic garbage collector to walk.
 
 Span convention: for a node ``x`` and level ``i``, the element and
 character spans count the elements/characters strictly after ``x`` up
@@ -52,18 +52,21 @@ _RANGE_VISITS = counter("index.range_visits")
 _LIST_LEVEL = gauge("index.skiplist.level")
 
 
-class _Node:
-    __slots__ = ("value", "width", "links")
+#: a node: ``[next_0, elems_0, chars_0, ..., value, width]``.  Nodes
+#: are lists that point at each other, so they are compared with
+#: ``is`` and keyed by ``id`` — ``==`` or ``in`` would walk the chain
+_Node = list
 
-    def __init__(self, value: Any, width: int, level: int):
-        self.value = value
-        self.width = width
-        #: per level i: forward pointer, element span, character span
-        self.links: list[Any] = [None, 0, 0] * level
 
-    @property
-    def level(self) -> int:
-        return len(self.links) // 3
+def _new_node(value: Any, width: int, level: int) -> _Node:
+    node: _Node = [None, 0, 0] * level
+    node.append(value)
+    node.append(width)
+    return node
+
+
+def _level(node: _Node) -> int:
+    return len(node) // 3
 
 
 class IndexedSkipList:
@@ -83,7 +86,7 @@ class IndexedSkipList:
             raise DataStructureError(f"p must be in (0, 1), got {p}")
         self._p = p
         self._rng = rng if rng is not None else random.Random()
-        self._head = _Node(None, 0, _MAX_LEVEL)
+        self._head = _new_node(None, 0, _MAX_LEVEL)
         self._level = 1  # number of levels currently in use
         self._size = 0
         self._chars = 0
@@ -122,22 +125,20 @@ class IndexedSkipList:
         ranks = [0] * self._level
         cends = [0] * self._level
         x = self._head
-        links = x.links
         pos = -1
         cend = 0
         visits = 0
         for i in range(self._level - 1, -1, -1):
             j = 3 * i
-            nxt = links[j]
+            nxt = x[j]
             while nxt is not None:
-                step = pos + links[j + 1]
+                step = pos + x[j + 1]
                 if step >= rank:
                     break
                 pos = step
-                cend += links[j + 2]
+                cend += x[j + 2]
                 x = nxt
-                links = nxt.links
-                nxt = links[j]
+                nxt = x[j]
                 visits += 1
             update[i] = x
             ranks[i] = pos
@@ -160,48 +161,46 @@ class IndexedSkipList:
             raise IndexError(
                 f"char index {index} out of range [0, {self._chars})"
             )
-        links = self._head.links
+        x = self._head
         pos = -1
         cend = 0
         visits = 0
         for j in range(3 * self._level - 3, -1, -3):
-            nxt = links[j]
+            nxt = x[j]
             while nxt is not None:
-                end = cend + links[j + 2]
+                end = cend + x[j + 2]
                 if end > index:
                     break
-                pos += links[j + 1]
+                pos += x[j + 1]
                 cend = end
-                links = nxt.links
-                nxt = links[j]
+                x = nxt
+                nxt = x[j]
                 visits += 1
         _SEARCHES.inc()
         _NODE_VISITS.inc(visits)
-        assert links[0] is not None  # index < total_chars guarantees this
+        assert x[0] is not None  # index < total_chars guarantees this
         return pos + 1, index - cend
 
     def get(self, rank: int) -> tuple[Any, int]:
         """Return ``(value, width)`` of the block with ordinal ``rank``."""
         node = self._node_at(rank)
-        return node.value, node.width
+        return node[-2], node[-1]
 
     def _node_at(self, rank: int) -> _Node:
         self._check_rank(rank, self._size)
         x = self._head
-        links = x.links
         pos = -1
         visits = 0
         for i in range(self._level - 1, -1, -1):
             j = 3 * i
-            nxt = links[j]
+            nxt = x[j]
             while nxt is not None:
-                step = pos + links[j + 1]
+                step = pos + x[j + 1]
                 if step > rank:
                     break
                 pos = step
                 x = nxt
-                links = nxt.links
-                nxt = links[j]
+                nxt = x[j]
                 visits += 1
         _SEARCHES.inc()
         _NODE_VISITS.inc(visits)
@@ -231,11 +230,11 @@ class IndexedSkipList:
             return []
         update, _, _ = self._predecessors(ra)
         out: list[tuple[Any, int]] = []
-        node = update[0].links[0]
+        node = update[0][0]
         for _ in range(rb - ra):
             assert node is not None
-            out.append((node.value, node.width))
-            node = node.links[0]
+            out.append((node[-2], node[-1]))
+            node = node[0]
         _RANGE_VISITS.inc(rb - ra)
         return out
 
@@ -272,26 +271,25 @@ class IndexedSkipList:
         removed: list[tuple[Any, int]] = []
         dead_ids: set[int] = set()
         walk_steps = 0
-        node = update[0].links[0]
+        node = update[0][0]
         removed_chars = 0
         for _ in range(rb - ra):
             assert node is not None
-            removed.append((node.value, node.width))
-            removed_chars += node.width
+            removed.append((node[-2], node[-1]))
+            removed_chars += node[-1]
             dead_ids.add(id(node))
-            node = node.links[0]
+            node = node[0]
             walk_steps += 1
         if dead_ids:
             k = rb - ra
             for i in range(self._level):
                 j = 3 * i
-                pred = update[i].links
+                pred = update[i]
                 nxt, span_e, span_c = pred[j], pred[j + 1], pred[j + 2]
                 while nxt is not None and id(nxt) in dead_ids:
-                    links = nxt.links
-                    span_e += links[j + 1]
-                    span_c += links[j + 2]
-                    nxt = links[j]
+                    span_e += nxt[j + 1]
+                    span_c += nxt[j + 2]
+                    nxt = nxt[j]
                     walk_steps += 1
                 pred[j] = nxt
                 pred[j + 1] = span_e - k
@@ -310,22 +308,21 @@ class IndexedSkipList:
         for value, width in items:
             level = self._random_level()
             if level > self._level:
-                head = self._head.links
+                head = self._head
                 for i in range(self._level, level):
                     head[3 * i : 3 * i + 3] = [None, self._size, self._chars]
                     last_node.append(self._head)
                     last_rank.append(-1)
                     last_cend.append(0)
                 self._level = level
-            node = _Node(value, width, level)
-            links = node.links
+            node = _new_node(value, width, level)
             end_new = cstart + width
             for i in range(level):
                 j = 3 * i
-                pred = last_node[i].links
-                links[j] = pred[j]
-                links[j + 1] = last_rank[i] + pred[j + 1] + 1 - rank
-                links[j + 2] = last_cend[i] + pred[j + 2] - cstart
+                pred = last_node[i]
+                node[j] = pred[j]
+                node[j + 1] = last_rank[i] + pred[j + 1] + 1 - rank
+                node[j + 2] = last_cend[i] + pred[j + 2] - cstart
                 pred[j] = node
                 pred[j + 1] = rank - last_rank[i]
                 pred[j + 2] = end_new - last_cend[i]
@@ -333,7 +330,7 @@ class IndexedSkipList:
                 last_rank[i] = rank
                 last_cend[i] = end_new
             for i in range(level, self._level):
-                upper = last_node[i].links
+                upper = last_node[i]
                 upper[3 * i + 1] += 1
                 upper[3 * i + 2] += width
             self._size += 1
@@ -342,7 +339,7 @@ class IndexedSkipList:
             cstart = end_new
 
         while (self._level > 1
-               and self._head.links[3 * (self._level - 1)] is None):
+               and self._head[3 * (self._level - 1)] is None):
             self._level -= 1
         _LIST_LEVEL.set(self._level)
         return removed
@@ -371,15 +368,14 @@ class IndexedSkipList:
             while self._level < level:
                 last.append((self._head, -1, 0))
                 self._level += 1
-            node = _Node(value, width, level)
+            node = _new_node(value, width, level)
             end = chars + width
             for i in range(level):
                 prev_node, prev_rank, prev_cend = last[i]
                 j = 3 * i
-                prev = prev_node.links
-                prev[j] = node
-                prev[j + 1] = rank - prev_rank
-                prev[j + 2] = end - prev_cend
+                prev_node[j] = node
+                prev_node[j + 1] = rank - prev_rank
+                prev_node[j + 2] = end - prev_cend
                 last[i] = (node, rank, end)
             rank += 1
             chars = end
@@ -387,7 +383,7 @@ class IndexedSkipList:
         self._chars = chars
         for i in range(self._level):
             node, last_rank, last_cend = last[i]
-            node.links[3 * i : 3 * i + 3] = [
+            node[3 * i : 3 * i + 3] = [
                 None, self._size - 1 - last_rank, self._chars - last_cend
             ]
 
@@ -395,20 +391,20 @@ class IndexedSkipList:
 
     def items(self) -> Iterator[tuple[Any, int]]:
         """Yield ``(value, width)`` for every block in order."""
-        x = self._head.links[0]
+        x = self._head[0]
         while x is not None:
-            yield x.value, x.width
-            x = x.links[0]
+            yield x[-2], x[-1]
+            x = x[0]
 
     def values(self) -> Iterator[Any]:
         """Yield every block value in order (walks the nodes itself:
         ``EncryptedDocument.text`` joins through this on every open
         and full save, and re-yielding :meth:`items` doubled its
         cost)."""
-        x = self._head.links[0]
+        x = self._head[0]
         while x is not None:
-            yield x.value
-            x = x.links[0]
+            yield x[-2]
+            x = x[0]
 
     def __iter__(self) -> Iterator[Any]:
         return self.values()
@@ -424,22 +420,22 @@ class IndexedSkipList:
         """
         # Walk level 0 to establish ground truth.
         nodes: list[_Node] = []
-        x = self._head.links[0]
+        x = self._head[0]
         while x is not None:
             nodes.append(x)
-            x = x.links[0]
+            x = x[0]
         if len(nodes) != self._size:
             raise DataStructureError(
                 f"size {self._size} != level-0 walk {len(nodes)}"
             )
-        if sum(n.width for n in nodes) != self._chars:
+        if sum(n[-1] for n in nodes) != self._chars:
             raise DataStructureError("total_chars out of sync")
 
         rank_of = {id(n): r for r, n in enumerate(nodes)}
         ends = []
         acc = 0
         for n in nodes:
-            acc += n.width
+            acc += n[-1]
             ends.append(acc)
 
         def elems_between(a: _Node | None, b: _Node | None) -> tuple[int, int]:
@@ -453,7 +449,7 @@ class IndexedSkipList:
         for i in range(self._level):
             x = self._head
             while True:
-                nxt, span_e, span_c = x.links[3 * i : 3 * i + 3]
+                nxt, span_e, span_c = x[3 * i : 3 * i + 3]
                 de, dc = elems_between(x, nxt)
                 if span_e != de or span_c != dc:
                     raise DataStructureError(
@@ -463,11 +459,11 @@ class IndexedSkipList:
                     )
                 if nxt is None:
                     break
-                if nxt.level <= i:
+                if _level(nxt) <= i:
                     raise DataStructureError(
-                        f"node of height {nxt.level} linked at level {i}"
+                        f"node of height {_level(nxt)} linked at level {i}"
                     )
                 x = nxt
         for i in range(self._level, _MAX_LEVEL):
-            if self._head.links[3 * i] is not None:
+            if self._head[3 * i] is not None:
                 raise DataStructureError("pointer above list level")

@@ -145,10 +145,10 @@ def decode_records(text: str) -> list[Record]:
     bits = bits[:, 3:].reshape(count, RECORD_CHARS * 5)
     if bits[:, RECORD_BYTES * 8 :].any():
         raise CiphertextFormatError("non-canonical base32 tail bits")
-    raw = np.packbits(bits[:, : RECORD_BYTES * 8], axis=1)
+    raw = np.packbits(bits[:, : RECORD_BYTES * 8], axis=1).tobytes()
     return [
-        Record(char_count=int(row[0]), block=row[1:].tobytes())
-        for row in raw
+        Record(char_count=raw[i], block=raw[i + 1 : i + RECORD_BYTES])
+        for i in range(0, len(raw), RECORD_BYTES)
     ]
 
 

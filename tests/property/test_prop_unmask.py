@@ -6,7 +6,8 @@ aggregates in one step.  The per-record path (``decrypt_record``, the
 random-access reference) must agree with them on every document —
 non-ASCII text and every block size included — and a single flipped
 plaintext byte in a payload, a nonce field or the bookkeeping record
-must fail with the same exception class either way.
+must fail with the same exception class either way, as must a record
+whose header byte claims a different character count.
 """
 
 import string
@@ -19,14 +20,14 @@ from repro.core import KeyMaterial, create_document
 from repro.core.rpc import RpcState
 from repro.crypto.random import DeterministicRandomSource
 from repro.encoding.wire import Record, parse_document
-from repro.errors import IntegrityError, ReproError
+from repro.errors import CiphertextFormatError, IntegrityError, ReproError
 
 ALPHABET = string.ascii_letters + " .,!?éß中文🎉"
 
 KEYS = KeyMaterial.from_password("prop-unmask", salt=b"unmask-slt")
 
 #: up to ~60 blocks, so documents land on both sides of the batched
-#: cipher's 28-block threshold
+#: cipher's 7-block threshold
 documents = st.text(alphabet=ALPHABET, max_size=480)
 block_sizes = st.integers(min_value=1, max_value=8)
 
@@ -53,6 +54,13 @@ def _flip(cipher, record, byte, bit):
     plain[byte] ^= 1 << bit
     return Record(char_count=record.char_count,
                   block=cipher.encrypt_block(bytes(plain)))
+
+
+def _lie(record, data):
+    """``record`` with a header byte claiming a different count."""
+    claim = data.draw(st.integers(0, 255).filter(
+        lambda count: count != record.char_count))
+    return Record(char_count=claim, block=record.block)
 
 
 def _outcome(run):
@@ -88,6 +96,21 @@ class TestRecb:
         reference = _outcome(lambda: [codec.decrypt_record(state, r)
                                       for r in data_records])
         assert batch == reference
+
+    @settings(max_examples=60, deadline=None)
+    @given(documents.filter(bool), block_sizes, st.data())
+    def test_lying_header_fails_alike(self, text, block_chars, data):
+        doc, records = _stored(text, "recb", block_chars, [])
+        codec = doc._codec
+        state = codec.parse_prefix(records[0])
+        data_records = records[1:]
+        target = data.draw(st.integers(0, len(data_records) - 1))
+        data_records[target] = _lie(data_records[target], data)
+        batch = _outcome(lambda: codec.decrypt_records(state, data_records))
+        reference = _outcome(lambda: [codec.decrypt_record(state, r)
+                                      for r in data_records])
+        assert batch == reference
+        assert batch[0] is CiphertextFormatError
 
 
 class TestRpc:
@@ -126,3 +149,15 @@ class TestRpc:
                                 data.draw(st.integers(0, 7)))
         with pytest.raises(IntegrityError):
             codec.load(records)
+
+    @settings(max_examples=60, deadline=None)
+    @given(documents.filter(bool), block_sizes, st.data())
+    def test_lying_header_is_an_integrity_error(self, text, block_chars,
+                                                data):
+        doc, records = _stored(text, "rpc", block_chars, [])
+        target = data.draw(st.integers(1, len(records) - 2))
+        records[target] = _lie(records[target], data)
+        with pytest.raises(IntegrityError,
+                           match=f"record {target - 1} header claims "
+                                 f"{records[target].char_count} chars"):
+            doc._codec.load(records)

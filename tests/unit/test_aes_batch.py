@@ -50,6 +50,34 @@ class TestAgreement:
         assert aes_batch.encrypt_blocks(cipher, data) == want
 
 
+#: every small batch shape up to 40 blocks, a 4k-char document's 503
+#: blocks and a whole-document pass's 10,000
+_KERNEL_SIZES = list(range(1, 41)) + [503, 10_000]
+
+
+@pytest.mark.parametrize("key_len", [16, 24, 32])
+class TestKernelAgreesWithScalar:
+    def test_encrypt(self, key_len):
+        cipher = AES(os.urandom(key_len))
+        for nblocks in _KERNEL_SIZES:
+            data = os.urandom(16 * nblocks)
+            want = b"".join(
+                cipher.encrypt_block(data[i : i + 16])
+                for i in range(0, len(data), 16)
+            )
+            assert aes_batch.encrypt_blocks(cipher, data) == want, nblocks
+
+    def test_decrypt(self, key_len):
+        cipher = AES(os.urandom(key_len))
+        for nblocks in _KERNEL_SIZES:
+            data = os.urandom(16 * nblocks)
+            want = b"".join(
+                cipher.decrypt_block(data[i : i + 16])
+                for i in range(0, len(data), 16)
+            )
+            assert aes_batch.decrypt_blocks(cipher, data) == want, nblocks
+
+
 class TestEdges:
     def test_empty_input(self, cipher):
         assert aes_batch.encrypt_blocks(cipher, b"") == b""

@@ -9,9 +9,11 @@ from repro.obs import value_of
 
 _THRESHOLD = AesCipher._BATCH_THRESHOLD_BLOCKS
 
-#: both sides of the historical threshold (16) and the current one —
-#: the crossover must be invisible in bytes AND in counter accounting
-_CROSSOVER_SIZES = (15, 16, 17, _THRESHOLD - 1, _THRESHOLD, _THRESHOLD + 1)
+#: both sides of the historical thresholds (16, then 28) and the
+#: current one — the crossover must be invisible in bytes AND in
+#: counter accounting
+_CROSSOVER_SIZES = (_THRESHOLD - 1, _THRESHOLD, _THRESHOLD + 1,
+                    15, 16, 17, 27, 28, 29)
 
 
 class TestAesCipher:

@@ -10,11 +10,12 @@ to touching O(n) blocks, these bounds fail by orders of magnitude
 (measured: ~3 AES calls for the edit vs ~17k for a full rewrite).
 """
 
+import gc
 import math
 
 import pytest
 
-from repro.core import Delta, KeyMaterial, create_document
+from repro.core import Delta, KeyMaterial, create_document, load_document
 from repro.crypto.random import DeterministicRandomSource
 from repro.extension.gdocs_ext import GDocsExtension
 from repro.extension.session import PrivateEditingSession
@@ -171,3 +172,39 @@ def test_full_save_after_reopen_costs_the_edit_not_the_document(scheme):
             <= cap["doc.blocks_reencrypted"] + 2, (
             f"{scheme}: the full save encoded "
             f"{cap['wire.records_encoded']} records")
+
+
+#: tracked objects a loaded document holds besides its blocks (13-14
+#: measured): the document, codec, cipher, key schedules, header,
+#: scheme state, bookkeeping records, and the index with its head node
+#: and RNG
+_MIRROR_OVERHEAD = 32
+
+
+@pytest.mark.parametrize("scheme", ["recb", "rpc"])
+@pytest.mark.parametrize("chars", [4_000, 40_000])
+def test_loaded_mirror_tracks_two_objects_per_block(scheme, chars):
+    """A reopened mirror holds at most two objects per block that the
+    cyclic garbage collector tracks (the block's meta and its skip-list
+    node), before and after a delta save: a full collection walks
+    every one of them, so an open's heap is its GC cost."""
+    source = create_document("lorem ipsum dolor sit amet " * (chars // 27),
+                             key_material=KEYS, scheme=scheme,
+                             rng=DeterministicRandomSource(5))
+    wire = source.wire()
+    del source
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        doc = load_document(wire, key_material=KEYS)
+        loaded = len(gc.get_objects()) - before
+        doc.insert(doc.char_length // 2, "x")
+        saved = len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+    bound = 2 * doc.block_count + _MIRROR_OVERHEAD
+    assert loaded <= bound, (
+        f"{scheme}: {loaded} tracked objects for {doc.block_count} blocks")
+    assert saved <= bound, (
+        f"{scheme}: {saved} tracked objects after one delta save")

@@ -25,9 +25,19 @@ The mutation table covers one oracle per stack layer:
     ``IndexedSkipList.splice`` — the block index's only write besides
     the bulk ``extend`` — stops widening the character span of the
     upper-level pointers that pass over a newly threaded node
-    (``upper[3 * i + 2] += width`` in the one-list node layout).  Text
-    and ranks stay right, so only the engine profile's per-step
-    representation check must flag it (``index-checkrep``).
+    (``upper[3 * i + 2] += width``, where ``upper`` is the node list
+    itself: a node is one flat list of its per-level pointer and two
+    spans, then its value and width).  Text and ranks stay right, so
+    only the engine profile's per-step representation check must flag
+    it (``index-checkrep``).
+``unmask-fast-path-skips-count-check``
+    The one-pass payload decode that rECB and RPC Dec take for an
+    all-ASCII document (``blocks.unpack_ascii``) stops comparing each
+    payload's unpadded length with its record's header count, so a
+    record whose header byte lies comes back as a wrong chunk instead
+    of failing.  Honest documents always match their headers, so no
+    fuzz oracle sees it; the entry runs the property test that
+    rewrites one header byte and expects the per-record error.
 ``catalog-lookup-drops-posting``
     The catalog server silently withholds the newest posting blob from
     every trapdoor lookup.  The workspace profile's plaintext word
@@ -154,6 +164,20 @@ MUTATIONS = (
         iters=10,
         blind_to="a splice that leaves upper-level char spans stale",
         kind="index-checkrep",
+    ),
+    Mutation(
+        name="unmask-fast-path-skips-count-check",
+        file="repro/core/blocks.py",
+        target=("    if payloads.max() >= 0x80 or not np.array_equal("
+                "unpadded, counts):"),
+        mutant=("    if payloads.max() >= 0x80:"
+                "  # MUTANT: header counts unchecked"),
+        fuzz_args=(),
+        iters=1,
+        blind_to="a one-pass decode that trusts lying header counts",
+        kind="",
+        test=("tests/property/test_prop_unmask.py::TestRecb::"
+              "test_lying_header_fails_alike"),
     ),
     Mutation(
         name="catalog-lookup-drops-posting",
