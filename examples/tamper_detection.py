@@ -18,7 +18,7 @@ Run:  python examples/tamper_detection.py
 from repro.core import KeyMaterial, create_document, load_document
 from repro.core.rpc import RpcCodec
 from repro.crypto.random import DeterministicRandomSource
-from repro.encoding.wire import parse_document
+from repro.encoding.wire import decode_area, split_header
 from repro.errors import DecryptionError, IntegrityError
 from repro.security.attacks import (
     build_colliding_document,
@@ -78,8 +78,8 @@ def main() -> None:
     )
     codec = RpcCodec(key, DeterministicRandomSource(3))
     try:
-        _, records = parse_document(excise_cancelling_segment(amended))
-        codec.load(records)
+        _, area = split_header(excise_cancelling_segment(amended))
+        codec.load(*decode_area(area))
         print(" amended verifier: NOT DETECTED (bug!)")
     except IntegrityError as exc:
         print(f" same forgery vs amended verifier: detected -> {exc}")

@@ -55,6 +55,12 @@ _SEARCHES = counter("client.workspace.searches")
 _ALERTS = counter("client.workspace.audit_alerts")
 _VERIFIES = counter("client.workspace.history_verifies")
 
+#: exchanges the catalog channel's log keeps (a ring): a long-lived
+#: workspace sends a lookup per search and a chain fetch per open, and
+#: an unbounded log would hold every body for the tenant's lifetime.
+#: Readers that need every exchange attach a tap instead.
+CATALOG_LOG_ENTRIES = 256
+
 
 class Workspace:
     """A tenant's view over many encrypted documents.
@@ -106,6 +112,7 @@ class Workspace:
         self.catalog_channel = Channel(
             transport if transport is not None else server,
             latency=latency, clock=self.clock,
+            max_log=CATALOG_LOG_ENTRIES,
         )
 
     # -- key derivation --------------------------------------------------

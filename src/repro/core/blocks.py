@@ -68,19 +68,20 @@ def unpack_chars(payload: bytes) -> str:
 _POSITIONS = np.arange(1, PAYLOAD_BYTES + 1, dtype=np.uint8)
 
 
-def unpack_ascii(payloads: np.ndarray, counts: list[int]) -> list[str] | None:
+def unpack_ascii(payloads: np.ndarray, counts: bytes) -> list[str] | None:
     """:func:`unpack_chars` over an ``(n, 8)`` payload array, one decode.
 
-    Applies only when every payload byte is ASCII and every ``counts[i]``
-    is payload ``i``'s length without its NUL padding: each chunk is
-    then exactly what :func:`unpack_chars` returns, and of the claimed
-    length.  Otherwise returns None, and the caller takes its
+    ``counts`` is the records' header-byte column.  Applies only when
+    every payload byte is ASCII and every ``counts[i]`` is payload
+    ``i``'s length without its NUL padding: each chunk is then exactly
+    what :func:`unpack_chars` returns, and of the claimed length.  Otherwise returns None, and the caller takes its
     per-payload path, which raises whatever it raises, in its order.
     """
     if not counts:
         return []
     unpadded = ((payloads != 0) * _POSITIONS).max(axis=1)
-    if payloads.max() >= 0x80 or not np.array_equal(unpadded, counts):
+    claimed = np.frombuffer(counts, dtype=np.uint8)
+    if payloads.max() >= 0x80 or not np.array_equal(unpadded, claimed):
         return None
     text = payloads.tobytes().decode("ascii")
     return [

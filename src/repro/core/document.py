@@ -63,8 +63,9 @@ from repro.encoding.wire import (
     RECORD_CHARS,
     DocumentHeader,
     Record,
+    decode_area,
     encode_records,
-    parse_document,
+    record_columns,
     split_header,
 )
 from repro.errors import (
@@ -205,8 +206,10 @@ class EncryptedDocument(ABC):
         )
         self._index: BlockIndex = self._index_factory()
         self._state: object = None
-        self._prefix: list[Record] = []
-        self._suffix: list[Record] = []
+        #: the bookkeeping records before and after the data records,
+        #: as ``(char_count, block)`` pairs
+        self._prefix: list[tuple[int, bytes]] = []
+        self._suffix: list[tuple[int, bytes]] = []
         #: the stored wire text, built on first :meth:`wire` and then
         #: kept in step by splicing each update's cdelta into it
         self._wire: str | None = None
@@ -246,13 +249,15 @@ class EncryptedDocument(ABC):
     ) -> "EncryptedDocument":
         """Dec: parse, verify, and decrypt a stored wire document.
 
-        The fetched text becomes the kept wire: ``decode_records``
-        accepts only the canonical encoding of the records it returns,
-        so the record area is byte-for-byte what :meth:`wire` would
-        encode, and a header that is not spelled canonically is
-        replaced by the canonical one.
+        The record area is read as ``decode_area``'s two columns (no
+        :class:`Record` per record).  The fetched text becomes the kept
+        wire: ``decode_area`` accepts only the canonical encoding of the
+        records it returns, so the record area is byte-for-byte what
+        :meth:`wire` would encode, and a header that is not spelled
+        canonically is replaced by the canonical one.
         """
-        header, records = parse_document(wire_text)
+        header, area = split_header(wire_text)
+        counts, ciphertext = decode_area(area)
         if header.scheme != cls._codec_class.name:
             raise CiphertextFormatError(
                 f"document uses scheme {header.scheme!r}, "
@@ -263,11 +268,10 @@ class EncryptedDocument(ABC):
                 raise PasswordError("a password or key material is required")
             key_material = KeyMaterial.from_password(password, salt=header.salt)
         doc = cls(key_material, header.block_chars, rng, index_factory)
-        doc._load_records(records)
+        doc._load_records(counts, ciphertext)
         canonical = doc._header.encode()
         if not wire_text.startswith(canonical):
-            area = len(records) * RECORD_CHARS
-            wire_text = canonical + wire_text[len(wire_text) - area:]
+            wire_text = canonical + area
         doc._wire = wire_text
         return doc
 
@@ -281,8 +285,10 @@ class EncryptedDocument(ABC):
         metas = self._bulk_encrypt(chunks)
         self._index.extend((meta, len(meta.text)) for meta in metas)
         first_lead = metas[0].lead if metas else None
-        self._prefix = self._codec.prefix(self._state, first_lead)
-        self._suffix = self._codec.suffix(self._state)
+        self._prefix = [(r.char_count, r.block)
+                        for r in self._codec.prefix(self._state, first_lead)]
+        self._suffix = [(r.char_count, r.block)
+                        for r in self._codec.suffix(self._state)]
         self._wire = None
 
     # -- subclass hooks --------------------------------------------------
@@ -292,8 +298,10 @@ class EncryptedDocument(ABC):
         """Encrypt every chunk of a brand-new document."""
 
     @abstractmethod
-    def _load_records(self, records: list[Record]) -> None:
-        """Parse and verify stored records, populating index and state."""
+    def _load_records(self, counts: bytes, ciphertext: bytes) -> None:
+        """Verify and decrypt the stored record columns (header bytes,
+        AES blocks back to back), populating index and state; each
+        mirror block keeps a slice of ``ciphertext``."""
 
     @abstractmethod
     def _prepare_span(
@@ -473,9 +481,9 @@ class EncryptedDocument(ABC):
     def _records(self) -> list[Record]:
         """Every stored record in wire order: prefix, data, suffix."""
         return (
-            self._prefix
+            [Record(count, block) for count, block in self._prefix]
             + [meta.record for meta in self._index.values()]
-            + self._suffix
+            + [Record(count, block) for count, block in self._suffix]
         )
 
     def _data_area_start(self) -> int:
@@ -594,14 +602,14 @@ class EncryptedDocument(ABC):
             cursor = base + rb_old * RECORD_CHARS
 
         if self._suffix:
-            new_suffix = [Record(char_count=0, block=blob[off : off + 16])]
+            checksum = blob[off : off + 16]
             off += 16
             pos_old = base + old_data_count * RECORD_CHARS
             if pos_old > cursor:
                 ops.append(Retain(pos_old - cursor))
             ops.append(Delete(len(self._suffix) * RECORD_CHARS))
-            ops.append(Insert(encode_records(new_suffix)))
-            self._suffix = new_suffix
+            ops.append(Insert(encode_records([Record(0, checksum)])))
+            self._suffix = [(0, checksum)]
 
         cdelta = Delta(ops)
         if self._wire is not None:
@@ -664,17 +672,20 @@ class RecbDocument(EncryptedDocument):
             for chunk, record in zip(chunks, records)
         ]
 
-    def _load_records(self, records: list[Record]) -> None:
-        if not records:
+    def _load_records(self, counts: bytes, ciphertext: bytes) -> None:
+        if not counts:
             raise CiphertextFormatError("rECB document missing its r0 record")
-        self._state = self._codec.parse_prefix(records[0])
-        self._prefix = [records[0]]
+        r0_block = ciphertext[:16]
+        self._state = self._codec.parse_prefix(r0_block)
+        self._prefix = [(counts[0], r0_block)]
         self._suffix = []
-        texts = self._codec.decrypt_records(self._state, records[1:])
+        texts = self._codec.decrypt_records(
+            self._state, counts[1:], ciphertext[16:]
+        )
         self._index = self._index_factory()
         self._index.extend(
-            (BlockMeta(chunk, record.block), len(chunk))
-            for chunk, record in zip(texts, records[1:])
+            (BlockMeta(chunk, ciphertext[off : off + 16]), len(chunk))
+            for off, chunk in zip(range(16, len(ciphertext), 16), texts)
         )
 
     def _prepare_span(
@@ -742,15 +753,18 @@ class RpcDocument(EncryptedDocument):
             metas.append(BlockMeta(chunk, record.block, lead, payload))
         return metas
 
-    def _load_records(self, records: list[Record]) -> None:
-        state, data = self._codec.load(records)
+    def _load_records(self, counts: bytes, ciphertext: bytes) -> None:
+        state, data = self._codec.load(counts, ciphertext)
         self._state = state
-        self._prefix = [records[0]]
-        self._suffix = [records[-1]]
+        self._prefix = [(counts[0], ciphertext[:16])]
+        self._suffix = [(counts[-1], ciphertext[-16:])]
         self._index = self._index_factory()
         self._index.extend(
-            (BlockMeta(chunk, record.block, lead, payload), len(chunk))
-            for record, (chunk, lead, payload) in zip(records[1:-1], data)
+            (BlockMeta(chunk, ciphertext[off : off + 16], lead, payload),
+             len(chunk))
+            for off, (chunk, lead, payload) in zip(
+                range(16, len(ciphertext), 16), data
+            )
         )
 
     def _prepare_span(
@@ -787,7 +801,7 @@ class RpcDocument(EncryptedDocument):
         Mostly a testing/diagnostic aid: tampering normally surfaces on
         :meth:`load` of the *server's* copy.
         """
-        self._codec.load(self._records())
+        self._codec.load(*record_columns(self._records()))
 
 
 def _resolve_keys(

@@ -71,9 +71,10 @@ class RecbCodec(BlockCodec):
         """rECB has no suffix records."""
         return []
 
-    def parse_prefix(self, record: Record) -> RecbState:
-        """Recover ``r0``; detects a wrong key via the zero half."""
-        plain = self._cipher.decrypt_block(record.block)
+    def parse_prefix(self, block: bytes) -> RecbState:
+        """Recover ``r0`` from the bookkeeping record's AES block;
+        detects a wrong key via the zero half."""
+        plain = self._cipher.decrypt_block(block)
         if plain[8:] != bytes(8):
             raise DecryptionError(
                 "r0 record failed its zero-pad check (wrong password or "
@@ -122,30 +123,33 @@ class RecbCodec(BlockCodec):
         nonce = xor_bytes(plain[:8], state.r0)
         return _unpack_chunk(xor_bytes(plain[8:], nonce), record.char_count)
 
-    def decrypt_records(self, state: RecbState, records: list[Record]) -> list[str]:
+    def decrypt_records(self, state: RecbState, counts: bytes,
+                        ciphertext: bytes) -> list[str]:
         """Decrypt all data records (batched AES, one-pass unmasking).
 
-        Same result and errors as :meth:`decrypt_record` per record:
-        the nonce and payload halves are unmasked for every block in
-        two array XORs, and an all-ASCII document whose header counts
-        all match is decoded in one pass; any other input takes the
-        per-record decode and header check.
+        Reads the record columns (:func:`repro.encoding.wire.decode_area`):
+        ``counts`` holds each record's header byte and ``ciphertext``
+        its AES blocks back to back.  Same result and errors as
+        :meth:`decrypt_record` per record: the nonce and payload halves
+        are unmasked for every block in two array XORs, and an
+        all-ASCII document whose header counts all match is decoded in
+        one pass; any other input takes the per-record decode and
+        header check.
         """
-        if not records:
+        if not counts:
             return []
         plain = np.frombuffer(
-            self._cipher.decrypt_many(b"".join(r.block for r in records)),
-            dtype=np.uint8,
+            self._cipher.decrypt_many(ciphertext), dtype=np.uint8
         ).reshape(-1, 16)
         nonces = plain[:, :8] ^ np.frombuffer(state.r0, dtype=np.uint8)
         payloads = plain[:, 8:] ^ nonces
-        chunks = blocks.unpack_ascii(payloads, [r.char_count for r in records])
+        chunks = blocks.unpack_ascii(payloads, counts)
         if chunks is not None:
             return chunks
         raw = payloads.tobytes()
         return [
-            _unpack_chunk(raw[8 * i : 8 * i + 8], record.char_count)
-            for i, record in enumerate(records)
+            _unpack_chunk(raw[8 * i : 8 * i + 8], count)
+            for i, count in enumerate(counts)
         ]
 
 

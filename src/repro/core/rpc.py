@@ -224,23 +224,26 @@ class RpcCodec(BlockCodec):
     # -- full-document verify-and-decrypt ---------------------------------
 
     def load(
-        self, records: list[Record]
+        self, counts: bytes, ciphertext: bytes
     ) -> tuple[RpcState, list[tuple[str, bytes, bytes]]]:
         """Verify a whole ciphertext document and decrypt it.
 
-        ``records`` is the full record list: start record, data records,
-        checksum record.  Returns the reconstructed state and, per data
-        block, ``(chunk, lead, payload)``.
+        Reads the full record area as columns
+        (:func:`repro.encoding.wire.decode_area`): ``counts`` holds
+        each record's header byte and ``ciphertext`` its AES blocks
+        back to back — start record, data records, checksum record.
+        Returns the reconstructed state and, per data block, ``(chunk,
+        lead, payload)``.
 
         Raises :class:`IntegrityError` naming the first failed check —
         start marker, chain link, circular closure, checksum aggregates,
         or the length amendment.
         """
-        if len(records) < 2:
+        if len(counts) < 2:
             raise CiphertextFormatError(
                 "RPC document needs at least start + checksum records"
             )
-        start_plain = self._cipher.decrypt_block(records[0].block)
+        start_plain = self._cipher.decrypt_block(ciphertext[:16])
         if start_plain[RPC_NONCE_BYTES : RPC_NONCE_BYTES + len(ALPHA)] != ALPHA:
             raise DecryptionError(
                 "start marker mismatch (wrong password or tampered start "
@@ -249,13 +252,11 @@ class RpcCodec(BlockCodec):
         r0 = start_plain[:RPC_NONCE_BYTES]
         expected_lead = start_plain[RPC_NONCE_BYTES + len(ALPHA) :]
 
-        data_records = records[1:-1]
+        data_counts = counts[1:-1]
         state = RpcState(r0=r0)
         out: list[tuple[str, bytes, bytes]] = []
-        if data_records:
-            blob = self._cipher.decrypt_many(
-                b"".join(r.block for r in data_records)
-            )
+        if data_counts:
+            blob = self._cipher.decrypt_many(ciphertext[16:-16])
             lo, hi = RPC_NONCE_BYTES, RPC_NONCE_BYTES + blocks.PAYLOAD_BYTES
             plain = np.frombuffer(blob, dtype=np.uint8).reshape(-1, 16)
             leads, payloads = plain[:, :lo], plain[:, lo:hi]
@@ -267,15 +268,13 @@ class RpcCodec(BlockCodec):
             chained[0] = np.frombuffer(expected_lead, dtype=np.uint8)
             chained[1:] = plain[:-1, hi:]
             breaks = np.flatnonzero((leads != chained).any(axis=1))
-            intact = int(breaks[0]) if breaks.size else len(data_records)
-            chunks = blocks.unpack_ascii(
-                payloads[:intact],
-                [r.char_count for r in data_records[:intact]],
-            )
+            intact = int(breaks[0]) if breaks.size else len(data_counts)
+            chunks = blocks.unpack_ascii(payloads[:intact],
+                                         data_counts[:intact])
             if chunks is None:
                 chunks = [
                     _checked_chunk(i, blob[16 * i + lo : 16 * i + hi],
-                                   data_records[i].char_count)
+                                   data_counts[i])
                     for i in range(intact)
                 ]
             if breaks.size:
@@ -296,7 +295,7 @@ class RpcCodec(BlockCodec):
                 "chain does not close back to r0 (truncation or splice)"
             )
 
-        check_plain = self._cipher.decrypt_block(records[-1].block)
+        check_plain = self._cipher.decrypt_block(ciphertext[-16:])
         want_first = xor_bytes(state.r0, state.lead_xor)
         want_payload = xor_bytes(state.payload_xor, _pack_length(state.length))
         if check_plain[:RPC_NONCE_BYTES] != want_first:

@@ -16,12 +16,14 @@ from repro.encoding.wire import (
     RECORD_CHARS,
     DocumentHeader,
     Record,
+    decode_area,
     decode_record,
     decode_records,
     encode_record,
     encode_records,
     looks_encrypted,
     parse_document,
+    record_columns,
     split_header,
 )
 
@@ -40,6 +42,8 @@ __all__ = [
     "decode_record",
     "encode_records",
     "decode_records",
+    "decode_area",
+    "record_columns",
     "parse_document",
     "split_header",
     "looks_encrypted",

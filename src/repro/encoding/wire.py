@@ -73,10 +73,7 @@ def decode_record(text: str) -> Record:
         raise CiphertextFormatError(
             f"record must be {RECORD_CHARS} chars, got {len(text)}"
         )
-    if "=" in text:  # base32.decode strips padding; a record has none
-        raise CiphertextFormatError("invalid base32 character in record area")
-    raw = base32.decode(text)
-    return Record(char_count=raw[0], block=raw[1:])
+    return decode_records(text)[0]
 
 
 #: NumPy view of the Base32 alphabet for the batched paths
@@ -113,13 +110,29 @@ def encode_records(records: list[Record]) -> str:
     return _ALPHABET_BYTES[groups].tobytes().decode("ascii")
 
 
-def decode_records(text: str) -> list[Record]:
-    """Decode contiguous wire text back into records (batched).
+#: a record's first 24 characters are three 8-character groups, each one
+#: 40-bit big-endian value (5 bytes); these weights fold a group's digits
+_GROUP_WEIGHTS = np.uint64(1) << np.arange(35, -1, -5, dtype=np.uint64)
+_GROUP_BYTES = 3 * 5
+#: its last 4 characters are 20 bits: the record's last 2 bytes, then
+#: the :data:`_PAD_BITS` zero tail bits
+_TAIL_WEIGHTS = np.array([1 << 15, 1 << 10, 1 << 5, 1], dtype=np.uint32)
+
+
+def decode_area(text: str) -> tuple[bytes, bytes]:
+    """Decode contiguous wire text into its two record columns.
+
+    Returns ``(counts, blocks)``: every record's header byte, and every
+    record's 16-byte AES block back to back (``16 * len(counts)``
+    bytes).  This is the one record-area decoder; the load paths read
+    the columns directly and :func:`decode_records` is a view over them.
 
     Accepts only canonical text — upper-case alphabet, no padding, zero
     tail bits — so ``encode_records(decode_records(t)) == t`` for every
     ``t`` it accepts (``EncryptedDocument.load`` keeps fetched text as
-    its wire on that basis).
+    its wire on that basis).  Each rejection raises the same
+    :class:`CiphertextFormatError` and message whatever the record
+    count.
     """
     if len(text) % RECORD_CHARS:
         raise CiphertextFormatError(
@@ -127,29 +140,52 @@ def decode_records(text: str) -> list[Record]:
             f"{RECORD_CHARS}"
         )
     count = len(text) // RECORD_CHARS
-    if count < 8:
-        return [
-            decode_record(text[i : i + RECORD_CHARS])
-            for i in range(0, len(text), RECORD_CHARS)
-        ]
+    if not count:
+        return b"", b""
     try:
         chars = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
     except UnicodeEncodeError:
         raise CiphertextFormatError(
             "invalid base32 character in record area"
         ) from None
-    indices = _ALPHABET_INDEX[chars]
-    if (indices == 255).any():
+    digits = _ALPHABET_INDEX[chars]
+    if (digits == 255).any():
         raise CiphertextFormatError("invalid base32 character in record area")
-    bits = np.unpackbits(indices.reshape(count * RECORD_CHARS, 1), axis=1)
-    bits = bits[:, 3:].reshape(count, RECORD_CHARS * 5)
-    if bits[:, RECORD_BYTES * 8 :].any():
+    digits = digits.reshape(count, RECORD_CHARS)
+    groups = digits[:, :24].reshape(count, 3, 8) @ _GROUP_WEIGHTS
+    tail = digits[:, 24:] @ _TAIL_WEIGHTS
+    if (tail & ((1 << _PAD_BITS) - 1)).any():
         raise CiphertextFormatError("non-canonical base32 tail bits")
-    raw = np.packbits(bits[:, : RECORD_BYTES * 8], axis=1).tobytes()
+    raw = np.empty((count, RECORD_BYTES), dtype=np.uint8)
+    raw[:, :_GROUP_BYTES] = (
+        groups.astype(">u8").view(np.uint8).reshape(count, 3, 8)[:, :, 3:]
+    ).reshape(count, _GROUP_BYTES)
+    raw[:, _GROUP_BYTES:] = (
+        (tail >> _PAD_BITS).astype(">u2").view(np.uint8).reshape(count, 2)
+    )
+    return raw[:, 0].tobytes(), raw[:, 1:].tobytes()
+
+
+def decode_records(text: str) -> list[Record]:
+    """Decode contiguous wire text back into records.
+
+    A :class:`Record` view over :func:`decode_area`'s columns, with the
+    same checks and errors; the document load paths skip the view.
+    """
+    counts, blocks = decode_area(text)
     return [
-        Record(char_count=raw[i], block=raw[i + 1 : i + RECORD_BYTES])
-        for i in range(0, len(raw), RECORD_BYTES)
+        Record(char_count=count, block=blocks[16 * i : 16 * i + 16])
+        for i, count in enumerate(counts)
     ]
+
+
+def record_columns(records: list[Record]) -> tuple[bytes, bytes]:
+    """The ``(counts, blocks)`` columns of ``records`` — what
+    :func:`decode_area` returns for their encoding."""
+    return (
+        bytes(record.char_count for record in records),
+        b"".join(record.block for record in records),
+    )
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,11 @@ class WorkspaceIndexer:
         # makes re-flipping a word (the typing workload's fragments)
         # cost a dict hit instead of three HMACs
         self._blobs: dict[tuple[str, str], str] = {}
+        # decrypting a posting is a pure function of (key, trapdoor,
+        # blob), so every blob that authenticated once is remembered
+        # with its doc id: a repeated search costs a dict hit per
+        # posting instead of two HMACs (docs/security.md, "Search memo")
+        self._authenticated: dict[tuple[str, str], str] = {}
         self._texts: dict[str, str] = {}
         self._counts: dict[str, Counter] = {}
 
@@ -117,7 +122,16 @@ class WorkspaceIndexer:
     def decrypt_blob(self, trapdoor: str, blob: str) -> str | None:
         """The doc id inside ``blob``, or None when the blob does not
         authenticate (forged or corrupted postings decrypt to ids whose
-        recomputed nonce cannot match)."""
+        recomputed nonce cannot match).
+
+        Remembers each canonically spelled blob that authenticates
+        under ``trapdoor``; a blob that fails is never remembered, so
+        it is checked (and dropped) again on every search.
+        """
+        key = (trapdoor, blob)
+        doc_id = self._authenticated.get(key)
+        if doc_id is not None:
+            return doc_id
         try:
             raw = bytes.fromhex(blob)
         except ValueError:
@@ -132,6 +146,11 @@ class WorkspaceIndexer:
             return None
         if self._nonce(trapdoor, doc_id) != nonce:
             return None
+        # only the spelling ``blob()`` emits: hex-case or whitespace
+        # variants of a genuine posting authenticate too, and must not
+        # grow the memo past one entry per genuine posting
+        if raw.hex() == blob:
+            self._authenticated[key] = doc_id
         return doc_id
 
     # -- per-document state ---------------------------------------------

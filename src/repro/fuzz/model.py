@@ -226,12 +226,7 @@ def reference_wire(doc: EncryptedDocument) -> str:
     Independent of the kept, cdelta-spliced text ``doc.wire()`` returns:
     header plus every record in order, Base32-encoded from scratch.
     """
-    records = (
-        doc._prefix
-        + [meta.record for meta in doc._index.values()]
-        + doc._suffix
-    )
-    return doc._header.encode() + encode_records(records)
+    return doc._header.encode() + encode_records(doc._records())
 
 
 def check_store(store_name: str, stored_wire: str, reference: str,

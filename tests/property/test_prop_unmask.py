@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.core import KeyMaterial, create_document
 from repro.core.rpc import RpcState
 from repro.crypto.random import DeterministicRandomSource
-from repro.encoding.wire import Record, parse_document
+from repro.encoding.wire import Record, parse_document, record_columns
 from repro.errors import CiphertextFormatError, IntegrityError, ReproError
 
 ALPHABET = string.ascii_letters + " .,!?éß中文🎉"
@@ -76,8 +76,8 @@ class TestRecb:
     def test_batch_equals_per_record(self, text, block_chars, changes):
         doc, records = _stored(text, "recb", block_chars, changes)
         codec = doc._codec
-        state = codec.parse_prefix(records[0])
-        batch = codec.decrypt_records(state, records[1:])
+        state = codec.parse_prefix(records[0].block)
+        batch = codec.decrypt_records(state, *record_columns(records[1:]))
         assert batch == [codec.decrypt_record(state, r) for r in records[1:]]
         assert "".join(batch) == doc.text
 
@@ -86,13 +86,14 @@ class TestRecb:
     def test_flipped_byte_fails_alike(self, text, block_chars, data):
         doc, records = _stored(text, "recb", block_chars, [])
         codec = doc._codec
-        state = codec.parse_prefix(records[0])
+        state = codec.parse_prefix(records[0].block)
         data_records = records[1:]
         target = data.draw(st.integers(0, len(data_records) - 1))
         byte = data.draw(st.integers(0, 15))  # nonce half or payload half
         data_records[target] = _flip(codec._cipher, data_records[target],
                                      byte, data.draw(st.integers(0, 7)))
-        batch = _outcome(lambda: codec.decrypt_records(state, data_records))
+        batch = _outcome(lambda: codec.decrypt_records(
+            state, *record_columns(data_records)))
         reference = _outcome(lambda: [codec.decrypt_record(state, r)
                                       for r in data_records])
         assert batch == reference
@@ -102,11 +103,12 @@ class TestRecb:
     def test_lying_header_fails_alike(self, text, block_chars, data):
         doc, records = _stored(text, "recb", block_chars, [])
         codec = doc._codec
-        state = codec.parse_prefix(records[0])
+        state = codec.parse_prefix(records[0].block)
         data_records = records[1:]
         target = data.draw(st.integers(0, len(data_records) - 1))
         data_records[target] = _lie(data_records[target], data)
-        batch = _outcome(lambda: codec.decrypt_records(state, data_records))
+        batch = _outcome(lambda: codec.decrypt_records(
+            state, *record_columns(data_records)))
         reference = _outcome(lambda: [codec.decrypt_record(state, r)
                                       for r in data_records])
         assert batch == reference
@@ -119,7 +121,7 @@ class TestRpc:
     def test_load_equals_per_record(self, text, block_chars, changes):
         doc, records = _stored(text, "rpc", block_chars, changes)
         codec = doc._codec
-        state, out = codec.load(records)
+        state, out = codec.load(*record_columns(records))
         reference = RpcState(r0=state.r0, version=state.version)
         tail = codec._cipher.decrypt_block(records[0].block)[-4:]
         for (chunk, lead, payload), record in zip(out, records[1:-1]):
@@ -148,7 +150,7 @@ class TestRpc:
                                 data.draw(st.integers(0, last_byte)),
                                 data.draw(st.integers(0, 7)))
         with pytest.raises(IntegrityError):
-            codec.load(records)
+            codec.load(*record_columns(records))
 
     @settings(max_examples=60, deadline=None)
     @given(documents.filter(bool), block_sizes, st.data())
@@ -160,4 +162,4 @@ class TestRpc:
         with pytest.raises(IntegrityError,
                            match=f"record {target - 1} header claims "
                                  f"{records[target].char_count} chars"):
-            doc._codec.load(records)
+            doc._codec.load(*record_columns(records))

@@ -10,6 +10,7 @@ wire (what the server does) must land on it too.
 import pytest
 
 from repro.core import Delta, KeyMaterial, create_document, load_document
+from repro.core import document as document_module
 from repro.core.delta import Delete, Insert, Retain
 from repro.crypto.random import DeterministicRandomSource
 from repro.datastructures import IndexedAVL, IndexedSkipList
@@ -89,17 +90,23 @@ def test_load_then_delta(scheme, index_factory):
 @pytest.mark.parametrize("scheme", ["recb", "rpc"])
 def test_load_document_decodes_records_once(scheme, index_factory,
                                             monkeypatch):
+    """One columnar decode of the record area, and no Record view."""
     stored = _doc(scheme, index_factory).wire()
-    calls = []
-    original = wire_module.decode_records
+    calls = {"decode_area": 0, "decode_records": 0}
 
-    def counting(text):
-        calls.append(len(text))
-        return original(text)
+    def counting(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(wire_module, "decode_records", counting)
+        def wrapped(text):
+            calls[name] += 1
+            return original(text)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    counting(document_module, "decode_area")
+    counting(wire_module, "decode_records")
     load_document(stored, key_material=KEYS, index_factory=index_factory)
-    assert len(calls) == 1
+    assert calls == {"decode_area": 1, "decode_records": 0}
 
 
 @pytest.mark.parametrize("scheme", ["recb", "rpc"])

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.recb import RecbCodec
 from repro.crypto.random import DeterministicRandomSource
-from repro.encoding.wire import Record
+from repro.encoding.wire import Record, record_columns
 from repro.errors import CiphertextFormatError, DecryptionError
 
 KEY = bytes(range(16))
@@ -22,7 +22,7 @@ class TestPrefix:
         prefix = codec.prefix(state)
         assert len(prefix) == 1
         assert prefix[0].char_count == 0
-        recovered = codec.parse_prefix(prefix[0])
+        recovered = codec.parse_prefix(prefix[0].block)
         assert recovered.r0 == state.r0
 
     def test_wrong_key_detected(self, codec):
@@ -30,7 +30,7 @@ class TestPrefix:
         prefix = codec.prefix(state)
         other = RecbCodec(bytes(16), DeterministicRandomSource(8))
         with pytest.raises(DecryptionError):
-            other.parse_prefix(prefix[0])
+            other.parse_prefix(prefix[0].block)
 
     def test_no_suffix(self, codec):
         assert codec.suffix(codec.fresh_state()) == []
@@ -48,7 +48,7 @@ class TestDataRecords:
         state = codec.fresh_state()
         chunks = [f"c{i}" for i in range(40)]
         records = codec.encrypt_chunks(state, chunks)
-        assert codec.decrypt_records(state, records) == chunks
+        assert codec.decrypt_records(state, *record_columns(records)) == chunks
 
     def test_randomization(self, codec):
         """Identical chunks encrypt to distinct records (nonces)."""
@@ -84,6 +84,6 @@ class TestMalleability:
         state = codec.fresh_state()
         records = codec.encrypt_chunks(state, ["attack", "at dawn"])
         doctored = [records[0], records[0], records[1]]
-        assert codec.decrypt_records(state, doctored) == [
+        assert codec.decrypt_records(state, *record_columns(doctored)) == [
             "attack", "attack", "at dawn",
         ]

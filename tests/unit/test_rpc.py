@@ -6,7 +6,7 @@ import pytest
 from repro.core.nonces import RPC_NONCE_BYTES
 from repro.core.rpc import ALPHA, RpcCodec, RpcState
 from repro.crypto.random import DeterministicRandomSource
-from repro.encoding.wire import Record
+from repro.encoding.wire import Record, record_columns
 from repro.errors import (
     CiphertextFormatError,
     DecryptionError,
@@ -40,18 +40,18 @@ def build(codec, chunks):
 class TestHappyPath:
     def test_round_trip(self, codec):
         _, records = build(codec, ["attack a", "t dawn"])
-        state, data = codec.load(records)
+        state, data = codec.load(*record_columns(records))
         assert "".join(chunk for chunk, _, _ in data) == "attack at dawn"
         assert state.length == 14
 
     def test_empty_document(self, codec):
         _, records = build(codec, [])
-        state, data = codec.load(records)
+        state, data = codec.load(*record_columns(records))
         assert data == [] and state.length == 0
 
     def test_single_block(self, codec):
         _, records = build(codec, ["x"])
-        _, data = codec.load(records)
+        _, data = codec.load(*record_columns(records))
         assert data[0][0] == "x"
 
     def test_alpha_is_payload_width(self):
@@ -69,30 +69,30 @@ class TestDetection:
         _, records = build(codec, ["secret!!"])
         other = RpcCodec(bytes(16), DeterministicRandomSource(1))
         with pytest.raises(DecryptionError):
-            other.load(records)
+            other.load(*record_columns(records))
 
     def test_replication(self, codec):
         _, records = build(codec, ["aaaa", "bbbb", "cccc"])
         doctored = records[:2] + [records[1]] + records[2:]
         with pytest.raises(IntegrityError):
-            codec.load(doctored)
+            codec.load(*record_columns(doctored))
 
     def test_reorder(self, codec):
         _, records = build(codec, ["aaaa", "bbbb", "cccc"])
         doctored = list(records)
         doctored[1], doctored[2] = doctored[2], doctored[1]
         with pytest.raises(IntegrityError):
-            codec.load(doctored)
+            codec.load(*record_columns(doctored))
 
     def test_drop_interior_block(self, codec):
         _, records = build(codec, ["aaaa", "bbbb", "cccc"])
         with pytest.raises(IntegrityError):
-            codec.load(records[:2] + records[3:])
+            codec.load(*record_columns(records[:2] + records[3:]))
 
     def test_drop_tail_block(self, codec):
         _, records = build(codec, ["aaaa", "bbbb", "cccc"])
         with pytest.raises(IntegrityError):
-            codec.load(records[:3] + records[4:])
+            codec.load(*record_columns(records[:3] + records[4:]))
 
     def test_stale_checksum(self, codec):
         """Splice an old checksum onto new data (rollback of the
@@ -101,23 +101,23 @@ class TestDetection:
         _, records2 = build(codec, ["version2"])
         doctored = records1[:-1] + [records2[-1]]
         with pytest.raises((IntegrityError, DecryptionError)):
-            codec.load(doctored)
+            codec.load(*record_columns(doctored))
 
     def test_char_count_header_lie(self, codec):
         _, records = build(codec, ["abcd"])
         lying = Record(char_count=2, block=records[1].block)
         with pytest.raises(IntegrityError):
-            codec.load([records[0], lying, records[2]])
+            codec.load(*record_columns([records[0], lying, records[2]]))
 
     def test_cross_document_splice(self, codec):
         _, a = build(codec, ["doc a   ", "tail a  "])
         _, b = build(codec, ["doc b   ", "tail b  "])
         with pytest.raises((IntegrityError, DecryptionError)):
-            codec.load([a[0], a[1], b[2], b[3]])
+            codec.load(*record_columns([a[0], a[1], b[2], b[3]]))
 
     def test_too_few_records(self, codec):
         with pytest.raises(CiphertextFormatError):
-            codec.load([])
+            codec.load(*record_columns([]))
 
     def test_empty_span_rejected(self, codec):
         state = codec.fresh_state()

@@ -6,7 +6,7 @@ import pytest
 from repro.core import Delta, KeyMaterial, create_document, load_document
 from repro.core.rpc import RpcCodec
 from repro.crypto.random import DeterministicRandomSource
-from repro.encoding.wire import parse_document
+from repro.encoding.wire import parse_document, record_columns
 from repro.errors import IntegrityError
 from repro.security import analysis, attacks, covert
 from repro.security.adversary import (
@@ -79,10 +79,10 @@ class TestLengthAmendmentForgery:
         )
         codec = RpcCodec(KEY, DeterministicRandomSource(2))
         _, records = parse_document(wire)
-        codec.load(records)  # honest verifies
+        codec.load(*record_columns(records))  # honest verifies
         _, forged = parse_document(attacks.excise_cancelling_segment(wire))
         with pytest.raises(IntegrityError, match="length"):
-            codec.load(forged)
+            codec.load(*record_columns(forged))
 
 
 class TestAdversaryViews:

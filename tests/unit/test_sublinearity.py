@@ -17,6 +17,7 @@ import pytest
 
 from repro.core import Delta, KeyMaterial, create_document, load_document
 from repro.crypto.random import DeterministicRandomSource
+from repro.encoding.wire import Record
 from repro.extension.gdocs_ext import GDocsExtension
 from repro.extension.session import PrivateEditingSession
 from repro.obs import capture
@@ -208,3 +209,38 @@ def test_loaded_mirror_tracks_two_objects_per_block(scheme, chars):
         f"{scheme}: {loaded} tracked objects for {doc.block_count} blocks")
     assert saved <= bound, (
         f"{scheme}: {saved} tracked objects after one delta save")
+
+
+#: bookkeeping records around the data records, per scheme
+_BOOKKEEPING = {"recb": 1, "rpc": 2}
+
+
+@pytest.mark.parametrize("scheme", ["recb", "rpc"])
+@pytest.mark.parametrize("chars", [4_000, 40_000])
+def test_reopen_reads_record_columns(scheme, chars, monkeypatch):
+    """A session reopen reads the record area as two columns: it builds
+    no :class:`Record` at any document size, and still runs one AES
+    call per stored record."""
+    text = (TEXT * (chars // len(TEXT) + 1))[:chars]
+    writer = PrivateEditingSession("columns", "pw", scheme=scheme,
+                                   rng=DeterministicRandomSource(6))
+    writer.open()
+    writer.type_text(0, text)
+    assert writer.save().ok
+    reader = PrivateEditingSession("columns", "pw", scheme=scheme,
+                                   server=writer.server,
+                                   rng=DeterministicRandomSource(7))
+    built = []
+    validate = Record.__post_init__
+
+    def counting(record):
+        built.append(record)
+        validate(record)
+
+    monkeypatch.setattr(Record, "__post_init__", counting)
+    with capture() as cap:
+        assert reader.open() == text
+    mirror = reader.extension.engine("columns").mirror
+    assert built == []
+    assert cap["crypto.aes.calls"] == \
+        mirror.block_count + _BOOKKEEPING[scheme]

@@ -1,20 +1,25 @@
 """Wire format: fixed-width records and the document header."""
 
 import os
+import random
 
 import pytest
 
+from repro.encoding import base32
+from repro.encoding.base32 import ALPHABET
 from repro.encoding.wire import (
     RECORD_BYTES,
     RECORD_CHARS,
     DocumentHeader,
     Record,
+    decode_area,
     decode_record,
     decode_records,
     encode_record,
     encode_records,
     looks_encrypted,
     parse_document,
+    record_columns,
     split_header,
 )
 from repro.errors import CiphertextFormatError
@@ -76,16 +81,52 @@ class TestRecordArea:
 
     @pytest.mark.parametrize("count", [1, 7, 8, 20])
     def test_only_canonical_text_decodes(self, count):
-        """Both decode paths (scalar below 8 records, batched from 8)
-        accept exactly what ``encode_records`` writes, so a decoded area
-        re-encodes to itself: no lower case, no padding."""
+        """One decoder at every record count: it accepts exactly what
+        ``encode_records`` writes, so a decoded area re-encodes to
+        itself, and rejects everything else with the same error and
+        message — lower case, padding, a foreign character, a set tail
+        bit, a ragged length."""
         area = encode_records([_record(i % 9) for i in range(count)])
         assert encode_records(decode_records(area)) == area
         last = area[-RECORD_CHARS:]
-        for bad in (last.lower(), last[:-1] + "=", last[:-2] + "==",
-                    "=" * RECORD_CHARS):
-            with pytest.raises(CiphertextFormatError):
-                decode_records(area[:-RECORD_CHARS] + bad)
+        # a record's last character carries one data bit and four
+        # zero tail bits
+        tail_set = ALPHABET[ALPHABET.index(last[-1]) | 1]
+        invalid = "invalid base32 character in record area"
+        ragged = (f"record area length {len(area) + 1} is not a multiple "
+                  f"of {RECORD_CHARS}")
+        cases = [
+            (last.lower(), invalid),
+            (last[:-1] + "=", invalid),
+            (last[:-2] + "==", invalid),
+            ("=" * RECORD_CHARS, invalid),
+            (last[:-1] + "1", invalid),
+            (last[:-1] + "é", invalid),
+            (last[:-1] + tail_set, "non-canonical base32 tail bits"),
+            (last + "A", ragged),
+        ]
+        for bad, message in cases:
+            text = area[:-RECORD_CHARS] + bad
+            for decode in (decode_area, decode_records):
+                with pytest.raises(CiphertextFormatError) as raised:
+                    decode(text)
+                assert str(raised.value) == message, (bad, decode)
+
+    @pytest.mark.parametrize("count", [*range(1, 21), 503, 10_000])
+    def test_columns_match_the_per_record_decode(self, count):
+        """``decode_area``'s columns are every record's header byte and
+        AES block, as the scalar Base32 codec decodes each record."""
+        rng = random.Random(count)
+        records = [Record(char_count=rng.randrange(256),
+                          block=rng.randbytes(16)) for _ in range(count)]
+        area = encode_records(records)
+        counts, blocks = decode_area(area)
+        raws = [base32.decode(area[i : i + RECORD_CHARS])
+                for i in range(0, len(area), RECORD_CHARS)]
+        assert counts == bytes(raw[0] for raw in raws)
+        assert blocks == b"".join(raw[1:] for raw in raws)
+        assert (counts, blocks) == record_columns(records)
+        assert decode_records(area) == records
 
 
 class TestHeader:

@@ -10,10 +10,14 @@ back is caught whether or not it bothers to forge a consistent chain.
 
 from __future__ import annotations
 
+import hmac
+import types
+
 import pytest
 
 from repro import obs
-from repro.client.workspace import Workspace
+from repro.client.workspace import CATALOG_LOG_ENTRIES, Workspace
+from repro.extension import catalog as catalog_module
 from repro.crypto.random import DeterministicRandomSource
 from repro.security.adversary import ActiveServerAdversary
 from repro.services import registry
@@ -136,6 +140,96 @@ class TestEditingAndSearch:
         trapdoor = ws.indexer.trapdoor("real")
         server.catalog.apply_records([("+", trapdoor, "ff" * 20)])
         assert ws.search("real") == ["alpha"]
+
+    def test_catalog_log_is_a_bounded_ring(self, ws):
+        """Every search is a catalog exchange; the channel keeps only
+        the newest :data:`CATALOG_LOG_ENTRIES` of them."""
+        _seed_doc(ws, "alpha", "the walrus sings")
+        for _ in range(CATALOG_LOG_ENTRIES + 5):
+            ws.search("walrus")
+        log = ws.catalog_channel.exchange_log
+        assert len(log) == CATALOG_LOG_ENTRIES
+        assert "/Catalog" in log[-1].request.url
+
+
+class TestSearchMemo:
+    """``WorkspaceIndexer.decrypt_blob`` remembers every blob that
+    authenticated under its trapdoor, so a repeated search skips the
+    HMACs — and answers exactly what a full decryption would."""
+
+    @pytest.fixture()
+    def hmac_calls(self, monkeypatch):
+        calls = []
+
+        def digest(key, message, name):
+            calls.append(message)
+            return hmac.digest(key, message, name)
+
+        monkeypatch.setattr(catalog_module, "hmac",
+                            types.SimpleNamespace(digest=digest))
+        return calls
+
+    def test_repeated_search_computes_no_hmac(self, ws, hmac_calls):
+        _seed_doc(ws, "alpha", "the walrus sings")
+        _seed_doc(ws, "beta", "the carpenter weeps")
+        ws.search("the")
+        del hmac_calls[:]
+        assert ws.search("the") == ["alpha", "beta"]
+        assert hmac_calls == []
+        # a new word's postings are decrypted (and remembered) once
+        assert ws.search("walrus") == ["alpha"]
+        assert hmac_calls
+        del hmac_calls[:]
+        assert ws.search("walrus") == ["alpha"]
+        assert hmac_calls == []
+
+    def test_blob_served_under_another_trapdoor_is_dropped(self, ws,
+                                                           server):
+        """A genuine posting authenticated under one trapdoor does not
+        authenticate under another, remembered or not."""
+        _seed_doc(ws, "alpha", "the walrus sings")
+        indexer = ws.indexer
+        walrus = indexer.trapdoor("walrus")
+        blob = indexer.blob(walrus, "alpha")
+        assert ws.search("walrus") == ["alpha"]
+        assert indexer.decrypt_blob(walrus, blob) == "alpha"
+        assert indexer.decrypt_blob(indexer.trapdoor("absent"), blob) is None
+        server.catalog.apply_records(
+            [("+", indexer.trapdoor("absent"), blob)])
+        assert ws.search("absent") == []
+
+    def test_corrupted_blob_is_dropped_on_every_search(self, ws, server,
+                                                       hmac_calls):
+        _seed_doc(ws, "alpha", "real word")
+        trapdoor = ws.indexer.trapdoor("real")
+        genuine = ws.indexer.blob(trapdoor, "alpha")
+        flipped = genuine[:-1] + ("0" if genuine[-1] != "0" else "1")
+        server.catalog.apply_records([("+", trapdoor, flipped)])
+        for _ in range(2):
+            del hmac_calls[:]
+            assert ws.search("real") == ["alpha"]
+            assert hmac_calls  # the corrupted blob is checked again
+        assert (trapdoor, flipped) not in ws.indexer._authenticated
+
+    def test_only_the_canonical_spelling_is_remembered(self, ws, server):
+        """Hex-case variants of a genuine posting authenticate, but the
+        memo keeps one entry per genuine posting."""
+        _seed_doc(ws, "alpha", "real word")
+        trapdoor = ws.indexer.trapdoor("real")
+        shouted = ws.indexer.blob(trapdoor, "alpha").upper()
+        server.catalog.apply_records([("+", trapdoor, shouted)])
+        assert ws.search("real") == ["alpha"]
+        assert ws.search("real") == ["alpha"]
+        assert (trapdoor, shouted) not in ws.indexer._authenticated
+
+    def test_suppressed_posting_stays_suppressed(self, ws, server):
+        _seed_doc(ws, "alpha", "shared word")
+        _seed_doc(ws, "beta", "shared too")
+        assert ws.search("shared") == ["alpha", "beta"]
+        trapdoor = ws.indexer.trapdoor("shared")
+        server.catalog.apply_records(
+            [("-", trapdoor, ws.indexer.blob(trapdoor, "alpha"))])
+        assert ws.search("shared") == ["beta"]
 
 
 class TestAuditTrail:

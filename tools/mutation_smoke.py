@@ -78,6 +78,18 @@ The mutation table covers one oracle per stack layer:
     key.  Every party in one process reads the same memo and stays
     self-consistent, so no fuzz oracle can see it; the entry runs the
     unit test that derives under a new salt instead, which must fail.
+``blob-memo-ignores-trapdoor``
+    ``WorkspaceIndexer.decrypt_blob`` keys its memo of authenticated
+    postings by the blob alone, so a genuine posting the catalog serves
+    under another word's trapdoor comes back as a match.  An honest
+    catalog never does that, so no fuzz oracle sees it; the entry runs
+    the unit test that replays a blob under a second trapdoor.
+``area-decode-skips-tail-bits``
+    The record-area decoder (``wire.decode_area``) stops rejecting a
+    record whose last character sets one of the four zero tail bits,
+    so non-canonical text decodes and the fetched text is no longer
+    what ``wire()`` would encode.  Honest stores hold canonical text;
+    the entry runs the wire test that feeds each non-canonical form.
 
 Mutations are applied textually so the tool exercises the real on-disk
 pipeline end to end; the original tree is never touched.
@@ -169,7 +181,7 @@ MUTATIONS = (
         name="unmask-fast-path-skips-count-check",
         file="repro/core/blocks.py",
         target=("    if payloads.max() >= 0x80 or not np.array_equal("
-                "unpadded, counts):"),
+                "unpadded, claimed):"),
         mutant=("    if payloads.max() >= 0x80:"
                 "  # MUTANT: header counts unchecked"),
         fuzz_args=(),
@@ -233,6 +245,30 @@ MUTATIONS = (
         kind="",
         test=("tests/unit/test_keys.py::TestDerivationMemo::"
               "test_new_salt_with_the_same_password_derives_once"),
+    ),
+    Mutation(
+        name="blob-memo-ignores-trapdoor",
+        file="repro/extension/catalog.py",
+        target="        key = (trapdoor, blob)",
+        mutant="        key = blob  # MUTANT: memo ignores the trapdoor",
+        fuzz_args=(),
+        iters=1,
+        blind_to="a search memo that answers a blob under any trapdoor",
+        kind="",
+        test=("tests/unit/test_workspace.py::TestSearchMemo::"
+              "test_blob_served_under_another_trapdoor_is_dropped"),
+    ),
+    Mutation(
+        name="area-decode-skips-tail-bits",
+        file="repro/encoding/wire.py",
+        target="    if (tail & ((1 << _PAD_BITS) - 1)).any():",
+        mutant="    if False:  # MUTANT: tail bits unchecked",
+        fuzz_args=(),
+        iters=1,
+        blind_to="a record-area decoder that accepts set tail bits",
+        kind="",
+        test=("tests/unit/test_wire.py::TestRecordArea::"
+              "test_only_canonical_text_decodes"),
     ),
 )
 
