@@ -55,22 +55,20 @@ SCHEME = "rpc"
 SEED = 20110613  # the paper's year+venue, fixed forever
 
 
-def _session(rate: float, service: str) -> tuple[PrivateEditingSession,
-                                                 FaultPlan]:
-    plan = FaultPlan.uniform(rate, seed=SEED, match=updates_only)
-    session = PrivateEditingSession(
+def _session(rate: float, service: str) -> PrivateEditingSession:
+    return PrivateEditingSession(
         f"bench-{rate}", "bench-password", scheme=SCHEME,
-        faults=plan, retry_policy=RetryPolicy(seed=SEED),
+        faults=FaultPlan.uniform(rate, seed=SEED, match=updates_only),
+        retry_policy=RetryPolicy(seed=SEED),
         verify_acks=True, rng=DeterministicRandomSource(SEED),
         service=service,
     )
-    return session, plan
 
 
 def _run_rate(rate: float, edits: int,
               service: str = "gdocs") -> dict[str, float | bool]:
     """One measured session: ``edits`` edit+save rounds at ``rate``."""
-    session, plan = _session(rate, service)
+    session = _session(rate, service)
     rng = random.Random(SEED + int(rate * 1000))
     session.open()
     session.client.editor.set_text(make_text(2_000, rng))
@@ -87,17 +85,9 @@ def _run_rate(rate: float, edits: int,
             session.type_text(pos, "y" * rng.randint(1, 10))
             if not session.save().ok:
                 failures += 1
-        plan.quiesce()
-        if not session.save().ok:
+        if not session.settle().ok:
             failures += 1
-        if not registry.backend_for(service).capabilities.revisioned:
-            # whole-file stores: land one more save after any
-            # reorder-held stale request has flushed (see repro.fuzz)
-            session.save()
         elapsed = time.perf_counter() - t0
-    recovered = registry.decrypt_view(
-        service, session.server_view(), "bench-password", SCHEME
-    )
     return {
         "edits_per_sec": round(edits / elapsed, 1),
         "faults_injected": cap["net.faults.injected"],
@@ -107,7 +97,7 @@ def _run_rate(rate: float, edits: int,
         "idem_replays": cap["extension.idem_replays"],
         "dedup_hits": cap["services.gdocs.dedup_hits"],
         "save_failures": failures,
-        "converged": recovered == session.text,
+        "converged": session.stored_text() == session.text,
     }
 
 

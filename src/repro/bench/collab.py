@@ -6,7 +6,8 @@ module.  One *cell* = :func:`run_collab`: ``writers`` encrypted
 document (same password — collaborators by construction), interleave
 ``rounds`` edit+save rounds each, then drain to quiescence and judge
 convergence with the plaintext oracle
-(:func:`repro.services.registry.decrypt_view`).  The cell reports
+(:meth:`~repro.extension.session.PrivateEditingSession.stored_text`).
+The cell reports
 
 * **conflict rate** — conflicted saves per non-noop save attempt, the
   number the server-side OT merge path exists to collapse;
@@ -34,10 +35,11 @@ the writers; ``socket`` drives real pooled TCP frames against a
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.crypto.random import DeterministicRandomSource
 from repro.extension.session import PrivateEditingSession
+from repro.fuzz.model import leak_blobs
 from repro.net.faults import FaultPlan, updates_only
 from repro.net.latency import SharedLink, SimClock, WAN_2011
 from repro.net.policy import RetryPolicy
@@ -78,26 +80,8 @@ class CollabCell:
     counters: dict[str, float] = field(default_factory=dict)
 
     def row(self) -> dict:
-        """The sidecar/JSON shape of this cell."""
-        return {
-            "service": self.service,
-            "transport": self.transport,
-            "merge": self.merge,
-            "writers": self.writers,
-            "rounds": self.rounds,
-            "fault_rate": self.fault_rate,
-            "saves": self.saves,
-            "conflicts": self.conflicts,
-            "merges": self.merges,
-            "save_failures": self.save_failures,
-            "conflict_rate": self.conflict_rate,
-            "drain_rounds": self.drain_rounds,
-            "converged": self.converged,
-            "convergence_s": self.convergence_s,
-            "latency_source": self.latency_source,
-            "leak_clean": self.leak_clean,
-            "counters": self.counters,
-        }
+        """The sidecar/JSON shape of this cell (fields in order)."""
+        return asdict(self)
 
 
 class _Writer:
@@ -154,17 +138,6 @@ class _Writer:
     def quiesce(self) -> None:
         if self.plan is not None:
             self.plan.quiesce()
-
-    def leak_blobs(self) -> list[str]:
-        blobs = []
-        for exchange in self.session.channel.exchange_log:
-            blobs.append(exchange.request.body)
-            blobs.append(exchange.response.body)
-        if self.plan is not None:
-            for request in self.plan.observed:
-                blobs.append(request.url)
-                blobs.append(request.body)
-        return blobs
 
 
 def _drain(writers: list[_Writer], revisioned: bool) -> int:
@@ -245,16 +218,14 @@ def _workload(crew: list[_Writer], rounds: int,
     return drain_rounds, convergence_s, converged
 
 
-def _finish(crew: list[_Writer], service: str, scheme: str,
-            converged: bool) -> tuple[bool, bool]:
+def _finish(crew: list[_Writer], converged: bool) -> tuple[bool, bool]:
     """Oracle + leak checks shared by both transports."""
     # plaintext oracle: the stored bytes decrypt to what writers see
-    stored = crew[0].session.server_view()
-    recovered = registry.decrypt_view(service, stored, PASSWORD, scheme)
-    converged = converged and recovered == crew[0].session.text
+    first = crew[0].session
+    converged = converged and first.stored_text() == first.text
     leak_clean = not any(
         SENTINEL.split()[0] in blob
-        for writer in crew for blob in writer.leak_blobs()
+        for blob in leak_blobs(*(writer.session for writer in crew))
     )
     return converged, leak_clean
 
@@ -309,7 +280,7 @@ def _run_inprocess(writers, rounds, service, merge, scheme, fault_rate,
         crew = [writer(i) for i in range(writers)]
         drain_rounds, convergence_s, converged = _workload(
             crew, rounds, clock.now)
-        converged, leak_clean = _finish(crew, service, scheme, converged)
+        converged, leak_clean = _finish(crew, converged)
     return _cell(service, "inprocess", merge, writers, rounds,
                  fault_rate, crew, drain_rounds, convergence_s,
                  converged, leak_clean, _counters(cap), "simulated")
@@ -339,8 +310,7 @@ def _run_socket(writers, rounds, service, merge, scheme, fault_rate,
             ]
             drain_rounds, convergence_s, converged = _workload(
                 crew, rounds, time.perf_counter)
-            converged, leak_clean = _finish(crew, service, scheme,
-                                            converged)
+            converged, leak_clean = _finish(crew, converged)
     finally:
         pool.close()
         if hosted is not None:

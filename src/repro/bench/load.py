@@ -39,13 +39,12 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.extension.session import PrivateEditingSession
 from repro.net.faults import FaultPlan, updates_only
 from repro.net.latency import SharedLink, SimClock, WAN_2011
 from repro.net.policy import RetryPolicy
-from repro.services import registry
 
 __all__ = ["LoadCell", "run_load", "percentile", "SEED"]
 
@@ -85,24 +84,8 @@ class LoadCell:
     counters: dict[str, float] = field(default_factory=dict)
 
     def row(self) -> dict:
-        """The sidecar/JSON shape of this cell."""
-        return {
-            "service": self.service,
-            "transport": self.transport,
-            "sessions": self.sessions,
-            "rounds": self.rounds,
-            "fault_rate": self.fault_rate,
-            "edits_per_sec": self.edits_per_sec,
-            "save_p50_ms": self.save_p50_ms,
-            "save_p99_ms": self.save_p99_ms,
-            "latency_source": self.latency_source,
-            "elapsed_s": self.elapsed_s,
-            "open_s": self.open_s,
-            "saves": self.saves,
-            "save_failures": self.save_failures,
-            "converged_sample": self.converged_sample,
-            "counters": self.counters,
-        }
+        """The sidecar/JSON shape of this cell (fields in order)."""
+        return asdict(self)
 
 
 class _SessionDriver:
@@ -114,8 +97,6 @@ class _SessionDriver:
         import random
 
         self.index = index
-        self.service = service
-        self.scheme = scheme
         self.plan = (
             FaultPlan.uniform(fault_rate, seed=seed + index,
                               match=updates_only)
@@ -158,28 +139,13 @@ class _SessionDriver:
             self.save_failures += 1
 
     def settle(self) -> None:
-        """Quiesce the fault plan and land the recovery save(s) — the
-        repo-wide settle rule the chaos matrix and fuzzer share."""
-        if self.plan is None:
-            return
-        self.plan.quiesce()
-        outcome = self.session.save()
-        for _ in range(4):
-            if outcome.ok and not outcome.conflict \
-                    and not outcome.resynced:
-                break
-            outcome = self.session.save()
-        if not registry.backend_for(self.service).capabilities.revisioned:
-            # whole-file stores: one more save overwrites any
-            # reorder-held stale flush
-            self.session.save()
+        """Land the recovery saves (``PrivateEditingSession.settle``);
+        a session that saw no faults has nothing to recover."""
+        if self.plan is not None:
+            self.session.settle()
 
     def converged(self) -> bool:
-        stored = self.session.server_view()
-        recovered = registry.decrypt_view(
-            self.service, stored, f"pw-{self.index}", self.scheme
-        )
-        return recovered == self.session.text
+        return self.session.stored_text() == self.session.text
 
 
 def _drive_partition(drivers: list[_SessionDriver], rounds: int,

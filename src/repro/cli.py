@@ -228,7 +228,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     from repro.net.faults import FaultPlan
     from repro.net.policy import RetryPolicy
     from repro.obs import default_registry
-    from repro.services import registry
 
     plan = FaultPlan.uniform(args.rate, seed=args.seed)
     session = PrivateEditingSession(
@@ -242,29 +241,20 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     outcomes = [session.save()]
     session.type_text(0, "Chaos demo: ")
     outcomes.append(session.save())
-    plan.quiesce()  # recovery phase: the weather clears
-    outcomes.append(session.save())
-    if not registry.backend_for(args.service).capabilities.revisioned:
-        # un-revisioned whole-file stores can be overwritten by a
-        # reorder fault's late flush during the save above; one more
-        # save lands last (see repro.fuzz.runner for the full story)
-        outcomes.append(session.save())
+    outcomes.append(session.settle())  # recovery: the weather clears
 
     print(f"fault plan:  seed={args.seed} rate={args.rate} "
           f"service={args.service} ({len(plan.injections)} injections)")
     for index, kind in plan.injections:
         print(f"  exchange {index:3d}: {kind}")
     failed = [o for o in outcomes if not o.ok]
-    retries = default_registry().snapshot().get(
-        "client.retries.attempts", 0)
-    print(f"saves:       {len(outcomes)} "
-          f"({len(failed)} unrecoverable, {retries:.0f} retries, "
-          f"{sum(o.resynced for o in outcomes)} resyncs)")
+    snapshot = default_registry().snapshot()
+    print(f"saves:       2 + settle "
+          f"({len(failed)} unrecoverable, "
+          f"{snapshot.get('client.retries.attempts', 0):.0f} retries, "
+          f"{snapshot.get('client.resyncs', 0):.0f} resyncs)")
     stored = session.server_view()
-    recovered = registry.decrypt_view(
-        args.service, stored, "chaos-password", args.scheme
-    )
-    converged = recovered == session.text
+    converged = session.stored_text() == session.text
     print(f"user sees:   {session.text}")
     print(f"server has:  {stored[:56]}...")
     print(f"converged:   {'yes' if converged else 'NO'} "

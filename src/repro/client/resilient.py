@@ -95,6 +95,12 @@ class SaveOutcome:
     attempts: int = 1
     resynced: bool = False
 
+    @property
+    def clean(self) -> bool:
+        """Landed with nothing left to repair: ok, no conflict, no
+        resync (a resync leaves rebased edits pending)."""
+        return self.ok and not self.conflict and not self.resynced
+
 
 class ResilientClient:
     """One user's editing client for one document on any backend."""

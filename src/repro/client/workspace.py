@@ -55,9 +55,10 @@ _SEARCHES = counter("client.workspace.searches")
 _ALERTS = counter("client.workspace.audit_alerts")
 _VERIFIES = counter("client.workspace.history_verifies")
 
-#: exchanges the catalog channel's log keeps (a ring): a long-lived
-#: workspace sends a lookup per search and a chain fetch per open, and
-#: an unbounded log would hold every body for the tenant's lifetime.
+#: exchanges each channel of a workspace keeps in its log (a ring):
+#: the catalog channel sends a lookup per search and a chain fetch per
+#: open, a document session a save per autosave, and an unbounded log
+#: would hold every body for the session's (or tenant's) lifetime.
 #: Readers that need every exchange attach a tap instead.
 CATALOG_LOG_ENTRIES = 256
 
@@ -69,18 +70,19 @@ class Workspace:
     document passwords, search trapdoor keys, posting blob keys — is
     derived from it.  Exactly one of ``server`` (an in-process server
     callable, typically catalog-wrapped via
-    ``registry.make_server(service, catalog=True)``) or ``transport``
+    ``registry.make_server("gdocs", catalog=True)``) or ``transport``
     (a :class:`~repro.net.transport.Transport` to a hosted server,
     shared by every session) must be provided.
 
+    Sessions speak the gdocs protocol: the search index and the audit
+    trail ride on its catalog acks.
     ``rng_seed`` pins every session's nonce stream for reproducible
     harness runs; leave it None for secure per-session randomness.
     """
 
     def __init__(self, secret: str, *, server=None, transport=None,
-                 service: str = "gdocs", scheme: str = "recb",
-                 block_chars: int = 8, index_factory=None,
-                 rng_seed: int | None = None, clock=None, latency=None):
+                 scheme: str = "recb", block_chars: int = 8,
+                 index_factory=None, rng_seed: int | None = None):
         if (server is None) == (transport is None):
             raise ValueError(
                 "Workspace needs exactly one of server= or transport= "
@@ -91,14 +93,13 @@ class Workspace:
             b"workspace-docs|" + secret.encode("utf-8")).digest()
         self._server = server
         self._transport = transport
-        self._service = service
         self._scheme = scheme
         self._block_chars = block_chars
         self._index_factory = index_factory
         self._rng_seed = rng_seed
         #: doc_id -> its nonce stream, when ``rng_seed`` pins them
         self._rngs: dict[str, DeterministicRandomSource] = {}
-        self.clock = clock if clock is not None else SimClock()
+        self.clock = SimClock()
         self.indexer = WorkspaceIndexer(secret)
         self._sessions: dict[str, PrivateEditingSession] = {}
         #: doc_id -> (rev, link): the audit-chain head this client has
@@ -111,8 +112,7 @@ class Workspace:
         # server/transport, carrying only trapdoors and encrypted blobs
         self.catalog_channel = Channel(
             transport if transport is not None else server,
-            latency=latency, clock=self.clock,
-            max_log=CATALOG_LOG_ENTRIES,
+            clock=self.clock, max_log=CATALOG_LOG_ENTRIES,
         )
 
     # -- key derivation --------------------------------------------------
@@ -162,13 +162,13 @@ class Workspace:
             self.password_for(doc_id),
             server=self._server,
             transport=self._transport,
-            service=self._service,
             scheme=self._scheme,
             block_chars=self._block_chars,
             index_factory=self._index_factory,
             rng=self._session_rng(doc_id),
             verify_acks=True,
             clock=self.clock,
+            max_log=CATALOG_LOG_ENTRIES,
             indexer=self.indexer,
         )
         text = session.open()

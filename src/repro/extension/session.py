@@ -27,6 +27,11 @@ incremental updates; the workspace ``indexer`` (whose saves always opt
 into the audit trail) needs ``capabilities.catalog_acks``; and a
 ``server`` passed alongside a ``transport`` (which replaces the local
 server) is an error.
+
+Two calls state what every fault harness checks after a chaos run:
+:meth:`~PrivateEditingSession.settle` (the recovery saves) and
+:meth:`~PrivateEditingSession.stored_text` (the provider's bytes
+decrypted under the session's password, the convergence oracle).
 """
 
 from __future__ import annotations
@@ -41,7 +46,11 @@ from repro.net.channel import Channel
 from repro.net.latency import LatencyModel
 from repro.services import registry
 
-__all__ = ["PrivateEditingSession"]
+__all__ = ["PrivateEditingSession", "SETTLE_RETRIES"]
+
+#: saves :meth:`PrivateEditingSession.settle` may add after the first
+#: while the outcome is not clean
+SETTLE_RETRIES = 4
 
 #: (option, capability flag it needs) — set on a backend without the
 #: flag, the option raises instead of being silently ignored
@@ -168,6 +177,27 @@ class PrivateEditingSession:
         whole-file services re-send everything every time)."""
         return self.client.save()
 
+    def settle(self) -> SaveOutcome:
+        """The recovery phase of a chaos run: quiesce the session's own
+        fault plan, then save until an outcome comes back clean.
+
+        The rule is stated in docs/faults.md ("Settling a session"):
+        at most :data:`SETTLE_RETRIES` saves after the first, plus one
+        more after a clean save on a backend without revisions.  An
+        outcome that never comes back clean is returned, not raised.
+        """
+        if self.faults is not None:
+            self.faults.quiesce()
+        outcome = self.save()
+        for _ in range(SETTLE_RETRIES):
+            if outcome.clean:
+                break
+            outcome = self.save()
+        backend = self.client.backend
+        if outcome.clean and not backend.capabilities.revisioned:
+            outcome = self.save()
+        return outcome
+
     def close(self) -> None:
         """Flush pending edits and end the session."""
         self.client.close()
@@ -192,6 +222,13 @@ class PrivateEditingSession:
             return remote(self.client.doc_id)
         return registry.server_view(self.service, self.server,
                                     self.client.doc_id)
+
+    def stored_text(self) -> str:
+        """The convergence oracle: :meth:`server_view` decrypted under
+        this session's password (``""`` when nothing is stored)."""
+        doc_id = self.client.doc_id
+        return registry.decrypt_view(self.service, self.server_view(),
+                                     self.vault.get(doc_id))
 
     @property
     def complaints(self) -> list[str]:

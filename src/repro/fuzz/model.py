@@ -99,6 +99,7 @@ __all__ = [
     "reference_wire",
     "check_equal",
     "check_no_leak",
+    "leak_blobs",
 ]
 
 
@@ -279,6 +280,22 @@ def check_equal(kind: str, a: str, b: str, step: int, what: str) -> None:
     """Generic convergence assertion with clipped diagnostics."""
     if a != b:
         _fail(kind, step, f"{what}: {_clip(a)!r} != {_clip(b)!r}")
+
+
+def leak_blobs(*sessions) -> list[str]:
+    """Everything of ``sessions`` an eavesdropper saw: each logged
+    request and response body, and the URL and body of every request
+    the session's fault plan saw leave (whether or not its exchange
+    completed).  A session whose channel log is a bounded ring yields
+    only the exchanges the ring still holds."""
+    blobs: list[str] = []
+    for session in sessions:
+        if session.faults is not None:
+            for request in session.faults.observed:
+                blobs += (request.url, request.body)
+        for exchange in session.channel.exchange_log:
+            blobs += (exchange.request.body, exchange.response.body)
+    return blobs
 
 
 def check_no_leak(blobs, sentinel: str, step: int = -1) -> None:

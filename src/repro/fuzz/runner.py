@@ -16,12 +16,13 @@ Three execution modes, selected by ``Trace.mode``:
     ``service`` (any name in ``repro.services.registry.SERVICE_NAMES``
     — gdocs, bespin, buzzword, or the replicated facade) with the
     trace's fault schedule on the Channel.  Mid-trace saves may fail
-    (typed ``SaveOutcome``), but after ``FaultPlan.quiesce()`` one
-    clean save must land, the stored bytes must decrypt to the
-    client's text (``registry.decrypt_view`` states the oracle
+    (typed ``SaveOutcome``), but ``PrivateEditingSession.settle`` must
+    come back clean, the stored bytes must decrypt to the client's
+    text (``PrivateEditingSession.stored_text`` states the oracle
     uniformly across providers), and a lowercase plaintext sentinel
-    must never appear in anything that crossed the wire (lowercase
-    cannot occur in Base32 ciphertext).  A second session then reopens
+    must never appear in anything that crossed the wire
+    (``repro.fuzz.model.leak_blobs``; lowercase cannot occur in
+    Base32 ciphertext).  A second session then reopens
     the stored document, edits it and saves: its first save is a full
     post the extension answers by IncE on the mirror it decrypted on
     open.  Every full save of a gdocs session passes the full-save
@@ -63,7 +64,6 @@ from repro.client.coalesce import EditCoalescer
 from repro.client.workspace import Workspace
 from repro.core.document import create_document
 from repro.core.keys import KeyMaterial
-from repro.core.transform import EncryptionEngine
 from repro.crypto.random import DeterministicRandomSource
 from repro.datastructures import IndexedAVL, IndexedSkipList, ReferenceIndex
 from repro.encoding.wire import split_header
@@ -83,6 +83,7 @@ from repro.fuzz.model import (
     check_roundtrip,
     check_store,
     check_wire,
+    leak_blobs,
     op_delta,
     reference_wire,
     resolve_pos,
@@ -316,22 +317,8 @@ def _apply_session_op(session: PrivateEditingSession, op: tuple) -> None:
             session.type_text(pos, op[3])
 
 
-def _leak_blobs(plan: FaultPlan | None, *sessions) -> list[str]:
-    blobs: list[str] = []
-    if plan is not None:
-        for request in plan.observed:
-            blobs.append(request.url)
-            blobs.append(request.body)
-    for session in sessions:
-        for exchange in session.channel.exchange_log:
-            blobs.append(exchange.request.body)
-            blobs.append(exchange.response.body)
-    return blobs
-
-
 def _run_session(trace: Trace) -> str:
-    plan = _plan_from_dict(trace.faults)
-    session = _session(trace, faults=plan)
+    session = _session(trace, faults=_plan_from_dict(trace.faults))
     session.open()
     session.type_text(0, SENTINEL + " " + trace.init)
     session.save()  # may fail mid-faults; typed outcome, never a raise
@@ -343,45 +330,15 @@ def _run_session(trace: Trace) -> str:
         _OPS.inc()
         _apply_session_op(session, op)
 
-    if plan is not None:
-        plan.quiesce()
-    # the recovery paths legitimately need extra rounds: a garbled
-    # store takes one probe save to *detect* the damage before a full
-    # save repairs it, and a conflict resync leaves the rebased local
-    # edits pending for the next save (by design).  Keep saving until
-    # one comes back clean — ok, no conflict, no resync — within a
-    # small budget; anything more persistent is a liveness violation.
-    outcome = session.save()
-    for _ in range(5):
-        if outcome.ok and not outcome.conflict and not outcome.resynced:
-            break
-        outcome = session.save()
-    if not (outcome.ok and not outcome.conflict
-            and not outcome.resynced):
+    # a settle that never comes back clean is a liveness violation
+    outcome = session.settle()
+    if not outcome.clean:
         raise InvariantViolation(Violation(
             "save-failed", -1,
             f"post-quiesce saves never came back clean: "
             f"ok={outcome.ok} conflict={outcome.conflict} "
             f"resynced={outcome.resynced} {outcome.error}"))
-
-    capabilities = registry.backend_for(trace.service).capabilities
-    if not capabilities.revisioned:
-        # Un-revisioned whole-file stores have no defence against a
-        # reorder fault's *late flush*: a stale save held pre-quiesce
-        # is released during the exchange that produced the clean save
-        # above, landing after it (gdocs rejects it by revision).  One
-        # more save — whole-file saves always retransmit everything —
-        # lands last with nothing left in flight to overtake it.
-        outcome = session.save()
-        if not outcome.ok:
-            raise InvariantViolation(Violation(
-                "save-failed", -1,
-                f"post-quiesce settle save failed: {outcome.error}"))
-
-    recovered = registry.decrypt_view(
-        trace.service, session.server_view(), _PASSWORD, trace.scheme
-    )
-    check_equal("convergence", recovered, session.text, -1,
+    check_equal("convergence", session.stored_text(), session.text, -1,
                 "decrypt(server) vs client text")
 
     # reopen on a fault-free link: the new session's first save is a
@@ -396,12 +353,9 @@ def _run_session(trace: Trace) -> str:
         raise InvariantViolation(Violation(
             "save-failed", -1,
             f"first save after the reopen failed: {outcome.error}"))
-    recovered = registry.decrypt_view(
-        trace.service, reopened.server_view(), _PASSWORD, trace.scheme
-    )
-    check_equal("convergence", recovered, reopened.text, -1,
+    check_equal("convergence", reopened.stored_text(), reopened.text, -1,
                 "decrypt(server) vs reopened client text")
-    check_no_leak(_leak_blobs(plan, session, reopened), SENTINEL)
+    check_no_leak(leak_blobs(session, reopened), SENTINEL)
     return reopened.server_view() + "\n--\n" + reopened.text
 
 
@@ -459,7 +413,7 @@ def _run_concurrent(trace: Trace) -> str:
             # repair sees raw ciphertext — refusing to forge plaintext
             # is the extension's job — and edits typed into that view
             # re-encrypt ciphertext, exploding past the server quota.)
-            check_no_leak(_leak_blobs(plan, *sessions), SENTINEL)
+            check_no_leak(leak_blobs(*sessions), SENTINEL)
             return "quota-refused\n--\n" + one.server_view()
     else:
         last = " ".join(f"{o.kind}/{o.ok}" for o in outcomes)
@@ -473,12 +427,9 @@ def _run_concurrent(trace: Trace) -> str:
     for i, text in enumerate(texts[1:], start=1):
         check_equal("convergence", texts[0], text, -1,
                     "client texts after drain + re-open")
-    recovered = EncryptionEngine(
-        password=_PASSWORD, scheme=trace.scheme
-    ).decrypt(one.server_view())
-    check_equal("convergence", recovered, texts[0], -1,
+    check_equal("convergence", one.stored_text(), texts[0], -1,
                 "decrypt(server) vs refreshed clients")
-    check_no_leak(_leak_blobs(plan, *sessions), SENTINEL)
+    check_no_leak(leak_blobs(*sessions), SENTINEL)
     return one.server_view() + "\n--\n" + texts[0]
 
 
@@ -545,10 +496,8 @@ def _run_workspace(trace: Trace) -> str:
     # oracle: per-document convergence through the catalog wrapper
     truth: dict[str, str] = {}
     for doc_id in doc_ids:
-        recovered = registry.decrypt_view(
-            "gdocs", ws.session(doc_id).server_view(),
-            ws.password_for(doc_id), trace.scheme)
-        check_equal("convergence", recovered, ws.text(doc_id), -1,
+        check_equal("convergence", ws.session(doc_id).stored_text(),
+                    ws.text(doc_id), -1,
                     f"decrypt(server) vs client text for {doc_id}")
         truth[doc_id] = ws.text(doc_id)
 
@@ -577,8 +526,15 @@ def _run_workspace(trace: Trace) -> str:
                 "audit-false-alarm", -1,
                 f"clean history of {doc_id} raised {alerts[0]!r}"))
 
-    check_no_leak(_leak_blobs(None, *(ws.session(d) for d in doc_ids))
-                  + catalog_bodies, SENTINEL)
+    # each document session logs into a bounded ring; a full one may
+    # have dropped exchanges the sweep must see, so it stops the run
+    sessions = [ws.session(d) for d in doc_ids]
+    for session in sessions:
+        if len(session.channel.exchange_log) == session.channel.max_log:
+            raise RuntimeError(
+                f"leak sweep incomplete: {session.client.doc_id}'s "
+                f"channel log ring ({session.channel.max_log}) is full")
+    check_no_leak(leak_blobs(*sessions) + catalog_bodies, SENTINEL)
 
     # attack 1: plain rollback — stored content rewound, chain left
     # stale.  The audited head no longer matches the store.

@@ -26,8 +26,9 @@ Four registered services:
 :func:`server_view` reads the raw stored bytes for a document —
 whatever shape the provider stores (flat wire string, XML, majority
 ciphertext) — and :func:`decrypt_view` turns those bytes back into
-plaintext with the document password, which is how the chaos matrix
-and fuzzer state their convergence oracle uniformly across providers.
+plaintext with the document password; every fault harness reaches it
+through ``PrivateEditingSession.stored_text``, the convergence oracle
+stated once for every provider.
 """
 
 from __future__ import annotations
@@ -148,18 +149,18 @@ def server_view(service: str, server: Server, doc_id: str) -> str:
     return response.body if response.ok else ""
 
 
-def decrypt_view(service: str, stored: str, password: str,
-                 scheme: str = "recb") -> str:
+def decrypt_view(service: str, stored: str, password: str) -> str:
     """Plaintext of ``stored`` bytes as :func:`server_view` returned
     them — the convergence oracle's view of the provider's state.
 
     The backend's ``map_content`` decrypts every content chunk (one
-    wire document, or one per Buzzword ``<textRun>``), and its fetch
-    parser reads the result exactly as the client would.
+    wire document, or one per Buzzword ``<textRun>``; each names its
+    scheme in its own header), and its fetch parser reads the result
+    exactly as the client would.
     """
     backend = backend_for(service)
     if not stored:
         return ""
-    engine = EncryptionEngine(password=password, scheme=scheme)
+    engine = EncryptionEngine(password=password)
     plain = backend.map_content(stored, engine.decrypt)
     return backend.parse_fetch("", HttpResponse(200, plain), -1).content

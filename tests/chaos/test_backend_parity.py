@@ -8,8 +8,8 @@ of them to it, cell by cell (scheme × service × fault kind):
 
 * **convergence** — after the fault plan quiesces and the recovery
   saves land, the bytes the provider stores decrypt to exactly the
-  text the user sees (``registry.decrypt_view`` states the oracle
-  uniformly, whatever shape the provider stores);
+  text the user sees (``PrivateEditingSession.stored_text`` states the
+  oracle uniformly, whatever shape the provider stores);
 * **zero plaintext** — nothing that crossed the wire (completed
   exchanges *and* requests whose exchange died in flight) contains the
   secret token, fault or no fault;
@@ -30,6 +30,7 @@ import pytest
 
 from repro.crypto.random import DeterministicRandomSource
 from repro.extension.session import PrivateEditingSession
+from repro.fuzz.model import leak_blobs
 from repro.net.faults import FAULT_KINDS, FaultPlan, FaultSpec, updates_only
 from repro.net.policy import RetryPolicy
 from repro.services import registry
@@ -71,34 +72,14 @@ def _run_cell(scheme: str, service: str, kind: str, seed: int, *,
     session.delete_text(0, len("Second pass: "))
     outcomes.append(session.save())
 
-    # the weather clears; recovery saves must reconcile everything.
-    # Resync/conflict repair can legitimately take a couple of rounds;
-    # un-revisioned whole-file stores additionally need the last save
-    # to land *after* any reorder-held stale request flushes.
-    plan.quiesce()
-    outcome = session.save()
-    for _ in range(4):
-        if outcome.ok and not outcome.conflict and not outcome.resynced:
-            break
-        outcome = session.save()
-    if not registry.backend_for(service).capabilities.revisioned:
-        outcome = session.save()
-    outcomes.append(outcome)
+    # the weather clears; the recovery saves must reconcile everything
+    outcomes.append(session.settle())
     return plan, session, outcomes
 
 
-def _leaks(plan: FaultPlan, session: PrivateEditingSession) -> list[str]:
-    """Every wire surface an adversary saw that contains the secret."""
-    sightings = []
-    for request in plan.observed:
-        if SECRET in request.body or SECRET in request.url:
-            sightings.append(f"request {request.method} {request.url}")
-    for exchange in session.channel.exchange_log:
-        if SECRET in exchange.request.body:
-            sightings.append(f"logged request {exchange.request.url}")
-        if SECRET in exchange.response.body:
-            sightings.append(f"response to {exchange.request.url}")
-    return sightings
+def _leaks(session: PrivateEditingSession) -> list[str]:
+    """Every wire surface an adversary saw that holds the secret."""
+    return [blob for blob in leak_blobs(session) if SECRET in blob]
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -108,21 +89,18 @@ def test_parity_cell_converges_without_leaking(scheme, service, kind,
                                                request):
     seed = _seed(scheme, service, kind)
     request.node.user_properties.append(("fault_seed", seed))
-    plan, session, outcomes = _run_cell(scheme, service, kind, seed)
+    _, session, outcomes = _run_cell(scheme, service, kind, seed)
 
     # every save outcome is typed: a failure is ok=False, never a raise
     assert outcomes[-1].ok, (
         f"recovery save failed after quiesce on {service} (seed {seed}): "
         f"{outcomes[-1].error}"
     )
-    recovered = registry.decrypt_view(
-        service, session.server_view(), "parity-password", scheme
-    )
-    assert recovered == session.text, (
+    assert session.stored_text() == session.text, (
         f"{service} store and client diverged under {kind}/{scheme} "
         f"(seed {seed})"
     )
-    assert _leaks(plan, session) == [], (
+    assert _leaks(session) == [], (
         f"plaintext leaked on {service} (seed {seed})"
     )
 
@@ -169,7 +147,7 @@ def test_parity_cell_over_the_socket_transport(scheme, kind,
     try:
         # unique doc per cell: unlike the in-process cells, the served
         # backend outlives each session
-        plan, session, outcomes = _run_cell(
+        _, session, outcomes = _run_cell(
             scheme, "gdocs", kind, seed, transport=transport,
             doc=f"parity-{kind}-{scheme}-socket",
         )
@@ -177,14 +155,11 @@ def test_parity_cell_over_the_socket_transport(scheme, kind,
             f"recovery save failed over the socket (seed {seed}): "
             f"{outcomes[-1].error}"
         )
-        recovered = registry.decrypt_view(
-            "gdocs", session.server_view(), "parity-password", scheme
-        )
-        assert recovered == session.text, (
+        assert session.stored_text() == session.text, (
             f"served store and client diverged under {kind}/{scheme} "
             f"(seed {seed})"
         )
-        assert _leaks(plan, session) == [], (
+        assert _leaks(session) == [], (
             f"plaintext leaked over the socket (seed {seed})"
         )
     finally:
@@ -235,9 +210,5 @@ def test_whole_file_save_failure_is_typed(service):
     assert not outcome.ok
     assert outcome.error, "a failed save must say why"
     plan.quiesce()
-    settled = session.save()
-    assert settled.ok
-    recovered = registry.decrypt_view(
-        service, session.server_view(), "parity-password", "recb"
-    )
-    assert recovered == session.text
+    assert session.save().ok
+    assert session.stored_text() == session.text

@@ -27,6 +27,7 @@ import pytest
 from repro.core.transform import EncryptionEngine
 from repro.crypto.random import DeterministicRandomSource
 from repro.extension.session import PrivateEditingSession
+from repro.fuzz.model import leak_blobs
 from repro.net.faults import FAULT_KINDS, FaultPlan, FaultSpec, updates_only
 from repro.net.policy import RetryPolicy
 from repro.services.gdocs.server import GDocsServer
@@ -58,18 +59,9 @@ def _plan(kind: str, timing: str, seed: int) -> FaultPlan:
     return FaultPlan([spec], seed=seed)
 
 
-def _leaks(plan: FaultPlan, session: PrivateEditingSession) -> list[str]:
-    """Every wire surface an adversary saw that contains the secret."""
-    sightings = []
-    for request in plan.observed:
-        if SECRET in request.body or SECRET in request.url:
-            sightings.append(f"request {request.method} {request.url}")
-    for exchange in session.channel.exchange_log:
-        if SECRET in exchange.request.body:
-            sightings.append(f"logged request {exchange.request.url}")
-        if SECRET in exchange.response.body:
-            sightings.append(f"response to {exchange.request.url}")
-    return sightings
+def _leaks(*sessions: PrivateEditingSession) -> list[str]:
+    """Every wire surface an adversary saw that holds the secret."""
+    return [blob for blob in leak_blobs(*sessions) if SECRET in blob]
 
 
 def _run_cell(scheme: str, kind: str, timing: str, seed: int):
@@ -99,7 +91,7 @@ def test_cell_converges_without_leaking(scheme, kind, timing, request):
     seed = _seed(scheme, kind, timing)
     # surface the seed in the recorded test id for replay instructions
     request.node.user_properties.append(("fault_seed", seed))
-    plan, session, outcomes = _run_cell(scheme, kind, timing, seed)
+    _, session, outcomes = _run_cell(scheme, kind, timing, seed)
 
     # every save outcome is typed: a failure is ok=False, never a raise
     assert outcomes[-1].ok, (
@@ -116,7 +108,7 @@ def test_cell_converges_without_leaking(scheme, kind, timing, request):
         f"(seed {seed})"
     )
     # zero plaintext anywhere an adversary could look
-    assert _leaks(plan, session) == [], f"plaintext leaked (seed {seed})"
+    assert _leaks(session) == [], f"plaintext leaked (seed {seed})"
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -180,10 +172,7 @@ def test_conflict_cell_resyncs_and_converges(scheme):
         password=password, scheme=scheme
     ).decrypt(stored)
     assert recovered == alice.text
-    for exchange in list(alice.channel.exchange_log) + \
-            list(bob.channel.exchange_log):
-        assert SECRET not in exchange.request.body
-        assert SECRET not in exchange.response.body
+    assert _leaks(alice, bob) == []
 
 
 def test_matrix_replays_identically():

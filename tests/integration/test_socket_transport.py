@@ -39,7 +39,6 @@ from repro.net.server import ServerThread
 from repro.net.transport import AsyncioSocketTransport
 from repro.obs import capture
 from repro.security import EavesdropperTap
-from repro.services import registry
 
 SEED = 404
 
@@ -78,10 +77,7 @@ def test_session_converges_over_the_wire(served, shared_pool):
     assert session.save().ok
     session.type_text(0, "and edited incrementally: ")
     assert session.save().ok
-    recovered = registry.decrypt_view(
-        "gdocs", session.server_view(), "socket-password", "rpc"
-    )
-    assert recovered == session.text
+    assert session.stored_text() == session.text
 
 
 def test_retry_after_floors_the_backoff(served, shared_pool):
@@ -124,10 +120,7 @@ def test_blackholed_save_dedups_under_its_idempotency_key(
         assert outcome.ok
     assert cap["net.faults.blackhole"] == 1
     assert cap["services.gdocs.dedup_hits"] >= 1
-    recovered = registry.decrypt_view(
-        "gdocs", session.server_view(), "socket-password", "rpc"
-    )
-    assert recovered == session.text
+    assert session.stored_text() == session.text
 
 
 def test_stale_writer_resyncs_across_the_wire(served, shared_pool):
@@ -153,9 +146,7 @@ def test_stale_writer_resyncs_across_the_wire(served, shared_pool):
     assert first.text.startswith("alpha ")
     assert first.text.endswith("omega.")
     assert first.save().ok  # publish the rebased edit
-    recovered = registry.decrypt_view(
-        "gdocs", first.server_view(), "socket-password", "rpc"
-    )
+    recovered = first.stored_text()
     assert recovered == first.text
     # both writers' words survived the rebase
     assert "alpha " in recovered

@@ -1,8 +1,14 @@
 """Benchmark harness helpers."""
 
+import json
+import pathlib
 import time
 
 from repro.bench import Sample, Stopwatch, ms_per_char, pct, render_table
+from repro.bench.collab import run_collab
+from repro.bench.load import run_load
+
+REPO = pathlib.Path(__file__).resolve().parents[2]
 
 
 class TestStopwatch:
@@ -78,3 +84,28 @@ class TestMetricTracking:
         assert [lap["test_bench.probe"] for lap in watch.lap_metrics] == [5, 2]
         assert watch.metric_total("test_bench.probe") == 7
         assert metrics_cell(watch.lap_metrics[0]) == "probe=5"
+
+
+class TestCellRows:
+    """A cell's sidecar row is its dataclass fields, in order: the keys
+    of every row already committed to the BENCH sidecars."""
+
+    @staticmethod
+    def _committed(name: str, *path: str) -> dict:
+        row = json.loads((REPO / name).read_text())
+        for key in path:
+            row = row[key]
+        return row
+
+    def test_load_row_matches_the_committed_sidecar(self):
+        cell = run_load(sessions=2, rounds=1, transport="inprocess",
+                        fault_rate=0.0)
+        committed = self._committed("BENCH_load.json", "current", "gdocs",
+                                    "inprocess=100")
+        assert list(cell.row()) == list(committed)
+
+    def test_collab_row_matches_the_committed_sidecar(self):
+        cell = run_collab(writers=2, rounds=1)
+        committed = self._committed("BENCH_collab.json", "current",
+                                    "gdocs_merge", "writers=2/inprocess")
+        assert list(cell.row()) == list(committed)

@@ -197,6 +197,17 @@ class TestRunner:
         assert violation is not None
         assert violation.kind == "crash-ZeroDivisionError"
 
+    def test_full_log_ring_stops_the_workspace_leak_sweep(self,
+                                                          monkeypatch):
+        """A document session's log ring that filled up may have
+        dropped exchanges: the sweep is a harness error, never a pass
+        (and never a finding about the system under test)."""
+        from repro.client import workspace as workspace_mod
+
+        monkeypatch.setattr(workspace_mod, "CATALOG_LOG_ENTRIES", 2)
+        with pytest.raises(RuntimeError, match="ring .* is full"):
+            run_trace(generate_trace(0, "workspace"))
+
 
 class TestShrink:
     def _planted(self, needle: str):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.client.workspace import Workspace
 from repro.datastructures import IndexedAVL
 from repro.extension.catalog import WorkspaceIndexer
 from repro.extension.freshness import FreshnessMonitor
@@ -56,14 +55,6 @@ def test_whole_file_service_keeps_protocol_neutral_options(service):
     session.type_text(0, "still private")
     assert session.save().ok
     assert built  # the whole-file engine built its index from the factory
-
-
-@pytest.mark.parametrize("service", WHOLE_FILE)
-def test_workspace_on_whole_file_service_raises_on_open(service):
-    ws = Workspace("tenant-secret", service=service,
-                   server=registry.make_server(service, catalog=True))
-    with pytest.raises(ValueError, match="catalog_acks"):
-        ws.open("notes")
 
 
 @pytest.mark.parametrize("service", registry.SERVICE_NAMES)

@@ -66,10 +66,7 @@ class TestEditingAndSearch:
         assert ws.text("alpha") == "the walrus sings"
         # the provider stores ciphertext, never the plaintext
         assert "walrus" not in server.store.get("alpha").content
-        recovered = registry.decrypt_view(
-            "gdocs", ws.session("alpha").server_view(),
-            ws.password_for("alpha"), "recb")
-        assert recovered == "the walrus sings"
+        assert ws.session("alpha").stored_text() == "the walrus sings"
 
     def test_search_finds_exactly_the_right_documents(self, ws):
         _seed_doc(ws, "alpha", "the walrus sings")
@@ -150,6 +147,17 @@ class TestEditingAndSearch:
         log = ws.catalog_channel.exchange_log
         assert len(log) == CATALOG_LOG_ENTRIES
         assert "/Catalog" in log[-1].request.url
+
+    def test_document_logs_are_bounded_rings(self, ws):
+        """Every save is a document exchange; each document session's
+        channel keeps only the newest :data:`CATALOG_LOG_ENTRIES`."""
+        _seed_doc(ws, "alpha", "the walrus sings")
+        for i in range(CATALOG_LOG_ENTRIES + 5):
+            ws.type_text("alpha", 0, f"{i} ")
+            assert ws.save("alpha").ok
+        log = ws.session("alpha").channel.exchange_log
+        assert len(log) == CATALOG_LOG_ENTRIES
+        assert log[-1].request.url.endswith("docID=alpha")
 
 
 class TestSearchMemo:

@@ -90,6 +90,12 @@ The mutation table covers one oracle per stack layer:
     so non-canonical text decodes and the fetched text is no longer
     what ``wire()`` would encode.  Honest stores hold canonical text;
     the entry runs the wire test that feeds each non-canonical form.
+``settle-skips-unrevisioned-save``
+    ``PrivateEditingSession.settle`` stops landing its one extra save
+    after a clean one on a backend without revisions, so a stale
+    whole-file save that a reorder fault held in flight can land last
+    and overwrite the recovered document.  The entry runs the unit
+    test that counts the save exchanges a Bespin settle sends.
 
 Mutations are applied textually so the tool exercises the real on-disk
 pipeline end to end; the original tree is never touched.
@@ -269,6 +275,19 @@ MUTATIONS = (
         kind="",
         test=("tests/unit/test_wire.py::TestRecordArea::"
               "test_only_canonical_text_decodes"),
+    ),
+    Mutation(
+        name="settle-skips-unrevisioned-save",
+        file="repro/extension/session.py",
+        target=("        if outcome.clean and not "
+                "backend.capabilities.revisioned:"),
+        mutant="        if False:  # MUTANT: no extra whole-file save",
+        fuzz_args=(),
+        iters=1,
+        blind_to="a settle that lets a stale whole-file save land last",
+        kind="",
+        test=("tests/unit/test_session_settle.py::"
+              "test_settle_on_bespin_lands_one_extra_full_save"),
     ),
 )
 
