@@ -17,7 +17,9 @@ The cell reports
   (wall-clock over the socket, simulated clock deltas in-process);
 * the zero-leak tap: a lowercase sentinel typed by writer 0 must never
   appear in any exchanged request/response body (Base32 ciphertext is
-  uppercase-only, so a single lowercase leak is loud).
+  uppercase-only, so a single lowercase leak is loud).  Each writer's
+  channel tap checks every exchange as it completes; the channel's own
+  log keeps only the newest 16.
 
 Cells run with the merge path on (``merge=True``, gdocs only) or off —
 the off cells are the conflict/resync baseline every headline ratio is
@@ -52,6 +54,7 @@ SEED = 20110613  # same fixed seed as every other bench in this repo
 #: lowercase canary typed by writer 0 — Base32 ciphertext is uppercase,
 #: so any lowercase appearance in exchanged bytes is a leak
 SENTINEL = "collabsentinel kilimanjaro"
+_NEEDLE = SENTINEL.split()[0]
 
 DOC_ID = "shared-collab-doc"
 PASSWORD = "collab-password"
@@ -106,9 +109,18 @@ class _Writer:
             verify_acks=True, service=service, transport=transport,
             latency=latency, clock=clock, max_log=16,
         )
+        #: did any exchange carry the sentinel? (the log is a ring, so
+        #: the tap judges each exchange as it completes)
+        self.leaked = False
+        self.session.channel.add_tap(self._tap)
         self.saves = 0
         self.conflicts = 0
         self.save_failures = 0
+
+    def _tap(self, exchange) -> None:
+        parts = (exchange.request.url, exchange.request.body,
+                 exchange.response.body)
+        self.leaked = self.leaked or any(_NEEDLE in part for part in parts)
 
     def _track(self, outcome) -> None:
         if outcome.kind == "noop":
@@ -223,8 +235,8 @@ def _finish(crew: list[_Writer], converged: bool) -> tuple[bool, bool]:
     # plaintext oracle: the stored bytes decrypt to what writers see
     first = crew[0].session
     converged = converged and first.stored_text() == first.text
-    leak_clean = not any(
-        SENTINEL.split()[0] in blob
+    leak_clean = not any(writer.leaked for writer in crew) and not any(
+        _NEEDLE in blob
         for blob in leak_blobs(*(writer.session for writer in crew))
     )
     return converged, leak_clean

@@ -15,12 +15,16 @@ material and fans it out:
   every session's extension, which emits encrypted index delta records
   as a side effect of each save's IncE transformation; :meth:`search`
   sends only the trapdoor and decrypts the postings locally;
-* **a trust store over the audit trail** — the newest ``(rev, link)``
-  of :mod:`repro.core.auditchain` per document.  Saves verify the new
-  link incrementally; :meth:`verify_history` re-fetches and re-verifies
-  the whole chain against the stored document and the trust anchor,
-  detecting rollback and history forks (the attacks
-  ``repro.security.ActiveServerAdversary`` mounts).
+* **one freshness record** — a
+  :class:`~repro.extension.freshness.FreshnessMonitor` shared by every
+  session: the RPC versions and the audit-chain anchors
+  (:mod:`repro.core.auditchain`) this client has witnessed, and the
+  alerts.  Each session's extension witnesses every clean Ack's link;
+  when that leaves the anchor behind the document (a revision gap),
+  :meth:`verify_history` fetches the chain from the anchor on and
+  witnesses it against the stored document, detecting rollback and
+  history forks (the attacks ``repro.security.ActiveServerAdversary``
+  mounts).
 
 Layering: this is client code.  It never builds a server — callers
 construct one through ``repro.services.registry`` (or point a
@@ -37,6 +41,7 @@ import zlib
 from repro.core import auditchain
 from repro.crypto.random import DeterministicRandomSource
 from repro.extension.catalog import WorkspaceIndexer
+from repro.extension.freshness import FreshnessMonitor
 from repro.extension.session import PrivateEditingSession
 from repro.net.channel import Channel
 from repro.net.latency import SimClock
@@ -52,7 +57,6 @@ __all__ = ["Workspace"]
 
 _SESSIONS = counter("client.workspace.sessions")
 _SEARCHES = counter("client.workspace.searches")
-_ALERTS = counter("client.workspace.audit_alerts")
 _VERIFIES = counter("client.workspace.history_verifies")
 
 #: exchanges each channel of a workspace keeps in its log (a ring):
@@ -102,11 +106,11 @@ class Workspace:
         self.clock = SimClock()
         self.indexer = WorkspaceIndexer(secret)
         self._sessions: dict[str, PrivateEditingSession] = {}
-        #: doc_id -> (rev, link): the audit-chain head this client has
-        #: witnessed and verified — the rollback-detection anchor
-        self._trust: dict[str, tuple[int, str]] = {}
+        #: what this client has witnessed of every document (versions,
+        #: audit anchors), shared by all its sessions
+        self.freshness = FreshnessMonitor()
         #: every integrity alert ever raised, ``(doc_id, message)``
-        self.alerts: list[tuple[str, str]] = []
+        self.alerts = self.freshness.alerts
         # catalog traffic (list/lookup/chain) is opaque to the document
         # mediator — it rides its own unmediated channel to the same
         # server/transport, carrying only trapdoors and encrypted blobs
@@ -150,9 +154,9 @@ class Workspace:
         """Open (or create) one document; returns its plaintext.
 
         Opening an existing document adopts its text into the index
-        shadow without re-emitting records, then verifies the full
-        audit chain (rollback detection happens *before* the user
-        resumes editing stale content).
+        shadow without re-emitting records, then verifies the audit
+        chain from the anchor on (rollback detection happens *before*
+        the user resumes editing stale content).
         """
         session = self._sessions.get(doc_id)
         if session is not None:
@@ -170,6 +174,7 @@ class Workspace:
             clock=self.clock,
             max_log=CATALOG_LOG_ENTRIES,
             indexer=self.indexer,
+            freshness=self.freshness,
         )
         text = session.open()
         self._sessions[doc_id] = session
@@ -180,11 +185,12 @@ class Workspace:
 
     def close(self, doc_id: str) -> None:
         """Flush, audit-check, and end one document's session."""
-        session = self._sessions.pop(doc_id, None)
+        session = self._sessions.get(doc_id)
         if session is None:
             return
         session.close()
-        self._adopt_audit(doc_id, session)
+        self._catch_up(doc_id)
+        del self._sessions[doc_id]
         self.indexer.forget(doc_id)
 
     def close_all(self) -> None:
@@ -207,12 +213,11 @@ class Workspace:
         self._sessions[doc_id].delete_text(pos, count)
 
     def save(self, doc_id: str):
-        """Save one document; on success fold the acknowledged audit
-        link into the trust store (incremental chain verification)."""
-        session = self._sessions[doc_id]
-        outcome = session.save()
+        """Save one document.  The extension witnessed the Ack's audit
+        link; a landed save it could not check is checked here."""
+        outcome = self._sessions[doc_id].save()
         if outcome.ok:
-            self._adopt_audit(doc_id, session)
+            self._catch_up(doc_id)
         return outcome
 
     def save_all(self) -> dict[str, object]:
@@ -251,108 +256,43 @@ class Workspace:
 
     # -- history integrity -----------------------------------------------
 
-    def _alert(self, doc_id: str, message: str,
-               alerts: list[str]) -> None:
-        alerts.append(message)
-        self.alerts.append((doc_id, message))
-        _ALERTS.inc()
-
-    def _adopt_audit(self, doc_id: str,
-                     session: PrivateEditingSession) -> None:
-        """Incremental chain verification on one acknowledged save."""
-        extension = session.extension
-        entry = getattr(extension, "audit_trail", {}).get(doc_id)
-        if entry is None:
-            return
-        rev, content_hash, link = entry
-        trusted = self._trust.get(doc_id)
-        alerts: list[str] = []
-        if trusted is not None:
-            trusted_rev, trusted_link = trusted
-            if rev == trusted_rev:
-                if link != trusted_link:
-                    self._alert(doc_id, (
-                        f"audit link changed at rev {rev} without a new "
-                        f"revision (history rewritten)"), alerts)
-            elif rev == trusted_rev + 1:
-                expect = auditchain.link_hash(trusted_link, rev,
-                                              content_hash)
-                if link != expect:
-                    self._alert(doc_id, (
-                        f"audit link at rev {rev} does not extend the "
-                        f"trusted chain (forked history)"), alerts)
-            elif rev < trusted_rev:
-                self._alert(doc_id, (
-                    f"acknowledged rev {rev} behind trusted rev "
-                    f"{trusted_rev} (rollback)"), alerts)
-            else:
-                # a revision gap (e.g. recovery full-saves after
-                # conflicts): fall back to verifying the whole chain
-                self.verify_history(doc_id)
-                return
-        if not alerts:
-            self._trust[doc_id] = (rev, link)
+    def _catch_up(self, doc_id: str) -> None:
+        """Verify the chain when the anchor is behind the document."""
+        anchor = self.freshness.anchor(doc_id)
+        if (anchor.rev if anchor else 0) < \
+                self._sessions[doc_id].client.revision:
+            self.verify_history(doc_id)
 
     def verify_history(self, doc_id: str) -> list[str]:
-        """Fetch and verify the full audit chain for ``doc_id``.
+        """Fetch the audit chain of ``doc_id`` from the anchor on and
+        witness it (:meth:`FreshnessMonitor.witness`).
 
-        Returns the alerts raised ([] when the history checks out), and
-        adopts the verified head as the new trust anchor.  Three layers
-        of defence:
+        Returns the alerts raised ([] when the history checks out); a
+        clean chain's head becomes the new anchor.  Three layers of
+        defence:
 
-        * the chain must *self-verify* (every link recomputes);
+        * the chain must *self-verify* (every link recomputes from the
+          anchor's, or from genesis when this client has none);
         * its head must match the stored document (revision and
           ciphertext hash) — catches a plain rollback, where the store
           rewinds but the audited chain does not;
-        * it must agree with the trust store at the remembered revision
-          — catches a *forged* chain, recomputed wholesale over
+        * its entry at the anchor's revision must be the anchor —
+          catches a *forged* chain, recomputed wholesale over
           rolled-back content, which self-verifies but cannot reproduce
           the link this client already witnessed.
         """
         _VERIFIES.inc()
         session = self._sessions[doc_id]
-        alerts: list[str] = []
-        response = self.catalog_channel.send(catalog_chain_request(doc_id))
+        anchor = self.freshness.anchor(doc_id)
+        response = self.catalog_channel.send(catalog_chain_request(
+            doc_id, anchor.rev if anchor else 0))
         if not response.ok:
-            self._alert(doc_id, f"audit chain fetch failed "
-                                f"(http {response.status})", alerts)
-            return alerts
+            return self.freshness.alert(doc_id, (
+                f"audit chain fetch failed (http {response.status})"))
         try:
             entries = auditchain.decode_entries(response.body)
         except ValueError:
-            self._alert(doc_id, "audit chain unparseable", alerts)
-            return alerts
-        trusted = self._trust.get(doc_id)
-        if not entries:
-            if trusted is not None:
-                self._alert(doc_id, "audit chain vanished after this "
-                                    "client witnessed links", alerts)
-            return alerts
-        for problem in auditchain.verify_entries(entries):
-            self._alert(doc_id, f"audit chain corrupt: {problem}", alerts)
-        head = entries[-1]
-        revision = session.client.revision
-        stored_hash = protocol.content_hash(session.server_view())
-        if head.rev != revision:
-            self._alert(doc_id, (
-                f"audit head rev {head.rev} != document rev {revision} "
-                f"(rollback or unaudited writes)"), alerts)
-        elif head.ciphertext_hash != stored_hash:
-            self._alert(doc_id, (
-                f"stored ciphertext does not match audited head at rev "
-                f"{head.rev} (rollback)"), alerts)
-        if trusted is not None:
-            trusted_rev, trusted_link = trusted
-            witnessed = next(
-                (e for e in entries if e.rev == trusted_rev), None)
-            if witnessed is None:
-                self._alert(doc_id, (
-                    f"trusted rev {trusted_rev} missing from chain "
-                    f"(history rewritten)"), alerts)
-            elif witnessed.link != trusted_link:
-                self._alert(doc_id, (
-                    f"chain disagrees with trusted link at rev "
-                    f"{trusted_rev} (forged chain)"), alerts)
-        if not alerts:
-            self._trust[doc_id] = (head.rev, head.link)
-        return alerts
+            return self.freshness.alert(doc_id, "audit chain unparseable")
+        stored = (session.client.revision,
+                  protocol.content_hash(session.server_view()))
+        return self.freshness.witness(doc_id, entries, stored)

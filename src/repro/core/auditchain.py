@@ -29,6 +29,7 @@ about providers would invert the trust boundary.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from dataclasses import dataclass
 
 __all__ = [
@@ -76,6 +77,11 @@ class AuditChain:
     def entries(self) -> tuple[AuditEntry, ...]:
         return tuple(self._entries)
 
+    def since(self, rev: int) -> tuple[AuditEntry, ...]:
+        """The entries from revision ``rev`` on (all of them for 0)."""
+        return tuple(self._entries[bisect_left(
+            self._entries, rev, key=lambda entry: entry.rev):])
+
     @property
     def head(self) -> AuditEntry | None:
         """The newest entry (None while the chain is empty)."""
@@ -100,20 +106,22 @@ class AuditChain:
         return entry
 
 
-def verify_entries(entries: list[AuditEntry] | tuple[AuditEntry, ...]
-                   ) -> list[str]:
+def verify_entries(entries: list[AuditEntry] | tuple[AuditEntry, ...],
+                   start: AuditEntry | None = None) -> list[str]:
     """Self-consistency problems in ``entries`` ([] when clean).
 
-    Checks every link recomputes from its predecessor (genesis-rooted)
-    and that revisions advance strictly.  Self-consistency alone does
-    NOT rule out a wholesale forgery — an adversary can recompute a
-    perfectly consistent chain over rolled-back content — which is why
-    the client also compares the chain against its remembered
-    ``(rev, link)`` trust anchor.
+    Checks every link recomputes from its predecessor and that
+    revisions advance strictly.  The first entry's predecessor is
+    ``start`` — a verified entry the chain continues from — or genesis
+    when ``start`` is None.  Self-consistency alone does NOT rule out a
+    wholesale forgery — an adversary can recompute a perfectly
+    consistent chain over rolled-back content — which is why the client
+    also compares the chain against its remembered trust anchor
+    (:meth:`repro.extension.freshness.FreshnessMonitor.witness`).
     """
     problems: list[str] = []
-    prev_link = GENESIS_LINK
-    prev_rev = -1
+    prev_link = GENESIS_LINK if start is None else start.link
+    prev_rev = -1 if start is None else start.rev
     for i, entry in enumerate(entries):
         if entry.rev <= prev_rev:
             problems.append(

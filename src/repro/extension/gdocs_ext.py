@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 
+from repro.core.auditchain import AuditEntry
 from repro.core.delta import Delta
 from repro.core.transform import EncryptionEngine
 from repro.encoding.wire import RECORD_CHARS, looks_encrypted, split_header
@@ -37,7 +38,7 @@ from repro.errors import (
     ProtocolError,
 )
 from repro.extension.countermeasures import Countermeasures
-from repro.extension.freshness import FreshnessMonitor
+from repro.extension.freshness import FreshnessMonitor, RollbackError
 from repro.extension.passwords import PasswordVault
 from repro.net.http import HttpRequest, HttpResponse
 from repro.net.latency import SimClock
@@ -105,7 +106,8 @@ class GDocsExtension:
         #: SVI-A extension: disguise ciphertext as pseudo-prose so a
         #: censoring provider cannot recognize (and refuse) it
         self._stego = stego
-        #: beyond-the-paper rollback detector (RPC documents only)
+        #: beyond-the-paper rollback detector: the per-document record
+        #: of RPC versions and audit anchors this client has witnessed
         self._freshness = freshness
         #: check every Ack's contentFromServerHash against the mirror's
         #: expected stored bytes, flagging a conflict on divergence so
@@ -117,12 +119,9 @@ class GDocsExtension:
         #: every save the extension transforms; its encrypted index
         #: delta records ride the rewritten request's ``idx`` field,
         #: and the save opts into the server's hash-chained audit trail
-        #: (``aud=1``), whose acknowledged links are collected per doc
-        #: in ``audit_trail`` for the workspace's trust store
+        #: (``aud=1``), whose acknowledged links the freshness monitor
+        #: witnesses
         self._indexer = indexer
-        #: doc_id -> (rev, content hash, audit link) of the newest
-        #: clean, audited ack witnessed on this channel
-        self.audit_trail: dict[str, tuple[int, str, str]] = {}
         self._engines: dict[str, EncryptionEngine] = {}
         #: (doc_id, idempotency key) -> the rewritten request already
         #: produced for that save; a client retry must re-send the SAME
@@ -189,7 +188,6 @@ class GDocsExtension:
         # dedup it), an edited one re-encrypts only the touched blocks
         ciphertext, delta = engine.save_full(plaintext)
         (_FULL_FRESH if delta is None else _FULL_SPLICED).inc()
-        self._note_version(doc_id, engine)
         if self._stego:
             from repro.encoding.stego import stego_wrap
             ciphertext = stego_wrap(ciphertext)
@@ -219,7 +217,6 @@ class GDocsExtension:
                 f"no ciphertext mirror for {doc_id!r}; cannot transform "
                 "delta"
             )
-        self._note_version(doc_id, engine)
         if self._stego:
             from repro.encoding.stego import stego_rewrite_cdelta
             cdelta = stego_rewrite_cdelta(
@@ -304,17 +301,10 @@ class GDocsExtension:
         self, doc_id: str, response: HttpResponse, fields: dict[str, str]
     ) -> HttpResponse:
         divergent = self._verify_acks and self._ack_diverges(doc_id, fields)
-        link = fields.get(A_AUDIT_LINK, "")
-        if link and not divergent \
+        if self._freshness is not None and not divergent \
                 and fields.get(protocol.A_STATUS) == "ok" \
                 and fields.get(protocol.A_CONFLICT) != "1":
-            try:
-                rev = int(fields.get(protocol.A_REV, ""))
-            except ValueError:
-                rev = None
-            if rev is not None:
-                self.audit_trail[doc_id] = (
-                    rev, fields.get(protocol.A_CONTENT_HASH, ""), link)
+            self._witness_ack(doc_id, fields)
         content = self._unwrap_if_stego(fields.get(protocol.A_CONTENT, ""))
         if self._decrypt_acks and looks_encrypted(content):
             plain = self._try_decrypt(doc_id, content)
@@ -352,6 +342,25 @@ class GDocsExtension:
             self._taint(doc_id)
             neutral[protocol.A_CONFLICT] = "1"
         return response.with_form(neutral)
+
+    def _witness_ack(self, doc_id: str, fields: dict[str, str]) -> None:
+        """A clean Ack: the server now holds the mirror's version, and
+        its audit link extends the anchor (or, past a revision gap, is
+        left to the workspace's chain fetch)."""
+        monitor = self._freshness
+        version = self._mirror_version(doc_id)
+        if version is not None:
+            monitor.observe(doc_id, version)
+        link, rev = fields.get(A_AUDIT_LINK), fields.get(protocol.A_REV, "")
+        if not link or not rev.isdecimal():
+            return
+        ack = AuditEntry(int(rev), fields.get(protocol.A_CONTENT_HASH, ""),
+                         link)
+        anchor = monitor.anchor(doc_id)
+        if anchor is None:
+            monitor.adopt(doc_id, ack)
+        elif ack.rev <= anchor.rev + 1:
+            monitor.witness(doc_id, [anchor, ack])
 
     def _follow_merge(
         self, doc_id: str, fields: dict[str, str]
@@ -478,12 +487,15 @@ class GDocsExtension:
                 PasswordError) as exc:
             self.warnings.append(f"{doc_id}: {exc}")
             return None
-        try:
-            self._note_version(doc_id, engine, accepting=True)
-        except IntegrityError as exc:  # RollbackError
-            self.warnings.append(f"{doc_id}: {exc}")
-            engine.taint()
-            return None
+        version = self._mirror_version(doc_id)
+        if self._freshness is not None and version is not None:
+            try:
+                self._freshness.check(doc_id, version)
+            except RollbackError as exc:
+                self.warnings.append(f"{doc_id}: {exc}")
+                engine.taint()
+                return None
+            self._freshness.observe(doc_id, version)
         return plain
 
     def _taint(self, doc_id: str) -> None:
@@ -495,18 +507,11 @@ class GDocsExtension:
         if engine is not None:
             engine.taint()
 
-    def _note_version(self, doc_id: str, engine: EncryptionEngine,
-                      accepting: bool = False) -> None:
-        """Track the RPC version counter through the freshness monitor."""
-        if self._freshness is None:
-            return
-        mirror = engine.mirror
-        version = getattr(mirror, "version", None)
-        if version is None:
-            return
-        if accepting:
-            self._freshness.check(doc_id, version)
-        self._freshness.observe(doc_id, version)
+    def _mirror_version(self, doc_id: str) -> int | None:
+        """The mirror's RPC version counter (None for rECB or no
+        mirror)."""
+        engine = self._engines.get(doc_id)
+        return getattr(engine and engine.mirror, "version", None)
 
     def _unwrap_if_stego(self, content: str) -> str:
         from repro.encoding.stego import looks_stego, stego_unwrap

@@ -9,7 +9,8 @@ without touching a byte of the wrapped protocol:
 * ``POST /Catalog?op=store`` — apply encrypted index records directly;
 * ``POST /Catalog?op=lookup`` — the posting blobs filed under one
   opaque trapdoor (the server cannot tell which word it serves);
-* ``POST /Catalog?op=chain`` — the audit chain for one document;
+* ``POST /Catalog?op=chain`` — the audit chain for one document,
+  from revision ``since`` on (the whole chain by default);
 * piggybacked maintenance: a save request may carry ``idx`` (encrypted
   index delta records, emitted by the workspace indexer as a side
   effect of IncE) and ``aud=1`` (opt into the hash-chained audit
@@ -135,10 +136,11 @@ def catalog_lookup_request(trapdoor: str) -> HttpRequest:
                        body=encode_form({"tok": trapdoor}))
 
 
-def catalog_chain_request(doc_id: str) -> HttpRequest:
-    """The audit chain recorded for ``doc_id``."""
-    return HttpRequest("POST", _catalog_url("chain"),
-                       body=encode_form({"doc": doc_id}))
+def catalog_chain_request(doc_id: str, since: int = 0) -> HttpRequest:
+    """The audit chain recorded for ``doc_id``, from revision
+    ``since`` on."""
+    return HttpRequest("POST", _catalog_url("chain"), body=encode_form(
+        {"doc": doc_id, "since": str(since)}))
 
 
 # -- the store ---------------------------------------------------------------
@@ -307,7 +309,11 @@ class CatalogService:
             doc_id = form.get("doc", "")
             if not doc_id:
                 return self._error(400, "chain request without a doc id")
-            entries = self.catalog.chain(doc_id).entries
+            try:
+                since = int(form.get("since", "0"))
+            except ValueError:
+                return self._error(400, "chain since is not a revision")
+            entries = self.catalog.chain(doc_id).since(since)
             return HttpResponse(status=200, body=encode_entries(entries))
         return self._error(400, f"unknown catalog op {op!r}")
 

@@ -8,9 +8,12 @@ N refuses anything older.
 import pytest
 
 from repro.core import load_document
+from repro.core.auditchain import AuditChain
 from repro.crypto.random import DeterministicRandomSource
 from repro.encoding.wire import looks_encrypted
+from repro.errors import NetworkTimeoutError
 from repro.extension import FreshnessMonitor, PrivateEditingSession, RollbackError
+from repro.net.faults import FaultPlan, FaultSpec, updates_only
 from repro.security.adversary import ActiveServerAdversary
 
 
@@ -78,8 +81,77 @@ class TestMonitor:
     def test_forget(self):
         monitor = FreshnessMonitor()
         monitor.observe("d", 5)
+        monitor.adopt("d", _chain(2)[-1])
         monitor.forget("d")
         monitor.check("d", 0)  # no state, no complaint
+        assert monitor.anchor("d") is None
+
+    def test_rollback_error_is_an_alert(self):
+        monitor = FreshnessMonitor()
+        monitor.observe("d", 5)
+        with pytest.raises(RollbackError) as raised:
+            monitor.check("d", 4)
+        assert monitor.alerts == [("d", str(raised.value))]
+
+
+def _chain(depth: int, prefix: str = "h"):
+    chain = AuditChain()
+    for rev in range(1, depth + 1):
+        chain.append(rev, f"{prefix}-{rev}")
+    return list(chain.entries)
+
+
+class TestWitness:
+    """``witness``: the one anchor rule for Acks and fetched chains."""
+
+    def test_no_anchor_verifies_from_genesis(self):
+        monitor = FreshnessMonitor()
+        entries = _chain(3)
+        assert monitor.witness("d", entries, (3, "h-3")) == []
+        assert monitor.anchor("d") == entries[-1]
+        assert monitor.alerts == []
+
+    def test_chain_continues_from_the_anchor(self):
+        monitor = FreshnessMonitor()
+        entries = _chain(6)
+        monitor.adopt("d", entries[2])
+        assert monitor.witness("d", entries[2:], (6, "h-6")) == []
+        assert monitor.anchor("d") == entries[-1]
+
+    def test_entry_at_the_anchor_must_be_the_anchor(self):
+        monitor = FreshnessMonitor()
+        monitor.adopt("d", _chain(3)[-1])
+        forged = _chain(4, prefix="forged")
+        problems = monitor.witness("d", forged[2:])
+        assert any("forged chain" in p for p in problems)
+        assert monitor.anchor("d") == _chain(3)[-1]
+        assert len(monitor.alerts) == len(problems)
+
+    def test_entry_behind_the_anchor_is_a_rollback(self):
+        monitor = FreshnessMonitor()
+        entries = _chain(3)
+        monitor.adopt("d", entries[-1])
+        problems = monitor.witness("d", entries[1:])
+        assert len(problems) == 1 and "rollback" in problems[0]
+
+    def test_later_entries_must_chain_from_the_anchor(self):
+        monitor = FreshnessMonitor()
+        monitor.adopt("d", _chain(3)[-1])
+        problems = monitor.witness("d", _chain(4, prefix="other")[3:])
+        assert any("does not recompute" in p for p in problems)
+
+    def test_head_must_match_the_store(self):
+        monitor = FreshnessMonitor()
+        entries = _chain(3)
+        assert "rollback" in monitor.witness("d", entries, (3, "old"))[0]
+        assert "unaudited" in monitor.witness("d", entries, (4, "h-3"))[0]
+        assert monitor.anchor("d") is None
+
+    def test_vanished_chain_alerts_only_with_an_anchor(self):
+        monitor = FreshnessMonitor()
+        assert monitor.witness("d", []) == []
+        monitor.adopt("d", _chain(1)[0])
+        assert "vanished" in monitor.witness("d", [])[0]
 
 
 class TestEndToEnd:
@@ -166,3 +238,25 @@ class TestEndToEnd:
         naive = session_with_monitor(FreshnessMonitor(),
                                      server=session.server, seed=4)
         assert naive.open() == "version one"
+
+
+@pytest.mark.parametrize("kind,landed", [("drop", "one "),
+                                         ("blackhole", "two one ")])
+def test_lost_save_is_no_rollback(kind, landed):
+    """The monitor observes a version when the server acknowledges it,
+    not when the request leaves: a save whose request or response was
+    lost must not make the last landed version look stale."""
+    monitor = FreshnessMonitor()
+    session = session_with_monitor(monitor)
+    session.open()
+    session.type_text(0, "one ")
+    assert session.save().ok
+    session.channel.faults = FaultPlan([FaultSpec(
+        kind, at=(0,), limit=1, match=updates_only)])
+    session.type_text(0, "two ")
+    with pytest.raises(NetworkTimeoutError):
+        session.save()
+    reader = session_with_monitor(monitor, server=session.server, seed=2)
+    assert reader.open() == landed
+    assert reader.extension.warnings == []
+    assert monitor.alerts == []

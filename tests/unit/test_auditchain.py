@@ -53,6 +53,15 @@ class TestLinkAlgebra:
         assert chain.entries == ()
         assert len(chain) == 0
 
+    def test_since_starts_at_the_named_revision(self):
+        chain = AuditChain()
+        for rev in (1, 2, 5, 9):
+            chain.append(rev, f"hash-{rev}")
+        assert [e.rev for e in chain.since(0)] == [1, 2, 5, 9]
+        assert [e.rev for e in chain.since(5)] == [5, 9]
+        assert [e.rev for e in chain.since(3)] == [5, 9]
+        assert chain.since(10) == ()
+
     def test_append_only_rejects_rewinds_and_repeats(self):
         chain = _chain(2)
         with pytest.raises(ValueError, match="append-only"):
@@ -91,6 +100,15 @@ class TestVerification:
         entries.append(AuditEntry(
             2, "i", link_hash(entries[0].link, 2, "i")))
         problems = verify_entries(entries)
+        assert any("does not advance" in p for p in problems)
+
+    def test_verifies_onward_from_a_start_entry(self):
+        entries = _chain(5).entries
+        assert verify_entries(entries[2:], start=entries[1]) == []
+        assert verify_entries((), start=entries[1]) == []
+        problems = verify_entries(entries[3:], start=entries[1])
+        assert problems and "link does not recompute" in problems[0]
+        problems = verify_entries(entries[1:], start=entries[1])
         assert any("does not advance" in p for p in problems)
 
     def test_wholesale_forgery_self_verifies(self):

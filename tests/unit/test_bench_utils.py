@@ -5,8 +5,10 @@ import pathlib
 import time
 
 from repro.bench import Sample, Stopwatch, ms_per_char, pct, render_table
+from repro.bench import collab
 from repro.bench.collab import run_collab
 from repro.bench.load import run_load
+from repro.services import registry
 
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
@@ -109,3 +111,41 @@ class TestCellRows:
         committed = self._committed("BENCH_collab.json", "current",
                                     "gdocs_merge", "writers=2/inprocess")
         assert list(cell.row()) == list(committed)
+
+
+class TestCollabLeakVerdict:
+    """``leak_clean`` judges every exchange of every writer, although
+    each writer's channel log keeps only the newest 16."""
+
+    @staticmethod
+    def _writer_with_echo(echo: bool):
+        writer = collab._Writer(0, "gdocs", "recb", 0.0, collab.SEED,
+                                server=registry.make_server("gdocs"))
+        word = collab.SENTINEL.split()[0]
+        echoes = [word] if echo else []
+
+        def echo_once(response):
+            # a provider that echoes the sentinel in its first answer
+            if echoes:
+                return response.with_body(
+                    response.body + "&echo=" + echoes.pop())
+            return response
+
+        writer.session.channel.set_tamperers(on_response=echo_once)
+        writer.session.open()
+        for i in range(20):
+            writer.session.type_text(0, f"edit{i} ")
+            assert writer.save().ok
+        log = writer.session.channel.exchange_log
+        assert len(log) == log.maxlen == 16
+        assert not any(word in e.response.body for e in log)
+        return writer
+
+    def test_sentinel_in_the_first_exchange_is_caught_after_the_ring_wraps(
+            self):
+        writer = self._writer_with_echo(True)
+        assert collab._finish([writer], True) == (True, False)
+
+    def test_clean_writer_stays_clean(self):
+        writer = self._writer_with_echo(False)
+        assert collab._finish([writer], True) == (True, True)

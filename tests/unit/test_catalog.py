@@ -111,6 +111,9 @@ class TestCatalogEndpoint:
         svc.catalog.commit("doc", 1, "h1", audit=True)
         entries = decode_entries(svc(catalog_chain_request("doc")).body)
         assert [e.rev for e in entries] == [1]
+        svc.catalog.commit("doc", 2, "h2", audit=True)
+        entries = decode_entries(svc(catalog_chain_request("doc", 2)).body)
+        assert [e.rev for e in entries] == [2]
         # none of the catalog ops touched the wrapped server
         assert svc.inner.calls == []
 
@@ -126,6 +129,9 @@ class TestCatalogEndpoint:
             # chain without a doc id
             HttpRequest("POST", f"http://h{CATALOG_PATH}?op=chain",
                         body=""),
+            # chain from a revision that is not an integer
+            HttpRequest("POST", f"http://h{CATALOG_PATH}?op=chain",
+                        body=encode_form({"doc": "d", "since": "two"})),
             # store with malformed records
             HttpRequest("POST", f"http://h{CATALOG_PATH}?op=store",
                         body=encode_form({F_INDEX: "garbage"})),

@@ -18,7 +18,10 @@ import pytest
 from repro import obs
 from repro.client.workspace import CATALOG_LOG_ENTRIES, Workspace
 from repro.extension import catalog as catalog_module
+from repro.core.auditchain import decode_entries
 from repro.crypto.random import DeterministicRandomSource
+from repro.errors import NetworkTimeoutError
+from repro.net.faults import FaultPlan, FaultSpec, updates_only
 from repro.security.adversary import ActiveServerAdversary
 from repro.services import registry
 from repro.services.gdocs import protocol
@@ -288,8 +291,127 @@ class TestAuditTrail:
         full chain re-fetch — and without false alarms."""
         self._history(ws, "alpha", ["one", "two", "three", "four"])
         assert ws.alerts == []
-        assert ws._trust["alpha"][0] == \
+        assert ws.freshness.anchor("alpha").rev == \
             ws.session("alpha").client.revision
+
+
+def _blackhole_next_save(ws, doc_id: str) -> None:
+    """Lose the response to ``doc_id``'s next save: the server lands it
+    and the client times out."""
+    ws.session(doc_id).channel.faults = FaultPlan([FaultSpec(
+        "blackhole", at=(0,), limit=1, match=updates_only)])
+    ws.type_text(doc_id, 0, "lost ack ")
+    with pytest.raises(NetworkTimeoutError):
+        ws.save(doc_id)
+
+
+class TestAckAnchorPath:
+    """Each clean Ack's audit link goes through
+    ``FreshnessMonitor.witness`` against the anchor; the workspace
+    fetches the chain only when the Ack left the anchor behind."""
+
+    @staticmethod
+    def _replay_last_ack(ws, doc_id: str, **changes) -> None:
+        """Feed the extension a copy of the newest Ack with ``changes``
+        (a tampering provider)."""
+        session = ws.session(doc_id)
+        last = session.channel.exchange_log[-1]
+        fields = {**last.response.form, **changes}
+        session.extension.on_response(
+            last.request, last.response.with_form(fields))
+
+    def test_ack_that_does_not_extend_the_anchor_alerts(self, ws):
+        _seed_doc(ws, "alpha", "the walrus sings")
+        anchor = ws.freshness.anchor("alpha")
+        self._replay_last_ack(ws, "alpha", rev=str(anchor.rev + 1),
+                              auditLink="ab" * 32)
+        assert [doc for doc, _ in ws.alerts] == ["alpha"]
+        assert "does not recompute" in ws.alerts[0][1]
+        assert ws.freshness.anchor("alpha") == anchor
+
+    def test_same_revision_with_another_link_alerts(self, ws):
+        _seed_doc(ws, "alpha", "the walrus sings")
+        anchor = ws.freshness.anchor("alpha")
+        self._replay_last_ack(ws, "alpha", auditLink="ab" * 32)
+        assert len(ws.alerts) == 1 and "forged chain" in ws.alerts[0][1]
+        assert ws.freshness.anchor("alpha") == anchor
+
+    def test_revision_behind_the_anchor_alerts(self, ws):
+        _seed_doc(ws, "alpha", "the walrus sings")
+        ws.type_text("alpha", 0, "more ")
+        assert ws.save("alpha").ok
+        anchor = ws.freshness.anchor("alpha")
+        self._replay_last_ack(ws, "alpha", rev=str(anchor.rev - 1))
+        assert len(ws.alerts) == 1 and "rollback" in ws.alerts[0][1]
+        assert ws.freshness.anchor("alpha") == anchor
+
+    def test_replayed_ack_is_silent(self, ws):
+        _seed_doc(ws, "alpha", "the walrus sings")
+        self._replay_last_ack(ws, "alpha")
+        assert ws.alerts == []
+
+    def test_gap_free_saves_fetch_no_chain(self, ws):
+        _seed_doc(ws, "alpha", "the walrus sings")
+        with obs.capture() as cap:
+            for i in range(5):
+                ws.type_text("alpha", 0, f"{i} ")
+                assert ws.save("alpha").ok
+        assert cap["client.workspace.history_verifies"] == 0
+        assert ws.freshness.anchor("alpha").rev == \
+            ws.session("alpha").client.revision
+        assert ws.alerts == []
+
+    def test_revision_gap_fetches_the_chain_once(self, ws):
+        _seed_doc(ws, "alpha", "the walrus sings")
+        _blackhole_next_save(ws, "alpha")
+        ws.type_text("alpha", 0, "after ")
+        with obs.capture() as cap:
+            assert ws.save("alpha").ok
+        assert cap["client.workspace.history_verifies"] == 1
+        assert ws.alerts == []
+        assert ws.freshness.anchor("alpha").rev == \
+            ws.session("alpha").client.revision
+
+    def test_unchanged_reopen_fetches_one_chain_entry(self, ws):
+        bodies: list[str] = []
+        ws.catalog_channel.add_tap(
+            lambda exchange: bodies.append(exchange.response.body))
+        _seed_doc(ws, "alpha", "the walrus sings")
+        for i in range(6):
+            ws.type_text("alpha", 0, f"{i} ")
+            assert ws.save("alpha").ok
+        ws.close("alpha")
+        del bodies[:]
+        assert ws.open("alpha").endswith("the walrus sings")
+        (body,) = bodies
+        assert len(decode_entries(body)) == 1
+        assert ws.alerts == []
+
+    def test_close_after_a_blackholed_save_flushes_and_verifies(self, ws):
+        """The flush's Ack skips the blackholed revision; ``close``
+        verifies the chain while the session is still there."""
+        _seed_doc(ws, "alpha", "the walrus sings")
+        _blackhole_next_save(ws, "alpha")
+        ws.type_text("alpha", 0, "flushed ")
+        text = ws.text("alpha")
+        ws.close("alpha")
+        assert ws.open_docs == []
+        assert ws.alerts == []
+        assert ws.open("alpha") == text
+        assert ws.alerts == []
+
+    def test_rpc_documents_gain_version_freshness(self, server):
+        ws = Workspace("tenant-secret", server=server, scheme="rpc",
+                       rng_seed=7)
+        _seed_doc(ws, "alpha", "version one")
+        ws.type_text("alpha", 0, "version two: ")
+        assert ws.save("alpha").ok
+        ws.close("alpha")
+        ActiveServerAdversary(server.store).rollback("alpha")
+        assert "version one" not in ws.open("alpha")
+        assert any("server rollback/replay" in message
+                   for _, message in ws.alerts)
+        ws.close_all()
 
 
 class _RecordingMediator:

@@ -61,11 +61,15 @@ The mutation table covers one oracle per stack layer:
     no ``+``, but every plaintext save body with a space has one: the
     default profile's decrypt-versus-client-text oracle must flag it
     (``convergence``).
-``workspace-ignores-trusted-link``
-    The workspace client stops comparing a fetched audit chain against
-    its remembered ``(rev, link)`` anchor — exactly the check that
-    makes a *forged* self-consistent chain detectable.  The workspace
+``witness-ignores-anchor-link``
+    ``FreshnessMonitor.witness`` stops comparing the entry at the
+    anchor's revision with the anchor itself — exactly the check that
+    makes a *forged* self-consistent chain detectable, since a chain
+    fetched from the anchor on starts with that entry.  The workspace
     profile's rollback-attacking server must flag it (``audit-miss``).
+``witness-ignores-anchor-link-unit``
+    The same mutant, caught by the workspace unit test that forges a
+    self-consistent chain over rolled-back content.
 ``save-failure-keeps-delta-mode``
     The client's one save-failure handler
     (``ResilientClient._save_failed``) stops resetting full-save mode,
@@ -219,15 +223,26 @@ MUTATIONS = (
         kind="convergence",
     ),
     Mutation(
-        name="workspace-ignores-trusted-link",
-        file="repro/client/workspace.py",
-        target="            elif witnessed.link != trusted_link:",
-        mutant=("            elif False and witnessed.link != "
-                "trusted_link:  # MUTANT: anchor ignored"),
+        name="witness-ignores-anchor-link",
+        file="repro/extension/freshness.py",
+        target="            elif entries[at] != anchor:",
+        mutant="            elif False:  # MUTANT: anchor ignored",
         fuzz_args=("--profile", "workspace"),
         iters=6,
         blind_to="a forged (self-consistent) audit chain",
         kind="audit-miss",
+    ),
+    Mutation(
+        name="witness-ignores-anchor-link-unit",
+        file="repro/extension/freshness.py",
+        target="            elif entries[at] != anchor:",
+        mutant="            elif False:  # MUTANT: anchor ignored",
+        fuzz_args=(),
+        iters=1,
+        blind_to="a forged (self-consistent) audit chain",
+        kind="",
+        test=("tests/unit/test_workspace.py::TestAuditTrail::"
+              "test_forged_self_consistent_chain_is_detected"),
     ),
     Mutation(
         name="save-failure-keeps-delta-mode",
