@@ -93,6 +93,11 @@ def _escape(text: str) -> str:
 def _unescape(text: str) -> str:
     if "%" not in text:  # the overwhelmingly common case: no escapes
         return text
+    # Every "%" starts an escape, so when each one is followed by "09"
+    # or "25" the two escapes cannot overlap and replace at C speed;
+    # otherwise the loop below finds the first bad one.
+    if text.count("%") == text.count("%09") + text.count("%25"):
+        return text.replace("%09", "\t").replace("%25", "%")
     out: list[str] = []
     i = 0
     while i < len(text):
@@ -379,6 +384,22 @@ class Delta:
         if not count and not text:
             return cls(())
         return cls.replacement(prefix, count, text)
+
+    def inverse(self, deleted: Iterable[str]) -> "Delta":
+        """The delta that undoes this one: applied to this delta's
+        result, it gives back the document this delta was applied to.
+        ``deleted`` holds the text each ``Delete`` removed, in order;
+        retains stay, inserts become deletes and deletes re-insert."""
+        removed = iter(deleted)
+        ops: list[DeltaOp] = []
+        for op in self._ops:
+            if isinstance(op, Retain):
+                ops.append(op)
+            elif isinstance(op, Insert):
+                ops.append(Delete(len(op.text)))
+            else:
+                ops.append(Insert(next(removed)))
+        return Delta(ops)
 
 
 #: first slice width of the galloping affix search

@@ -214,12 +214,11 @@ class CatalogStore:
     # -- audit chains ---------------------------------------------------
 
     def chain(self, doc_id: str) -> AuditChain:
-        """The audit chain for ``doc_id`` (created empty on first use)."""
+        """The audit chain for ``doc_id``; an empty one, not stored,
+        when nothing was committed for it (a read grows no state)."""
         with self._lock:
             chain = self._chains.get(doc_id)
-            if chain is None:
-                chain = self._chains[doc_id] = AuditChain()
-            return chain
+            return chain if chain is not None else AuditChain()
 
     def commit(self, doc_id: str, rev: int, content_hash: str,
                records=(), audit: bool = False) -> bool:

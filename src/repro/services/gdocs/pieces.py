@@ -11,15 +11,14 @@ splices pieces instead of copying characters.
 
 * ``apply_delta`` walks the piece list once, splitting at op boundaries:
   O(ops + pieces), independent of how many *characters* the retains
-  cover.
+  cover.  It returns the text each delete removed, sliced from the
+  pieces it walks, so the store can record the edit's inverse without
+  materializing the document.
 * Inserted text goes into one fresh buffer per delta; existing buffers
-  are never mutated, so a :meth:`snapshot` is O(pieces) and stays valid
-  forever — that is what lets the store keep revision history without
-  copying the full document per revision.
+  are never mutated.
 * Every edit adds at most ``ops + 1`` pieces; when the list grows past
   ``flatten_at`` the table flattens back to a single piece (one O(n)
-  copy amortized over ~``flatten_at`` edits), bounding both walk cost
-  and snapshot size.
+  copy amortized over ~``flatten_at`` edits), bounding the walk cost.
 
 ``content`` / :meth:`materialize` give the exact string view existing
 callers expect, cached until the next mutation.
@@ -27,11 +26,11 @@ callers expect, cached until the next mutation.
 
 from __future__ import annotations
 
-from repro.core.delta import Delta, Insert, Retain
+from repro.core.delta import Delta, Delete, Insert, Retain
 from repro.errors import DeltaApplicationError
 from repro.obs import counter, histogram
 
-__all__ = ["PieceTable", "PieceSnapshot", "DEFAULT_FLATTEN_AT"]
+__all__ = ["PieceTable", "DEFAULT_FLATTEN_AT"]
 
 #: piece-count ceiling before the table flattens back to one piece
 DEFAULT_FLATTEN_AT = 512
@@ -48,34 +47,6 @@ _PIECES_PER_DOC = histogram("gdocs.pieces.per_doc")
 
 #: a piece: (buffer index, start offset, length)
 _Piece = tuple[int, int, int]
-
-
-class PieceSnapshot:
-    """An immutable point-in-time view of a :class:`PieceTable`.
-
-    Holds references to the table's (immutable, append-only) buffer
-    list, so taking one is O(pieces) and never copies document text;
-    the string itself is materialized lazily on first access.
-    """
-
-    __slots__ = ("_pieces", "_buffers", "length", "_text")
-
-    def __init__(self, pieces: tuple[_Piece, ...], buffers: list[str],
-                 length: int):
-        self._pieces = pieces
-        self._buffers = buffers
-        self.length = length
-        self._text: str | None = None
-
-    def materialize(self) -> str:
-        """The snapshot's full text (computed once, then cached)."""
-        if self._text is None:
-            buffers = self._buffers
-            self._text = "".join(
-                buffers[buf][start : start + length]
-                for buf, start, length in self._pieces
-            )
-        return self._text
 
 
 class PieceTable:
@@ -117,17 +88,15 @@ class PieceTable:
             )
         return self._text
 
-    def snapshot(self) -> PieceSnapshot:
-        """An immutable view of the current state, O(pieces)."""
-        return PieceSnapshot(tuple(self._pieces), self._buffers, self._length)
-
     # -- mutation --------------------------------------------------------
 
-    def apply_delta(self, delta: Delta) -> None:
+    def apply_delta(self, delta: Delta) -> list[str]:
         """Apply ``delta`` in place: O(ops + pieces), never O(chars).
 
-        Atomic: a delta that does not fit raises
-        :class:`DeltaApplicationError` and leaves the table unchanged.
+        Returns the text each ``Delete`` removed, in op order — what
+        :meth:`Delta.inverse` needs to undo the edit.  Atomic: a delta
+        that does not fit raises :class:`DeltaApplicationError` and
+        leaves the table unchanged.
         """
         if self._length <= SMALL_DOC_CHARS:
             # One C-speed string splice; ``materialize`` is cached from
@@ -136,39 +105,55 @@ class PieceTable:
             # the cheap counters fire here: the per-doc piece histogram
             # is a piece-walk diagnostic, and its observe() costs more
             # than the splice's per-edit bookkeeping budget allows.
-            text = delta.apply(self.materialize())
+            old = self.materialize()
+            text = delta.apply(old)
+            deleted = []
+            cursor = 0
+            for op in delta.ops:
+                if isinstance(op, Delete):
+                    deleted.append(old[cursor:cursor + op.count])
+                if not isinstance(op, Insert):
+                    cursor += op.count
             self._buffers = [text]
             self._pieces = [(0, 0, len(text))] if text else []
             self._length = len(text)
             self._text = text
             _APPLIES.inc()
             _PIECES_WALKED.inc(len(delta.ops))
-            return
+            return deleted
         inserted = [op.text for op in delta.ops if isinstance(op, Insert)]
         add_buf = len(self._buffers)
         add_text = "".join(inserted)
         add_off = 0
 
         new_pieces: list[_Piece] = []
+        deleted: list[str] = []
         old_pieces = self._pieces
+        buffers = self._buffers
         pi = 0           # index of the piece holding the cursor
         poff = 0         # chars of piece ``pi`` already consumed
         cursor = 0       # document chars consumed so far
 
         def take(count: int, keep: bool) -> None:
-            """Consume ``count`` chars, copying their pieces iff ``keep``."""
+            """Consume ``count`` chars: copy their pieces if ``keep``,
+            else record their text as one deleted span."""
             nonlocal pi, poff
+            spans: list[str] = []
             while count > 0:
                 buf, start, length = old_pieces[pi]
                 avail = length - poff
                 step = avail if avail <= count else count
                 if keep:
                     _append(new_pieces, (buf, start + poff, step))
+                else:
+                    spans.append(buffers[buf][start + poff:start + poff + step])
                 count -= step
                 poff += step
                 if poff == length:
                     pi += 1
                     poff = 0
+            if not keep:
+                deleted.append("".join(spans))
 
         for op in delta.ops:
             if isinstance(op, Retain):
@@ -212,18 +197,7 @@ class PieceTable:
         if len(new_pieces) > ceiling:
             self.flatten()
         _PIECES_PER_DOC.observe(len(self._pieces))
-
-    def restore(self, snapshot: PieceSnapshot) -> None:
-        """Rewind to ``snapshot`` (e.g. rolling back an over-quota edit).
-
-        Buffers are append-only, so adopting the snapshot's buffer list
-        is safe: its pieces only reference indexes that existed when it
-        was taken.
-        """
-        self._buffers = snapshot._buffers
-        self._pieces = list(snapshot._pieces)
-        self._length = snapshot.length
-        self._text = snapshot._text
+        return deleted
 
     def reset(self, text: str) -> None:
         """Full replace (the docContents save path)."""
@@ -235,8 +209,7 @@ class PieceTable:
     def flatten(self) -> None:
         """Collapse to a single piece over one fresh buffer.
 
-        Old buffers are left untouched (snapshots may still reference
-        them); the table simply starts a new buffer list.
+        The table starts a new buffer list holding the one joined text.
         """
         _FLATTENS.inc()
         text = self.materialize()

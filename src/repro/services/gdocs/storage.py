@@ -18,15 +18,18 @@ threat analysis depends on them:
 
 Storage is a :class:`~repro.services.gdocs.pieces.PieceTable`, so an
 incremental save costs O(delta ops + pieces touched) rather than a full
-O(document) string rebuild, and each history entry is an O(pieces)
-snapshot that only materializes to a string if somebody reads it.
-``content`` remains an exact plain-string view for every existing
-caller (including tests and adversaries that *assign* to it).
+O(document) string rebuild.  History is one per-revision log: the head
+plus, per revision, the forward op and the inverse delta that takes the
+next version back to it, kept as wire strings.  A revision costs
+O(delta) characters, not a copy of the document, and an old version is
+rebuilt only if somebody reads it.  ``content`` remains an exact
+plain-string view for every existing caller (including tests and
+adversaries that *assign* to it).
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Union
+from typing import Iterator
 
 from repro.core.delta import Delta
 from repro.errors import (
@@ -34,7 +37,7 @@ from repro.errors import (
     ProtocolError,
     QuotaExceededError,
 )
-from repro.services.gdocs.pieces import PieceSnapshot, PieceTable
+from repro.services.gdocs.pieces import PieceTable
 
 __all__ = [
     "MAX_DOCUMENT_CHARS",
@@ -50,52 +53,99 @@ MAX_DOCUMENT_CHARS = 500_000
 #: revisions retained per document before the oldest are compacted
 DEFAULT_MAX_HISTORY = 256
 
-_HistoryEntry = Union[str, PieceSnapshot]
-
-
 class RevisionHistory:
-    """Prior document versions, materialized to strings only on read.
+    """Prior document versions, kept as one log read back from the head.
 
     Behaves like the ``list[str]`` it replaced: indexing (including
     negative indexes and slices), iteration, ``len``, equality against
     plain lists, and ``append`` (adversaries push raw strings) all
-    work.  Internally each entry is either a string or a lazy
-    :class:`PieceSnapshot`, so committing a revision never copies the
-    document text.
+    work.  Record ``i`` holds two strings: the forward op that produced
+    version ``i + 1`` (the delta's wire text; None for a full save or a
+    raw append) and a way back to version ``i``.  The way back is the
+    inverse delta's wire text, applied to version ``i + 1`` (the head,
+    for the newest record) — or, for a raw append, version ``i``'s text
+    itself (``_whole`` says which).  Reading ``history[k]`` starts from the nearest later whole
+    text or the head and applies inverses down to ``k``; plain strings
+    are not GC-tracked, so a long log adds nothing to collections.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_head", "_ops", "_backs", "_whole")
 
-    def __init__(self) -> None:
-        self._entries: list[_HistoryEntry] = []
-
-    @staticmethod
-    def _text(entry: _HistoryEntry) -> str:
-        return entry if isinstance(entry, str) else entry.materialize()
+    def __init__(self, head: PieceTable) -> None:
+        self._head = head
+        self._ops: list[str | None] = []
+        self._backs: list[str] = []
+        #: per record: is ``_backs[i]`` version i's whole text?
+        self._whole: list[bool] = []
 
     def append(self, text: str) -> None:
         """Push a raw version string (the tampering path)."""
-        self._entries.append(text)
+        if text != self._head.materialize():
+            # the newest inverse was taken against the head, and
+            # ``text`` now stands between the two
+            self._pin_newest()
+        self._ops.append(None)
+        self._backs.append(text)
+        self._whole.append(True)
 
-    def _append_snapshot(self, snapshot: PieceSnapshot) -> None:
-        self._entries.append(snapshot)
+    def _record(self, op: str | None, inverse: Delta) -> None:
+        """Log one commit: ``op`` made the head, ``inverse`` undoes it."""
+        self._ops.append(op)
+        self._backs.append(inverse.serialize())
+        self._whole.append(False)
+
+    def _pin_newest(self) -> None:
+        """Turn the newest record into its whole text, because its base,
+        the head, is about to change outside a commit."""
+        if self._whole and not self._whole[-1]:
+            self._backs[-1] = self[-1]
+            self._whole[-1] = True
 
     def _drop_oldest(self, count: int) -> None:
-        del self._entries[:count]
+        del self._ops[:count]
+        del self._backs[:count]
+        del self._whole[:count]
+
+    def _versions(self, lo: int, hi: int) -> list[str]:
+        """Versions ``lo .. hi - 1``, oldest first, in one backward walk
+        from the nearest whole text at or above ``hi - 1`` (or the head)."""
+        if lo >= hi:
+            return []
+        backs, whole = self._backs, self._whole
+        n = len(backs)
+        start = hi - 1
+        while start < n and not whole[start]:
+            start += 1
+        text = backs[start] if start < n else self._head.materialize()
+        out = [text] if start < hi else []
+        for i in range(start - 1, lo - 1, -1):
+            if whole[i]:
+                text = backs[i]
+            else:
+                text = Delta.parse(backs[i]).apply(text)
+            if i < hi:
+                out.append(text)
+        out.reverse()
+        return out
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._ops)
 
     def __bool__(self) -> bool:
-        return bool(self._entries)
+        return bool(self._ops)
 
     def __iter__(self) -> Iterator[str]:
-        return (self._text(entry) for entry in list(self._entries))
+        return iter(self._versions(0, len(self._ops)))
 
     def __getitem__(self, key):
+        picks = range(len(self._ops))[key]
         if isinstance(key, slice):
-            return [self._text(entry) for entry in self._entries[key]]
-        return self._text(self._entries[key])
+            if not picks:
+                return []
+            lo = min(picks)
+            versions = self._versions(lo, max(picks) + 1)
+            return [versions[i - lo] for i in picks]
+        return self._versions(picks, picks + 1)[0]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, RevisionHistory):
@@ -111,22 +161,19 @@ class RevisionHistory:
 class StoredDocument:
     """One document as the server sees it (possibly ciphertext)."""
 
-    __slots__ = ("doc_id", "revision", "history", "ops_log", "max_history",
+    __slots__ = ("doc_id", "revision", "history", "max_history",
                  "history_floor", "_table")
 
     def __init__(self, doc_id: str, content: str = "",
                  max_history: int = DEFAULT_MAX_HISTORY):
         self.doc_id = doc_id
         self.revision = 0
-        self.history = RevisionHistory()
-        #: per retained revision, the delta that produced it (None = full
-        #: save); consumed by the merging server's transform path
-        self.ops_log: list[str | None] = []
+        self._table = PieceTable(content)
+        self.history = RevisionHistory(self._table)
         self.max_history = max_history
         #: oldest revision whose commit record is still retained —
         #: everything below it has been compacted away
         self.history_floor = 0
-        self._table = PieceTable(content)
 
     # -- content views ---------------------------------------------------
 
@@ -139,6 +186,7 @@ class StoredDocument:
     def content(self, text: str) -> None:
         # Direct assignment (active tampering, test fixtures) bypasses
         # commit bookkeeping, same as mutating the old dataclass field.
+        self.history._pin_newest()
         self._table.reset(text)
 
     @property
@@ -146,17 +194,24 @@ class StoredDocument:
         """Current document length in characters, without materializing."""
         return self._table.length
 
+    @property
+    def ops_log(self) -> list[str | None]:
+        """Per retained revision, the delta that produced it (None: a
+        full save or a raw append); read by the merging server's
+        transform path."""
+        return self.history._ops
+
     # -- commits ---------------------------------------------------------
 
-    def _commit(self, new_content: str, op: str | None = None) -> None:
+    def _commit(self, new_content: str) -> None:
         """Full replace: the ``docContents`` save path."""
         if len(new_content) > MAX_DOCUMENT_CHARS:
             raise QuotaExceededError(
                 f"document {self.doc_id!r} would be {len(new_content)} "
                 f"chars; limit is {MAX_DOCUMENT_CHARS}"
             )
-        self.history._append_snapshot(self._table.snapshot())
-        self.ops_log.append(op)
+        old = self._table.materialize()
+        self.history._record(None, Delta.between(new_content, old))
         self._table.reset(new_content)
         self.revision += 1
         self._compact()
@@ -165,24 +220,24 @@ class StoredDocument:
         """Incremental save: splice ``delta_text`` into the piece table.
 
         O(delta ops + pieces touched) — the stored text is never
-        rebuilt as a string.  Raises
+        rebuilt as a string, and the logged inverse is built from the
+        deleted spans alone.  Raises
         :class:`~repro.errors.DeltaSyntaxError` /
         :class:`~repro.errors.DeltaApplicationError` for malformed or
         ill-fitting deltas and :class:`QuotaExceededError` (with the
-        document left unchanged) when the result would exceed quota.
+        document and its history left unchanged) when the result would
+        exceed quota.
         """
         delta = Delta.parse(delta_text)
-        before = self._table.snapshot()
-        self._table.apply_delta(delta)
+        inverse = delta.inverse(self._table.apply_delta(delta))
         if self._table.length > MAX_DOCUMENT_CHARS:
             would_be = self._table.length
-            self._table.restore(before)
+            self._table.apply_delta(inverse)
             raise QuotaExceededError(
                 f"document {self.doc_id!r} would be {would_be} "
                 f"chars; limit is {MAX_DOCUMENT_CHARS}"
             )
-        self.history._append_snapshot(before)
-        self.ops_log.append(delta_text)
+        self.history._record(delta_text, inverse)
         self.revision += 1
         self._compact()
 
@@ -192,14 +247,13 @@ class StoredDocument:
         excess = len(self.history) - self.max_history
         if excess > 0:
             self.history._drop_oldest(excess)
-            del self.ops_log[:excess]
             self.history_floor += excess
 
     def deltas_since(self, revision: int) -> list[str] | None:
         """Deltas that took ``revision`` to the current revision, or
-        None when transforming past them is impossible — a full save
-        intervened, or ``revision`` predates the history floor (its
-        commit records were compacted away)."""
+        None when transforming past them is impossible — a full save or
+        a raw append intervened, or ``revision`` predates the history
+        floor (its commit records were compacted away)."""
         if revision < self.history_floor:
             return None
         window = self.ops_log[revision - self.history_floor:]

@@ -117,6 +117,18 @@ class TestCatalogEndpoint:
         # none of the catalog ops touched the wrapped server
         assert svc.inner.calls == []
 
+    def test_chain_reads_for_unknown_ids_store_nothing(self):
+        svc = self._service()
+        svc.catalog.commit("doc", 1, "h1", audit=True)
+        before = dict(svc.catalog._chains)
+        known = svc(catalog_chain_request("doc")).body
+        for i in range(1_000):
+            response = svc(catalog_chain_request(f"unknown-{i}"))
+            assert (response.status, response.body) == (200, "")
+        assert svc.catalog._chains == before
+        assert svc(catalog_chain_request("doc")).body == known
+        assert svc.inner.calls == []
+
     def test_error_branches_answer_400(self):
         svc = self._service()
         cases = [

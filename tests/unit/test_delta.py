@@ -39,6 +39,18 @@ class TestParseSerialize:
         delta = Delta([Insert("100%\t+fun")])
         assert Delta.parse(delta.serialize()).apply("") == "100%\t+fun"
 
+    @pytest.mark.parametrize("wire,text", [
+        ("+%2509", "%09"), ("+%25%09", "%\t"), ("+%09%25", "\t%"),
+        ("+a%2525b", "a%25b"), ("+%25%2509", "%%09"),
+    ])
+    def test_escapes_decode_left_to_right(self, wire, text):
+        assert Delta.parse(wire) == Delta([Insert(text)])
+
+    @pytest.mark.parametrize("bad", ["+%", "+%2", "+%%25", "+%0A", "+a%2%25"])
+    def test_rejects_bad_escapes(self, bad):
+        with pytest.raises(DeltaSyntaxError, match="bad escape"):
+            Delta.parse(bad)
+
     @pytest.mark.parametrize("bad", [
         "=", "-", "+", "=x", "-1.5", "=0", "-0", "?3", "=1\t\t=2", "= 1",
     ])

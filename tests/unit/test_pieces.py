@@ -5,7 +5,8 @@ The gdocs server now stores each document as a
 splicing pieces instead of rebuilding the content string.  These tests
 pin the two load-bearing claims: (1) the piece-table apply path is
 *observationally identical* to ``Delta.apply`` on a plain string, under
-arbitrary random edit histories and across flattens; (2) the
+arbitrary random edit histories and across flattens, and the deleted
+spans it returns invert every edit; (2) the
 :class:`StoredDocument` history cap compacts old revisions without
 perturbing anything a client (or adversary) can still reach.
 """
@@ -68,30 +69,31 @@ class TestPieceTableEquivalence:
         assert table.materialize() == text
         assert table.length == len(text)
 
-    def test_snapshots_survive_later_edits_and_flattens(self):
+    def test_inverses_rebuild_every_version_across_flattens(self):
         table = PieceTable("hello", flatten_at=2)
-        snapshots = [table.snapshot()]
+        versions, inverses = ["hello"], []
         for i in range(10):
-            Delta.parse(f"+{i}").apply(table)
-            snapshots.append(table.snapshot())
-        assert snapshots[0].materialize() == "hello"
-        assert snapshots[3].materialize() == "210hello"
-        assert snapshots[-1].materialize() == table.materialize()
+            delta = Delta.parse(f"+{i}")
+            inverses.append(delta.inverse(table.apply_delta(delta)))
+            versions.append(table.materialize())
+        text = table.materialize()
+        for want, inverse in zip(reversed(versions[:-1]),
+                                 reversed(inverses)):
+            text = inverse.apply(text)
+            assert text == want
+        assert text == "hello"
 
-    def test_snapshots_on_the_piece_path(self):
+    def test_inverses_on_the_piece_path(self):
         rng = random.Random(9)
         text = "abcdefgh" * 3000  # 24k chars: piece path
         table = PieceTable(text, flatten_at=8)
-        expect = [text]
-        snapshots = [table.snapshot()]
         for _ in range(40):
             delta = random_delta(rng, len(text))
-            text = delta.apply(text)
-            delta.apply(table)
-            expect.append(text)
-            snapshots.append(table.snapshot())
-        for want, snap in zip(expect, snapshots):
-            assert snap.materialize() == want
+            deleted = table.apply_delta(delta)
+            after = delta.apply(text)
+            assert delta.inverse(deleted).apply(after) == text
+            text = after
+        assert table.materialize() == text
 
 
 class TestHistoryCap:

@@ -101,6 +101,13 @@ The mutation table covers one oracle per stack layer:
     and overwrite the recovered document.  The entry runs the unit
     test that counts the save exchanges a Bespin settle sends.
 
+``history-skips-inverse-step``
+    The server's revision log (``RevisionHistory._versions``) skips the
+    first inverse delta of every backward walk, so ``history[k]``
+    returns the version after the one asked for.  Clients never read
+    history, so no fuzz oracle sees it; the entry runs the property
+    test that compares the log with a flat list of every version.
+
 Mutations are applied textually so the tool exercises the real on-disk
 pipeline end to end; the original tree is never touched.
 
@@ -303,6 +310,19 @@ MUTATIONS = (
         kind="",
         test=("tests/unit/test_session_settle.py::"
               "test_settle_on_bespin_lands_one_extra_full_save"),
+    ),
+    Mutation(
+        name="history-skips-inverse-step",
+        file="repro/services/gdocs/storage.py",
+        target="                text = Delta.parse(backs[i]).apply(text)",
+        mutant=("                text = text if i == start - 1 else "
+                "Delta.parse(backs[i]).apply(text)  # MUTANT: step skipped"),
+        fuzz_args=(),
+        iters=1,
+        blind_to="a revision log that skips one inverse step",
+        kind="",
+        test=("tests/property/test_prop_revision_log.py::"
+              "test_history_matches_a_flat_list[None]"),
     ),
 )
 
