@@ -21,12 +21,11 @@ documents".
 from __future__ import annotations
 
 import random
-import time
 
 import pytest
 
 from conftest import register_table
-from repro.bench import render_table
+from repro.bench import Sample, render_table
 from repro.baselines import CocloDocument, NaiveAlignedDocument
 from repro.core import KeyMaterial, create_document
 from repro.crypto.random import DeterministicRandomSource
@@ -56,15 +55,14 @@ def _arms(text):
 def _edit_cost(doc, n, seed):
     """Mean (seconds, cdelta chars) over random 1-char inserts."""
     rng = random.Random(seed)
-    total_time = 0.0
+    laps = Sample()
     total_bytes = 0
     for _ in range(EDITS):
         pos = rng.randint(0, doc.char_length)
-        t0 = time.perf_counter()
-        cdelta = doc.insert(pos, "x")
-        total_time += time.perf_counter() - t0
+        with laps.lap():
+            cdelta = doc.insert(pos, "x")
         total_bytes += len(cdelta.serialize())
-    return total_time / EDITS, total_bytes / EDITS
+    return laps.mean, total_bytes / EDITS
 
 
 @pytest.fixture(scope="module")

@@ -15,12 +15,11 @@ Two knobs DESIGN.md calls out but the paper fixes silently:
 from __future__ import annotations
 
 import random
-import time
 
 import pytest
 
 from conftest import register_table
-from repro.bench import render_table
+from repro.bench import REPS, Sample, render_table
 from repro.core import KeyMaterial, create_document
 from repro.crypto.random import DeterministicRandomSource
 from repro.datastructures import IndexedAVL, IndexedSkipList
@@ -38,19 +37,23 @@ def _skiplist_ops_per_second(p: float) -> float:
     structure = IndexedSkipList(p=p, rng=random.Random(1))
     structure.extend((i, 1 + i % 8) for i in range(20_000))
     rng = random.Random(2)
-    count = 4_000
-    t0 = time.perf_counter()
-    for step in range(count):
-        roll = rng.random()
-        if roll < 0.5:
-            structure.find_char(rng.randrange(structure.total_chars))
-        elif roll < 0.75:
-            rank = rng.randint(0, len(structure))
-            structure.splice(rank, rank, [(step, rng.randint(1, 8))])
-        else:
-            rank = rng.randrange(len(structure))
-            structure.splice(rank, rank + 1, [])
-    return count / (time.perf_counter() - t0)
+    per_lap = 4_000 // REPS
+    laps = Sample()
+    for rep in range(REPS):
+        with laps.lap():
+            for step in range(rep * per_lap, (rep + 1) * per_lap):
+                roll = rng.random()
+                if roll < 0.5:
+                    structure.find_char(
+                        rng.randrange(structure.total_chars))
+                elif roll < 0.75:
+                    rank = rng.randint(0, len(structure))
+                    structure.splice(rank, rank,
+                                     [(step, rng.randint(1, 8))])
+                else:
+                    rank = rng.randrange(len(structure))
+                    structure.splice(rank, rank + 1, [])
+    return per_lap / laps.median
 
 
 def _session_seconds(index_factory) -> float:
@@ -59,12 +62,11 @@ def _session_seconds(index_factory) -> float:
                           block_chars=8, rng=DeterministicRandomSource(3),
                           index_factory=index_factory)
     rng = random.Random(4)
-    t0 = time.perf_counter()
-    current = text
+    laps = Sample()
     for delta in edit_stream(text, "inserts & deletes", rng, EDITS):
-        current = delta.apply(current)
-        doc.apply_delta(delta)
-    return time.perf_counter() - t0
+        with laps.lap():
+            doc.apply_delta(delta)
+    return sum(laps.values)
 
 
 @pytest.fixture(scope="module")

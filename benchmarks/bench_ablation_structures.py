@@ -10,22 +10,23 @@ document scales:
 * ReferenceIndex (a plain list: O(1)-amortized memory moves but O(n)
   scans — the "just use an array" strawman).
 
-Measured: mixed find-by-char / insert / delete / width-update operation
-throughput.  Every write is a ``splice`` — the index's only write, and
-the one the encrypted document runs: insert ``splice(r, r, [block])``,
-delete ``splice(r, r + 1, [])``, update ``splice(r, r + 1, [block])``.  Expected shape: the log-time structures stay flat as n
-grows 100x while the list's per-op cost grows roughly linearly.
+Measured: mixed find-by-char / insert / delete / width-update
+per-operation cost, the median of ``REPS`` laps.  Every write is a
+``splice`` — the index's only write, and the one the encrypted document
+runs: insert ``splice(r, r, [block])``, delete ``splice(r, r + 1, [])``,
+update ``splice(r, r + 1, [block])``.  Expected shape: the log-time
+structures stay flat as n grows 100x while the list's per-op cost grows
+roughly linearly.
 """
 
 from __future__ import annotations
 
 import random
-import time
 
 import pytest
 
 from conftest import register_table
-from repro.bench import render_table
+from repro.bench import REPS, Sample, render_table
 from repro.datastructures import IndexedAVL, IndexedSkipList, ReferenceIndex
 
 SIZES = [1_000, 10_000, 100_000]
@@ -43,22 +44,30 @@ def _populate(structure, n):
 
 
 def _mixed_ops(structure, count, seed):
+    """Seconds per op: ``count`` mixed ops timed in ``REPS`` equal laps,
+    the median lap over its ops."""
     rng = random.Random(seed)
-    t0 = time.perf_counter()
-    for step in range(count):
-        roll = rng.random()
-        if roll < 0.4:
-            structure.find_char(rng.randrange(structure.total_chars))
-        elif roll < 0.6:
-            rank = rng.randint(0, len(structure))
-            structure.splice(rank, rank, [(step, rng.randint(1, 8))])
-        elif roll < 0.8 and len(structure) > 1:
-            rank = rng.randrange(len(structure))
-            structure.splice(rank, rank + 1, [])
-        else:
-            rank = rng.randrange(len(structure))
-            structure.splice(rank, rank + 1, [(step, rng.randint(1, 8))])
-    return (time.perf_counter() - t0) / count
+    per_lap = count // REPS
+    laps = Sample()
+    for rep in range(REPS):
+        with laps.lap():
+            for step in range(rep * per_lap, (rep + 1) * per_lap):
+                roll = rng.random()
+                if roll < 0.4:
+                    structure.find_char(
+                        rng.randrange(structure.total_chars))
+                elif roll < 0.6:
+                    rank = rng.randint(0, len(structure))
+                    structure.splice(rank, rank,
+                                     [(step, rng.randint(1, 8))])
+                elif roll < 0.8 and len(structure) > 1:
+                    rank = rng.randrange(len(structure))
+                    structure.splice(rank, rank + 1, [])
+                else:
+                    rank = rng.randrange(len(structure))
+                    structure.splice(rank, rank + 1,
+                                     [(step, rng.randint(1, 8))])
+    return laps.median / per_lap
 
 
 @pytest.fixture(scope="module")

@@ -39,6 +39,7 @@ import json
 import pathlib
 import sys
 
+from repro.bench import write_sidecar
 from repro.bench.collab import SEED, run_collab
 
 SCHEMA = "repro.bench.collab/v1"
@@ -103,28 +104,6 @@ def run_smoke(writers: int = 8) -> dict[str, dict]:
     merged = run_collab(writers=writers, rounds=3, merge=True)
     base = run_collab(writers=writers, rounds=3, merge=False)
     return {"merge": merged.row(), "conflict_baseline": base.row()}
-
-
-def write_sidecar(results: dict[str, dict]) -> dict:
-    """Write BENCH_collab.json, preserving the first-ever run as the
-    ``baseline`` later sessions compare against."""
-    baseline = None
-    previous = {}
-    if SIDECAR.exists():
-        previous = json.loads(SIDECAR.read_text())
-        baseline = previous.get("baseline") or previous.get("current")
-    merged = dict(previous.get("current") or {})
-    merged.update(results)
-    payload = {
-        "schema": SCHEMA,
-        "unit": "conflict rate (conflicts/save) + convergence time (s)",
-        "seed": SEED,
-        "writer_counts": list(WRITER_COUNTS),
-        "baseline": baseline or merged,  # first-ever run seeds it
-        "current": merged,
-    }
-    SIDECAR.write_text(json.dumps(payload, indent=2) + "\n")
-    return payload
 
 
 # -- pytest mode (collected with the other bench_* figures) --------------
@@ -218,7 +197,12 @@ if __name__ == "__main__":
         results[name] = run_cells(service, merge, counts)
     if args.variant == "all" and HEADLINE_WRITERS in counts:
         results["headline"] = headline(results)
-    payload = write_sidecar(results)
+    payload = write_sidecar(SIDECAR, SCHEMA, {
+        "unit": "conflict rate (conflicts/save) + convergence time (s)",
+        "seed": SEED,
+        "writer_counts": list(WRITER_COUNTS),
+        "current": results,
+    }, merge=("current",))
     json.dump(payload["current"].get("headline", payload["current"]),
               sys.stdout, indent=2)
     print()

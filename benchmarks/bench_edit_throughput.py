@@ -13,12 +13,13 @@ for
 * the server store (``DocumentStore.apply_delta``), which applies
   opaque deltas to the stored text.
 
-Run as a script (``make bench-edits``) it writes the
-``BENCH_edit_throughput.json`` sidecar at the repo root.  The sidecar
-keeps the *first* recorded run as ``baseline`` forever, so the perf
-trajectory across PRs stays visible: ``current`` vs ``baseline`` is
-the speedup delivered since the file was first written (the pre-splice,
-pre-piece-table edit pipeline).
+Every cell runs ``REPS`` times and records the median edits/sec with
+its quartiles (``repro.bench.timing``).  Run as a script
+(``make bench-edits``) it writes the ``BENCH_edit_throughput.json``
+sidecar at the repo root.  The sidecar keeps the first run of its
+schema as ``baseline``, so ``current`` vs ``baseline`` shows what moved
+since; a cell whose median falls below ``REGRESSION_FLOOR`` x its
+baseline median fails the script.
 """
 
 from __future__ import annotations
@@ -27,16 +28,17 @@ import json
 import pathlib
 import random
 import sys
-import time
 
+from repro.bench import REPS, Sample, write_sidecar
 from repro.client.coalesce import EditCoalescer
 from repro.core import Delta, KeyMaterial, create_document
 from repro.crypto.random import DeterministicRandomSource
 from repro.datastructures import IndexedAVL, IndexedSkipList
 from repro.services.gdocs.storage import DocumentStore
+from repro.workloads.edits import keystroke_deltas
 from repro.workloads.text import make_text
 
-SCHEMA = "repro.bench.edit_throughput/v1"
+SCHEMA = "repro.bench.edit_throughput/v2"
 SIDECAR = pathlib.Path(__file__).resolve().parent.parent / \
     "BENCH_edit_throughput.json"
 
@@ -49,8 +51,8 @@ SERVER_SIZES = [10_000, 100_000, 400_000]
 #: keystrokes coalesced per IncE pass on the burst curve (1 = the old
 #: one-pass-per-keystroke client)
 BURST_SIZES = [1, 8, 32]
-#: a current cell below this fraction of its recorded baseline fails
-#: ``make bench-edits`` loudly
+#: a current median below this fraction of its recorded baseline median
+#: fails ``make bench-edits`` loudly
 REGRESSION_FLOOR = 0.9
 
 INDEXES = {
@@ -72,175 +74,118 @@ def _edit_deltas(rng: random.Random, length: int, count: int) -> list[Delta]:
     return deltas
 
 
-#: timed repetitions per cell; the cell reports the fastest.  Best-of-k
-#: is the standard defence against scheduler/frequency noise: real
-#: slowdowns slow every rep, noise only slows some.
-BENCH_REPS = 3
+def _eps(laps: Sample, edits: int) -> dict[str, float]:
+    """A timing cell of edits/sec from laps over ``edits`` edits each."""
+    return laps.map(lambda seconds: edits / seconds).cell(1)
 
 
-def _best_eps(measure, reps: int = BENCH_REPS) -> float:
-    """Fastest of ``reps`` timed runs of ``measure()`` (edits/sec)."""
-    return max(measure() for _ in range(reps))
-
-
-def _client_eps(scheme: str, index: str, size: int, edits: int) -> float:
+def _client_eps(scheme: str, index: str, size: int,
+                edits: int) -> dict[str, float]:
     """Sustained client-side edits/sec at the given document size."""
-    def measure() -> float:
+    laps = Sample()
+    for _ in range(REPS):
         rng = random.Random(size * 31 + edits)
         text = make_text(size, rng)
         doc = create_document(text, key_material=KEYS, scheme=scheme,
                               rng=DeterministicRandomSource(9),
                               index_factory=INDEXES[index])
         deltas = _edit_deltas(rng, doc.char_length, edits)
-        t0 = time.perf_counter()
-        for delta in deltas:
-            doc.apply_delta(delta)
-        return edits / (time.perf_counter() - t0)
-    return _best_eps(measure)
-
-
-def _keystroke_deltas(rng: random.Random, length: int,
-                      count: int) -> list[Delta]:
-    """Keystroke-level edits the way typing produces them: runs of
-    single-character inserts (with occasional backspaces) at a cursor
-    that occasionally jumps to a new edit site.  This is the workload
-    coalescing exists for — adjacent ops fold into one small delta."""
-    deltas: list[Delta] = []
-    cursor = rng.randrange(max(1, length))
-    for _ in range(count):
-        if rng.random() < 0.04:
-            cursor = rng.randrange(max(1, length))
-        if rng.random() < 0.12 and cursor > 0:  # backspace
-            cursor -= 1
-            length -= 1
-            deltas.append(Delta.deletion(cursor, 1))
-        else:
-            deltas.append(Delta.insertion(cursor, rng.choice("abcdefgh ")))
-            cursor += 1
-            length += 1
-    return deltas
+        with laps.lap():
+            for delta in deltas:
+                doc.apply_delta(delta)
+    return _eps(laps, edits)
 
 
 def _burst_eps(scheme: str, index: str, size: int, keystrokes: int,
-               burst: int) -> float:
+               burst: int) -> dict[str, float]:
     """Sustained *keystrokes*/sec when the client folds ``burst`` of
     them into one coalesced IncE pass (burst=1 is the old per-keystroke
     client).  Compose cost is inside the timed region — it is part of
     the client's real per-keystroke bill."""
-    def measure() -> float:
+    laps = Sample()
+    for _ in range(REPS):
         rng = random.Random(size * 13 + keystrokes + burst)
         text = make_text(size, rng)
         doc = create_document(text, key_material=KEYS, scheme=scheme,
                               rng=DeterministicRandomSource(9),
                               index_factory=INDEXES[index])
-        deltas = _keystroke_deltas(rng, doc.char_length, keystrokes)
+        deltas = keystroke_deltas(rng, doc.char_length, keystrokes)
         journal = EditCoalescer(max_ops=burst)
-        t0 = time.perf_counter()
-        for delta in deltas:
-            ready = journal.add(delta)
+        with laps.lap():
+            for delta in deltas:
+                ready = journal.add(delta)
+                if ready is not None:
+                    doc.apply_delta(ready)
+            ready = journal.flush("drain")
             if ready is not None:
                 doc.apply_delta(ready)
-        ready = journal.flush("drain")
-        if ready is not None:
-            doc.apply_delta(ready)
-        return keystrokes / (time.perf_counter() - t0)
-    return _best_eps(measure)
+    return _eps(laps, keystrokes)
 
 
-def _server_eps(size: int, edits: int) -> float:
+def _server_eps(size: int, edits: int) -> dict[str, float]:
     """Sustained server-side (store) edits/sec at the given size."""
-    def measure() -> float:
+    laps = Sample()
+    for _ in range(REPS):
         rng = random.Random(size * 17 + edits)
         store = DocumentStore()
         store.create("doc", make_text(size, rng))
         wire_deltas = [d.serialize()
                        for d in _edit_deltas(rng, size, edits)]
-        t0 = time.perf_counter()
-        for wire in wire_deltas:
-            store.apply_delta("doc", wire)
-        return edits / (time.perf_counter() - t0)
-    return _best_eps(measure)
+        with laps.lap():
+            for wire in wire_deltas:
+                store.apply_delta("doc", wire)
+    return _eps(laps, edits)
 
 
 def run_suite(client_edits: int = 120,
               server_edits: int = 400,
-              burst_keystrokes: int = 256) -> dict[str, dict[str, float]]:
+              burst_keystrokes: int = 256) -> dict[str, dict[str, dict]]:
     """Measure every configuration; keys are flat human-readable labels."""
-    results: dict[str, dict[str, float]] = {
+    results: dict[str, dict[str, dict]] = {
         "client": {}, "client_burst": {}, "server": {},
     }
     for scheme in ("recb", "rpc"):
         for index in INDEXES:
             for size in CLIENT_SIZES:
                 label = f"{scheme}/{index}/n={size}"
-                results["client"][label] = round(
-                    _client_eps(scheme, index, size, client_edits), 1
-                )
+                results["client"][label] = _client_eps(
+                    scheme, index, size, client_edits)
             for burst in BURST_SIZES:
                 for size in CLIENT_SIZES:
                     label = f"{scheme}/{index}/burst={burst}/n={size}"
-                    results["client_burst"][label] = round(
-                        _burst_eps(scheme, index, size,
-                                   burst_keystrokes, burst), 1
-                    )
+                    results["client_burst"][label] = _burst_eps(
+                        scheme, index, size, burst_keystrokes, burst)
     for size in SERVER_SIZES:
-        results["server"][f"n={size}"] = round(
-            _server_eps(size, server_edits), 1
-        )
+        results["server"][f"n={size}"] = _server_eps(size, server_edits)
     return results
 
 
 def burst_speedups(results: dict) -> dict[str, float]:
-    """Keystrokes/sec gained by coalescing: each burst>1 cell over its
-    burst=1 sibling (same scheme x index x size, same run)."""
+    """Keystrokes/sec gained by coalescing: each burst>1 cell's median
+    over its burst=1 sibling's (same scheme x index x size, same run)."""
     cells = results.get("client_burst", {})
     out: dict[str, float] = {}
-    for label, eps in cells.items():
+    for label, cell in cells.items():
         config, _, tail = label.partition("/burst=")
         burst, _, size = tail.partition("/")
         if burst == "1":
             continue
         base = cells.get(f"{config}/burst=1/{size}")
         if base:
-            out[label] = round(eps / base, 2)
+            out[label] = round(cell["median"] / base["median"], 2)
     return out
 
 
-def write_sidecar(results: dict) -> dict:
-    """Write BENCH_edit_throughput.json, preserving the first-ever run
-    as the ``baseline`` the acceptance comparison is made against."""
-    baseline = None
-    if SIDECAR.exists():
-        previous = json.loads(SIDECAR.read_text())
-        baseline = previous.get("baseline") or previous.get("current")
-    payload = {
-        "schema": SCHEMA,
-        "unit": "edits/sec",
-        "baseline": baseline,
-        "current": results,
-    }
-    if baseline:
-        payload["speedup"] = {
-            section: {
-                label: round(results[section][label] / base, 2)
-                for label, base in baseline[section].items()
-                if label in results.get(section, {}) and base
-            }
-            for section in baseline
-        }
-    payload["burst_speedup"] = burst_speedups(results)
-    SIDECAR.write_text(json.dumps(payload, indent=2) + "\n")
-    return payload
-
-
 def regressions(payload: dict) -> list[str]:
-    """Cells whose current throughput fell below
-    ``REGRESSION_FLOOR`` x their recorded baseline."""
+    """Cells whose current median fell below ``REGRESSION_FLOOR`` x
+    their recorded baseline median."""
     found = []
-    for section, ratios in payload.get("speedup", {}).items():
-        for label, ratio in ratios.items():
-            if ratio < REGRESSION_FLOOR:
-                found.append(f"{section}/{label}: {ratio}x baseline")
+    for section, cells in payload["baseline"].items():
+        for label, base in cells.items():
+            cell = payload["current"].get(section, {}).get(label)
+            if cell and cell["median"] < REGRESSION_FLOOR * base["median"]:
+                ratio = cell["median"] / base["median"]
+                found.append(f"{section}/{label}: {ratio:.2f}x baseline")
     return found
 
 
@@ -251,7 +196,7 @@ def _register(results: dict) -> None:
     from repro.bench import render_table
 
     rows = [
-        [label, f"{results[section][label]:.0f} edits/s"]
+        [label, f"{results[section][label]['median']:.0f} edits/s"]
         for section in ("client", "client_burst", "server")
         for label in sorted(results.get(section, {}))
     ]
@@ -276,17 +221,18 @@ def throughput():
 class TestEditThroughput:
     def test_positive_throughput_everywhere(self, throughput):
         for section in ("client", "client_burst", "server"):
-            for label, eps in throughput[section].items():
-                assert eps > 0, label
+            for label, cell in throughput[section].items():
+                assert cell["median"] > 0, label
 
     def test_shape_client_stays_sublinear(self, throughput):
         """16x more document must not cost anywhere near 16x per edit
         for the log-index client path (generous 8x headroom)."""
         for scheme in ("recb", "rpc"):
             for index in INDEXES:
-                small = throughput["client"][f"{scheme}/{index}/n={CLIENT_SIZES[0]}"]
-                large = throughput["client"][f"{scheme}/{index}/n={CLIENT_SIZES[-1]}"]
-                assert large > small / 8, (scheme, index)
+                cells = throughput["client"]
+                small = cells[f"{scheme}/{index}/n={CLIENT_SIZES[0]}"]
+                large = cells[f"{scheme}/{index}/n={CLIENT_SIZES[-1]}"]
+                assert large["median"] > small["median"] / 8, (scheme, index)
 
     def test_shape_coalescing_scales_keystroke_rate(self, throughput):
         """The tentpole claim: folding a keystroke burst into one IncE
@@ -297,9 +243,10 @@ class TestEditThroughput:
         for scheme in ("recb", "rpc"):
             for index in INDEXES:
                 flat = throughput["client_burst"][
-                    f"{scheme}/{index}/burst=1/n={size}"]
+                    f"{scheme}/{index}/burst=1/n={size}"]["median"]
                 bursty = throughput["client_burst"][
-                    f"{scheme}/{index}/burst={BURST_SIZES[-1]}/n={size}"]
+                    f"{scheme}/{index}/burst={BURST_SIZES[-1]}/n={size}"][
+                    "median"]
                 assert bursty > 2.5 * flat, (scheme, index, flat, bursty)
 
 
@@ -313,7 +260,11 @@ def _warmup() -> None:
 if __name__ == "__main__":
     _warmup()
     suite = run_suite()
-    payload = write_sidecar(suite)
+    payload = write_sidecar(SIDECAR, SCHEMA, {
+        "unit": "edits/sec (median [q1, q3] of n runs)",
+        "current": suite,
+        "burst_speedup": burst_speedups(suite),
+    })
     json.dump(payload, sys.stdout, indent=2)
     print()
     failed = regressions(payload)

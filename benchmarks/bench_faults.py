@@ -7,7 +7,8 @@ and resyncs, not lost edits.  This benchmark drives a resilient
 :class:`PrivateEditingSession` through the same edit script at fault
 rates 0% / 1% / 5% / 20% and reports
 
-* sustained edits/sec (wall-clock, includes retry work),
+* sustained edits/sec (wall-clock, includes retry work; the median
+  and quartiles of ``REPS`` identical seeded sessions),
 * retries, injected faults, resyncs, and idempotent replays straight
   from the obs registry,
 * whether the session **converged** (stored ciphertext decrypts to the
@@ -21,8 +22,8 @@ graceful degradation hold on Bespin/Buzzword/replicated too, and what
 does whole-file re-sending cost relative to deltas?".
 
 Run as a script (``make bench-faults``) it writes the
-``BENCH_faults.json`` sidecar at the repo root, preserving the first
-recorded run as ``baseline`` (same convention as
+``BENCH_faults.json`` sidecar at the repo root, keeping the first run
+of its schema as ``baseline`` (same convention as
 ``BENCH_edit_throughput.json``).
 """
 
@@ -33,8 +34,8 @@ import json
 import pathlib
 import random
 import sys
-import time
 
+from repro.bench import REPS, Sample, write_sidecar
 from repro.crypto.random import DeterministicRandomSource
 from repro.extension.session import PrivateEditingSession
 from repro.net.faults import FaultPlan, updates_only
@@ -43,7 +44,7 @@ from repro.obs import capture
 from repro.services import registry
 from repro.workloads.text import make_text
 
-SCHEMA = "repro.bench.faults/v1"
+SCHEMA = "repro.bench.faults/v2"
 SIDECAR = pathlib.Path(__file__).resolve().parent.parent / \
     "BENCH_faults.json"
 
@@ -66,39 +67,43 @@ def _session(rate: float, service: str) -> PrivateEditingSession:
 
 
 def _run_rate(rate: float, edits: int,
-              service: str = "gdocs") -> dict[str, float | bool]:
-    """One measured session: ``edits`` edit+save rounds at ``rate``."""
-    session = _session(rate, service)
-    rng = random.Random(SEED + int(rate * 1000))
-    session.open()
-    session.client.editor.set_text(make_text(2_000, rng))
-    failures = 0
-    with capture() as cap:
-        t0 = time.perf_counter()
-        if not session.save().ok:
-            failures += 1
-        for _ in range(edits):
-            length = len(session.text)
-            ncut = rng.randint(0, 8)
-            pos = rng.randrange(max(1, length - ncut))
-            session.delete_text(pos, min(ncut, length - pos))
-            session.type_text(pos, "y" * rng.randint(1, 10))
+              service: str = "gdocs") -> dict:
+    """``REPS`` measured sessions of ``edits`` edit+save rounds at
+    ``rate``.  Every session is seeded alike, so each must report the
+    same counts; only the wall-clock rate varies."""
+    laps, rows = Sample(), []
+    for _ in range(REPS):
+        session = _session(rate, service)
+        rng = random.Random(SEED + int(rate * 1000))
+        session.open()
+        session.client.editor.set_text(make_text(2_000, rng))
+        failures = 0
+        with capture() as cap, laps.lap():
             if not session.save().ok:
                 failures += 1
-        if not session.settle().ok:
-            failures += 1
-        elapsed = time.perf_counter() - t0
-    return {
-        "edits_per_sec": round(edits / elapsed, 1),
-        "faults_injected": cap["net.faults.injected"],
-        "retries": cap["client.retries.attempts"],
-        "timeouts": cap["client.retries.timeouts"],
-        "resyncs": cap["client.resyncs"],
-        "idem_replays": cap["extension.idem_replays"],
-        "dedup_hits": cap["services.gdocs.dedup_hits"],
-        "save_failures": failures,
-        "converged": session.stored_text() == session.text,
-    }
+            for _ in range(edits):
+                length = len(session.text)
+                ncut = rng.randint(0, 8)
+                pos = rng.randrange(max(1, length - ncut))
+                session.delete_text(pos, min(ncut, length - pos))
+                session.type_text(pos, "y" * rng.randint(1, 10))
+                if not session.save().ok:
+                    failures += 1
+            if not session.settle().ok:
+                failures += 1
+        rows.append({
+            "faults_injected": cap["net.faults.injected"],
+            "retries": cap["client.retries.attempts"],
+            "timeouts": cap["client.retries.timeouts"],
+            "resyncs": cap["client.resyncs"],
+            "idem_replays": cap["extension.idem_replays"],
+            "dedup_hits": cap["services.gdocs.dedup_hits"],
+            "save_failures": failures,
+            "converged": session.stored_text() == session.text,
+        })
+    assert all(row == rows[0] for row in rows), (rate, service, rows)
+    return {"edits_per_sec": laps.map(lambda seconds: edits / seconds
+                                      ).cell(1), **rows[0]}
 
 
 def run_suite(edits: int = 60, service: str = "gdocs",
@@ -120,31 +125,6 @@ def run_service_suite(edits: int = 30,
     }
 
 
-def write_sidecar(results: dict, services: dict | None = None) -> dict:
-    """Write BENCH_faults.json, preserving the first-ever run as the
-    ``baseline`` later sessions compare against.  ``services`` rows
-    merge over the previous run's, so ``--service X`` re-measures one
-    backend without discarding the others."""
-    baseline = None
-    previous = {}
-    if SIDECAR.exists():
-        previous = json.loads(SIDECAR.read_text())
-        baseline = previous.get("baseline") or previous.get("current")
-    merged = dict(previous.get("services") or {})
-    merged.update(services or {})
-    payload = {
-        "schema": SCHEMA,
-        "unit": "edits/sec (plus obs-registry fault/retry counts)",
-        "scheme": SCHEME,
-        "seed": SEED,
-        "baseline": baseline,
-        "current": results if results else previous.get("current"),
-        "services": merged,
-    }
-    SIDECAR.write_text(json.dumps(payload, indent=2) + "\n")
-    return payload
-
-
 # -- pytest mode (collected with the other bench_* figures) --------------
 
 def _register(results: dict) -> None:
@@ -153,7 +133,7 @@ def _register(results: dict) -> None:
 
     rows = [
         [label,
-         f"{row['edits_per_sec']:.0f} edits/s",
+         f"{row['edits_per_sec']['median']:.0f} edits/s",
          f"{row['faults_injected']:.0f}",
          f"{row['retries']:.0f}",
          f"{row['resyncs']:.0f}",
@@ -201,7 +181,7 @@ class TestFaultSweep:
 
     def test_throughput_positive_everywhere(self, fault_sweep):
         for label, row in fault_sweep.items():
-            assert row["edits_per_sec"] > 0, label
+            assert row["edits_per_sec"]["median"] > 0, label
 
 
 class TestServiceSweep:
@@ -214,7 +194,7 @@ class TestServiceSweep:
         assert set(service_sweep) == set(registry.SERVICE_NAMES)
         for rows in service_sweep.values():
             for row in rows.values():
-                assert row["edits_per_sec"] > 0
+                assert row["edits_per_sec"]["median"] > 0
 
     def test_whole_file_backends_never_resync(self, service_sweep):
         """No revisions -> nothing to resync against; their recovery
@@ -243,9 +223,16 @@ if __name__ == "__main__":
         services = run_service_suite(max(10, args.edits // 2))
     else:
         # one backend only: keep the previous gdocs sweep, merge rows
-        suite = None
+        suite = {}
         services = run_service_suite(max(10, args.edits // 2),
                                      services=(args.service,))
-    payload = write_sidecar(suite, services)
+    payload = write_sidecar(SIDECAR, SCHEMA, {
+        "unit": "edits/sec, median [q1, q3] of n runs (plus "
+                "obs-registry fault/retry counts)",
+        "scheme": SCHEME,
+        "seed": SEED,
+        "current": suite,
+        "services": services,
+    }, merge=("current", "services"))
     json.dump(payload, sys.stdout, indent=2)
     print()

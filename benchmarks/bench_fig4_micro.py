@@ -19,15 +19,10 @@ from __future__ import annotations
 import pytest
 
 from conftest import register_table
-from repro.bench import (
-    Sample,
-    Stopwatch,
-    metrics_cell,
-    ms_per_char,
-    render_table,
-)
+from repro.bench import Sample, metrics_cell, ms_per_char, render_table
 from repro.core import KeyMaterial, create_document, load_document
 from repro.crypto.random import DeterministicRandomSource
+from repro.obs import capture
 from repro.workloads.diff import simple_delta
 from repro.workloads.documents import micro_pairs
 
@@ -49,37 +44,36 @@ TRACKED = ("crypto.aes.calls", "index.node_visits", "index.splices",
 
 def _run_micro(scheme: str = "rpc") -> tuple[dict[str, Sample],
                                              dict[str, dict[str, float]]]:
-    enc = Sample()
-    dec = Sample()
-    inc = Sample()
-    ops: dict[str, dict[str, float]] = {}
+    # table row order; each pair runs them as encrypt, transform, decrypt
+    results = {label: Sample() for label in ("encryption (D)",
+                                             "decryption (D')",
+                                             "incremental encryption")}
+    ops = {label: dict.fromkeys(TRACKED, 0.0) for label in results}
     for pair in micro_pairs(PAIR_COUNT, seed=44):
         delta = simple_delta(pair.before, pair.after)
         delta_chars = max(1, delta.chars_inserted + delta.chars_deleted)
 
-        watch = Stopwatch(track=TRACKED)
-        with watch.measure():
+        laps = Sample()
+        with capture() as enc_ops, laps.lap():
             doc = create_document(pair.before, key_material=KEYS,
                                   scheme=scheme, rng=_rng())
-        enc.add(ms_per_char(watch.laps[-1], len(pair.before)))
-
-        with watch.measure():
+        with capture() as inc_ops, laps.lap():
             doc.apply_delta(delta)
-        inc.add(ms_per_char(watch.laps[-1], delta_chars))
-
         wire = doc.wire()
-        with watch.measure():
+        with capture() as dec_ops, laps.lap():
             reloaded = load_document(wire, key_material=KEYS)
         assert reloaded.text == pair.after
-        dec.add(ms_per_char(watch.laps[-1], max(1, len(pair.after))))
 
-        for label, lap in zip(("encryption (D)", "incremental encryption",
-                               "decryption (D')"), watch.lap_metrics):
-            totals = ops.setdefault(label, dict.fromkeys(TRACKED, 0.0))
+        for label, lap, chars, cap in zip(
+                ("encryption (D)", "incremental encryption",
+                 "decryption (D')"),
+                laps.values,
+                (len(pair.before), delta_chars, max(1, len(pair.after))),
+                (enc_ops, inc_ops, dec_ops)):
+            results[label].add(ms_per_char(lap, chars))
             for name in TRACKED:
-                totals[name] += lap[name]
-    return ({"encryption (D)": enc, "decryption (D')": dec,
-             "incremental encryption": inc}, ops)
+                ops[label][name] += cap[name]
+    return results, ops
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import register_table
-from repro.bench import Sample, Stopwatch, ms_per_char, render_table
+from repro.bench import Sample, ms_per_char, render_table
 from repro.core import KeyMaterial, create_document
 from repro.crypto.random import DeterministicRandomSource
 from repro.workloads.diff import simple_delta
@@ -46,12 +46,11 @@ def sweep():
         incremental[b] = Sample()
         for trial in range(TRIALS):
             text = document_of_length(DOC_CHARS, seed=trial)
-            watch = Stopwatch()
-            with watch.measure():
-                doc = create_document(text, key_material=KEYS,
-                                      scheme="recb", block_chars=b,
-                                      rng=_rng())
-            whole[b].add(ms_per_char(watch.laps[-1], DOC_CHARS))
+            laps = Sample()
+            with laps.lap():
+                create_document(text, key_material=KEYS, scheme="recb",
+                                block_chars=b, rng=_rng())
+            whole[b].add(ms_per_char(laps.values[-1], DOC_CHARS))
 
             [pair] = list(micro_pairs(1, seed=100 + trial, related=True,
                                       min_chars=DOC_CHARS,
@@ -61,9 +60,9 @@ def sweep():
                                    rng=_rng())
             delta = simple_delta(pair.before, pair.after)
             delta_chars = max(1, delta.chars_inserted + delta.chars_deleted)
-            with watch.measure():
+            with laps.lap():
                 doc2.apply_delta(delta)
-            incremental[b].add(ms_per_char(watch.laps[-1], delta_chars))
+            incremental[b].add(ms_per_char(laps.values[-1], delta_chars))
 
     rows = [
         [str(b),

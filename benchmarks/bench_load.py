@@ -39,6 +39,7 @@ import json
 import pathlib
 import sys
 
+from repro.bench import write_sidecar
 from repro.bench.load import SEED, run_load
 
 SCHEMA = "repro.bench.load/v1"
@@ -101,30 +102,6 @@ def run_smoke(sessions: int = 16) -> dict[str, dict]:
         transport="inprocess", fault_rate=FAULT_RATE,
     )
     return {"socket": socket_cell.row(), "inprocess": inproc_cell.row()}
-
-
-def write_sidecar(results: dict[str, dict]) -> dict:
-    """Write BENCH_load.json, preserving the first-ever run as the
-    ``baseline`` later sessions compare against; per-service blocks
-    merge over the previous run's (``--service X`` re-measures one)."""
-    baseline = None
-    previous = {}
-    if SIDECAR.exists():
-        previous = json.loads(SIDECAR.read_text())
-        baseline = previous.get("baseline") or previous.get("current")
-    merged = dict(previous.get("current") or {})
-    merged.update(results)
-    payload = {
-        "schema": SCHEMA,
-        "unit": "aggregate edits/sec + save-latency percentiles (ms)",
-        "seed": SEED,
-        "fault_rate": FAULT_RATE,
-        "service_time": SERVICE_TIME,
-        "baseline": baseline or merged,  # first-ever run seeds it
-        "current": merged,
-    }
-    SIDECAR.write_text(json.dumps(payload, indent=2) + "\n")
-    return payload
 
 
 # -- pytest mode (collected with the other bench_* figures) --------------
@@ -209,6 +186,14 @@ if __name__ == "__main__":
         service: run_cells(service, counts, args.fault_rate)
         for service in targets
     }
-    payload = write_sidecar(results)
+    # per-service blocks merge over the previous run's, so
+    # ``--service X`` re-measures one backend and keeps the others
+    payload = write_sidecar(SIDECAR, SCHEMA, {
+        "unit": "aggregate edits/sec + save-latency percentiles (ms)",
+        "seed": SEED,
+        "fault_rate": FAULT_RATE,
+        "service_time": SERVICE_TIME,
+        "current": results,
+    }, merge=("current",))
     json.dump(payload, sys.stdout, indent=2)
     print()

@@ -18,10 +18,12 @@ interactive, and this benchmark measures all three:
   hash-chained audit trail is one SHA-256 per link, linear in history
   depth; the curve documents the constant.
 
-Run as a script (``make bench-search``) it writes the
-``BENCH_search.json`` sidecar at the repo root, preserving the first
-recorded run as ``baseline`` forever (same convention as every other
-sidecar; ``tools/bench_trend.py`` aggregates them all).
+Every cell runs ``REPS`` times and records its median with the
+quartiles (``repro.bench.timing``).  Run as a script
+(``make bench-search``) it writes the ``BENCH_search.json`` sidecar at
+the repo root, keeping the first run of its schema as ``baseline``
+(same convention as every other sidecar; ``tools/bench_trend.py``
+aggregates them all).
 """
 
 from __future__ import annotations
@@ -29,10 +31,9 @@ from __future__ import annotations
 import json
 import pathlib
 import random
-import statistics
 import sys
-import time
 
+from repro.bench import REPS, Sample, write_sidecar
 from repro.client.coalesce import EditCoalescer
 from repro.core import KeyMaterial, create_document
 from repro.core.auditchain import AuditChain, verify_entries
@@ -41,9 +42,10 @@ from repro.datastructures import IndexedSkipList
 from repro.extension.catalog import WorkspaceIndexer
 from repro.services.catalog import CatalogStore
 from repro.services.gdocs.protocol import content_hash
+from repro.workloads.edits import keystroke_deltas
 from repro.workloads.text import make_text
 
-SCHEMA = "repro.bench.search/v1"
+SCHEMA = "repro.bench.search/v2"
 SIDECAR = pathlib.Path(__file__).resolve().parent.parent / \
     "BENCH_search.json"
 
@@ -53,7 +55,7 @@ KEYS = KeyMaterial.from_password("bench", salt=b"benchsalt1")
 CORPUS_SIZES = [1_000, 10_000, 100_000]
 #: audit chain depths (links) for the verify curve
 CHAIN_DEPTHS = [100, 1_000, 10_000]
-#: queries averaged per latency cell
+#: queries per timed lap of a latency cell
 QUERIES = 300
 #: the acceptance bound: indexing folded into the burst edit path may
 #: cost at most this fraction of the plain client_burst keystroke rate
@@ -62,18 +64,10 @@ MAX_OVERHEAD = 0.15
 #: factor per query (a linear scan would blow straight through it)
 MAX_QUERY_GROWTH = 10.0
 
-#: timed repetitions per cell; best-of-k defeats scheduler noise
-BENCH_REPS = 3
-
 #: the shared vocabulary documents draw from (plus one unique word per
 #: document, which is what the latency queries look up — a bounded
 #: result set isolates corpus-size cost from result-size cost)
 _VOCAB = [f"word{i}" for i in range(50)]
-
-
-def _best(measure, reps: int = BENCH_REPS) -> float:
-    """Fastest of ``reps`` timed runs (rate-style: higher is better)."""
-    return max(measure() for _ in range(reps))
 
 
 def _build_corpus(n_docs: int) -> tuple[WorkspaceIndexer, CatalogStore]:
@@ -89,86 +83,58 @@ def _build_corpus(n_docs: int) -> tuple[WorkspaceIndexer, CatalogStore]:
     return indexer, store
 
 
-def _query_usec(n_docs: int) -> float:
-    """Mean microseconds per search (lookup + posting decryption)."""
+def _query_usec(n_docs: int) -> dict[str, float]:
+    """Microseconds per search (lookup + posting decryption)."""
     indexer, store = _build_corpus(n_docs)
     rng = random.Random(n_docs * 7)
     targets = [rng.randrange(n_docs) for _ in range(QUERIES)]
     trapdoors = [indexer.trapdoor(f"uniq{i}") for i in targets]
-
-    def measure() -> float:
-        t0 = time.perf_counter()
+    laps = Sample()
+    for _ in range(REPS):
         hits = 0
-        for i, trapdoor in zip(targets, trapdoors):
-            for blob in store.lookup(trapdoor):
-                if indexer.decrypt_blob(trapdoor, blob) == f"doc-{i}":
-                    hits += 1
-        elapsed = time.perf_counter() - t0
+        with laps.lap():
+            for i, trapdoor in zip(targets, trapdoors):
+                for blob in store.lookup(trapdoor):
+                    if indexer.decrypt_blob(trapdoor, blob) == f"doc-{i}":
+                        hits += 1
         assert hits == QUERIES, f"search broken: {hits}/{QUERIES} hits"
-        return QUERIES / elapsed          # queries/sec (rate for _best)
-
-    return round(1e6 / _best(measure), 2)  # best rate -> usec/query
+    return laps.map(lambda seconds: seconds * 1e6 / QUERIES).cell(2)
 
 
-def _index_update_eps(size: int = 20_000, edits: int = 400) -> float:
+def _index_update_eps(size: int = 20_000,
+                      edits: int = 400) -> dict[str, float]:
     """Indexer-only maintenance rate: word-boundary re-tokenization of
     keystroke-sized changed spans, in edits/sec."""
     rng = random.Random(size)
     text = make_text(size, rng)
-    deltas = _keystroke_deltas(rng, len(text), edits)
-
-    def measure() -> float:
+    deltas = keystroke_deltas(rng, len(text), edits)
+    laps = Sample()
+    for _ in range(REPS):
         indexer = WorkspaceIndexer("bench-tenant")
         indexer.adopt("doc", text)
-        t0 = time.perf_counter()
-        for delta in deltas:
-            indexer.apply("doc", delta)
-        return edits / (time.perf_counter() - t0)
-
-    return round(_best(measure), 1)
+        with laps.lap():
+            for delta in deltas:
+                indexer.apply("doc", delta)
+    return laps.map(lambda seconds: edits / seconds).cell(1)
 
 
-def _audit_verify_ms(depth: int) -> float:
+def _audit_verify_ms(depth: int) -> dict[str, float]:
     """Milliseconds to fully re-verify a ``depth``-link audit chain."""
     chain = AuditChain()
     for rev in range(1, depth + 1):
         chain.append(rev, content_hash(f"content at rev {rev}"))
     entries = chain.entries
-
-    def measure() -> float:
-        t0 = time.perf_counter()
-        problems = verify_entries(entries)
-        elapsed = time.perf_counter() - t0
+    laps = Sample()
+    for _ in range(REPS):
+        with laps.lap():
+            problems = verify_entries(entries)
         assert not problems, problems
-        return 1.0 / elapsed              # verifies/sec (rate for _best)
-
-    return round(1e3 / _best(measure), 3)  # best rate -> ms/verify
-
-
-def _keystroke_deltas(rng: random.Random, length: int, count: int):
-    """Typing-shaped deltas (runs of single-char inserts, occasional
-    backspaces and cursor jumps) — the bench_edit_throughput workload."""
-    from repro.core import Delta
-
-    deltas = []
-    cursor = rng.randrange(max(1, length))
-    for _ in range(count):
-        if rng.random() < 0.04:
-            cursor = rng.randrange(max(1, length))
-        if rng.random() < 0.12 and cursor > 0:
-            cursor -= 1
-            length -= 1
-            deltas.append(Delta.deletion(cursor, 1))
-        else:
-            deltas.append(Delta.insertion(cursor, rng.choice("abcdefgh ")))
-            cursor += 1
-            length += 1
-    return deltas
+    return laps.map(lambda seconds: seconds * 1e3).cell(3)
 
 
 def _burst_run(scheme: str, size: int, keystrokes: int, burst: int,
-               indexer: WorkspaceIndexer | None) -> float:
-    """One timed run of the coalesced IncE path — keystrokes/sec, with
+               indexer: WorkspaceIndexer | None, laps: Sample) -> None:
+    """One run of the coalesced IncE path, timed into ``laps``, with
     the workspace indexer riding each flushed burst when given one."""
     rng = random.Random(size * 13 + keystrokes + burst)
     text = make_text(size, rng)
@@ -178,9 +144,8 @@ def _burst_run(scheme: str, size: int, keystrokes: int, burst: int,
                               rng=random.Random(5)))
     if indexer is not None:
         indexer.adopt("doc", text)
-    deltas = _keystroke_deltas(rng, doc.char_length, keystrokes)
+    deltas = keystroke_deltas(rng, doc.char_length, keystrokes)
     journal = EditCoalescer(max_ops=burst)
-    t0 = time.perf_counter()
 
     def flush(ready) -> None:
         if ready is None:
@@ -189,33 +154,33 @@ def _burst_run(scheme: str, size: int, keystrokes: int, burst: int,
             indexer.apply("doc", ready)
         doc.apply_delta(ready)
 
-    for delta in deltas:
-        flush(journal.add(delta))
-    flush(journal.flush("drain"))
-    return keystrokes / (time.perf_counter() - t0)
+    with laps.lap():
+        for delta in deltas:
+            flush(journal.add(delta))
+        flush(journal.flush("drain"))
 
 
 def _burst_overhead(scheme: str, size: int, keystrokes: int,
-                    burst: int) -> float:
+                    burst: int) -> dict[str, float]:
     """The ``burst_overhead`` cell: fractional keystroke-rate cost of
     attaching the indexer to the ``client_burst`` workload.
 
-    Plain and indexed runs are timed in *interleaved pairs* and the
-    cell reports the median pair's ratio — scheduler drift between
-    two independent best-of-k loops would otherwise masquerade as
-    indexing cost, while a lucky single pair would hide real cost.
+    Plain and indexed runs are timed in *interleaved pairs*, and the
+    pair ratios are the cell's sample: scheduler drift between two
+    independent loops would otherwise masquerade as indexing cost.
     One tenant indexer serves every pair (``adopt`` resets the
     document shadow; the trapdoor/blob caches persist), so the cell
     measures an editing session's steady state rather than
     first-keystroke cache warming.
     """
     indexer = WorkspaceIndexer("bench-tenant")
-    overheads = []
-    for _ in range(BENCH_REPS + 2):
-        plain = _burst_run(scheme, size, keystrokes, burst, None)
-        indexed = _burst_run(scheme, size, keystrokes, burst, indexer)
-        overheads.append(1.0 - indexed / plain)
-    return round(max(0.0, statistics.median(overheads)), 4)
+    plain, indexed = Sample(), Sample()
+    for _ in range(REPS):
+        _burst_run(scheme, size, keystrokes, burst, None, plain)
+        _burst_run(scheme, size, keystrokes, burst, indexer, indexed)
+    # the keystroke-rate cost: 1 - indexed rate / plain rate
+    return Sample([1.0 - p / i for p, i in zip(plain.values,
+                                               indexed.values)]).cell(4)
 
 
 def run_suite(corpus_sizes=None, chain_depths=None,
@@ -223,7 +188,7 @@ def run_suite(corpus_sizes=None, chain_depths=None,
     """Measure every section; keys are flat human-readable labels."""
     corpus_sizes = corpus_sizes or CORPUS_SIZES
     chain_depths = chain_depths or CHAIN_DEPTHS
-    results: dict[str, dict[str, float]] = {
+    results: dict[str, dict[str, dict]] = {
         "query_usec": {}, "index_update": {},
         "audit_verify_ms": {}, "burst_overhead": {},
     }
@@ -244,35 +209,20 @@ def violations(results: dict) -> list[str]:
     found = []
     cells = results["query_usec"]
     labels = sorted(cells, key=lambda s: int(s.split("=")[1]))
-    smallest, largest = cells[labels[0]], cells[labels[-1]]
+    smallest = cells[labels[0]]["median"]
+    largest = cells[labels[-1]]["median"]
     if largest >= MAX_QUERY_GROWTH * smallest:
         found.append(
             f"query latency super-linear: {labels[-1]} at {largest}us "
             f"vs {labels[0]} at {smallest}us "
             f"(>= {MAX_QUERY_GROWTH}x growth)")
-    for label, overhead in results["burst_overhead"].items():
+    for label, cell in results["burst_overhead"].items():
+        overhead = cell["median"]
         if overhead > MAX_OVERHEAD:
             found.append(
                 f"index maintenance overhead {overhead:.1%} on {label} "
                 f"exceeds the {MAX_OVERHEAD:.0%} budget")
     return found
-
-
-def write_sidecar(results: dict) -> dict:
-    """Write BENCH_search.json, preserving the first-ever run as the
-    ``baseline`` future runs are compared against."""
-    baseline = None
-    if SIDECAR.exists():
-        previous = json.loads(SIDECAR.read_text())
-        baseline = previous.get("baseline") or previous.get("current")
-    payload = {
-        "schema": SCHEMA,
-        "unit": "usec/query, edits/sec, ms/verify, overhead fraction",
-        "baseline": baseline,
-        "current": results,
-    }
-    SIDECAR.write_text(json.dumps(payload, indent=2) + "\n")
-    return payload
 
 
 # -- pytest mode (collected with the other bench_* figures) --------------
@@ -286,7 +236,7 @@ def _register(results: dict) -> None:
                     "burst_overhead"):
         for label in sorted(results.get(section, {})):
             rows.append([f"{section}/{label}",
-                         str(results[section][label])])
+                         str(results[section][label]["median"])])
     register_table("search", render_table(
         ["cell", "value"], rows,
         title="Encrypted search - query latency vs corpus, index "
@@ -311,29 +261,34 @@ class TestSearchBench:
         """16x more documents must not cost anywhere near 16x per
         query — the posting map is keyed by trapdoor."""
         cells = search_suite["query_usec"]
-        assert cells["docs=8000"] < 10 * cells["docs=500"], cells
+        assert (cells["docs=8000"]["median"]
+                < 10 * cells["docs=500"]["median"]), cells
 
     def test_index_overhead_bounded(self, search_suite):
         """The sidecar's longer runs enforce the real 15% budget; here
         a noise-tolerant 30% guards the shape in the shared suite."""
-        for label, overhead in search_suite["burst_overhead"].items():
-            assert overhead <= 0.30, (label, overhead)
+        for label, cell in search_suite["burst_overhead"].items():
+            assert cell["median"] <= 0.30, (label, cell)
 
     def test_audit_verify_positive_and_finite(self, search_suite):
-        for label, ms in search_suite["audit_verify_ms"].items():
-            assert 0 < ms < 10_000, (label, ms)
+        for label, cell in search_suite["audit_verify_ms"].items():
+            assert 0 < cell["median"] < 10_000, (label, cell)
 
 
 def _warmup() -> None:
     """Stabilize frequency scaling before the first measured cell."""
     _build_corpus(500)
-    _burst_run("recb", 5_000, 64, 32, None)
+    _burst_run("recb", 5_000, 64, 32, None, Sample())
 
 
 if __name__ == "__main__":
     _warmup()
     suite = run_suite()
-    payload = write_sidecar(suite)
+    payload = write_sidecar(SIDECAR, SCHEMA, {
+        "unit": "usec/query, edits/sec, ms/verify, overhead fraction "
+                "(median [q1, q3] of n runs)",
+        "current": suite,
+    })
     json.dump(payload, sys.stdout, indent=2)
     print()
     failed = violations(suite)

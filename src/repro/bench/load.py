@@ -41,26 +41,18 @@ import threading
 import time
 from dataclasses import asdict, dataclass, field
 
+from repro.bench.timing import percentile
 from repro.extension.session import PrivateEditingSession
 from repro.net.faults import FaultPlan, updates_only
 from repro.net.latency import SharedLink, SimClock, WAN_2011
 from repro.net.policy import RetryPolicy
 
-__all__ = ["LoadCell", "run_load", "percentile", "SEED"]
+__all__ = ["LoadCell", "run_load", "SEED"]
 
 SEED = 20110613  # same fixed seed as every other bench in this repo
 
 #: how many sessions get a full convergence check after quiesce
 SAMPLE = 8
-
-
-def percentile(values: list[float], q: float) -> float:
-    """The ``q``-quantile (0..1) of ``values`` by nearest-rank."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-    return ordered[rank]
 
 
 @dataclass

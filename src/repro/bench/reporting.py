@@ -1,14 +1,18 @@
-"""Paper-style table rendering for benchmark output.
+"""Benchmark output: paper-style tables and the BENCH sidecar writer.
 
 Every figure-reproducing benchmark prints its rows in the same layout
-the paper uses, so EXPERIMENTS.md can place them side by side.
+the paper uses, so EXPERIMENTS.md can place them side by side; every
+sidecar-writing script records its run through :func:`write_sidecar`.
 """
 
 from __future__ import annotations
 
+import json
+import pathlib
+import subprocess
 from typing import Mapping, Sequence
 
-__all__ = ["render_table", "pct", "banner", "metrics_cell"]
+__all__ = ["render_table", "pct", "banner", "metrics_cell", "write_sidecar"]
 
 
 def pct(fraction: float) -> str:
@@ -77,3 +81,38 @@ def metrics_cell(deltas: Mapping[str, float],
         label = (names or {}).get(name, name.rsplit(".", 1)[-1])
         parts.append(f"{label}={int(value)}")
     return " ".join(parts)
+
+
+def _commit(where: pathlib.Path) -> str | None:
+    """``git rev-parse HEAD`` of the checkout holding ``where``."""
+    try:
+        done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=where,
+                              capture_output=True, text=True)
+    except OSError:
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def write_sidecar(path: pathlib.Path, schema: str, fields: dict,
+                  merge: Sequence[str] = ()) -> dict:
+    """Write one ``BENCH_*.json`` sidecar; return its payload.
+
+    ``fields`` are the run's top-level keys, ``current`` among them.
+    The first run of ``schema`` seeds ``baseline`` with its ``current``
+    and later runs keep it; a file of another schema counts as no file,
+    so a new schema re-seeds.  Each block named in ``merge`` (the
+    per-service blocks) updates the previous run's instead of replacing
+    it, so re-measuring one service keeps the others.  ``commit`` is the
+    checkout's HEAD, or ``None`` outside a git checkout.
+    """
+    previous = json.loads(path.read_text()) if path.exists() else {}
+    if previous.get("schema") != schema:
+        previous = {}
+    fields = dict(fields)
+    for key in merge:
+        fields[key] = {**(previous.get(key) or {}), **(fields.get(key) or {})}
+    payload = {"schema": schema, "commit": _commit(path.parent),
+               "baseline": previous.get("baseline") or fields["current"],
+               **fields}
+    path.write_text(json.dumps(payload, indent=2) + "\n")
+    return payload

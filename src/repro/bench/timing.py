@@ -1,4 +1,12 @@
-"""Timing utilities shared by the benchmark harnesses."""
+"""The one timing discipline of the benchmark harnesses.
+
+A timed cell is a :class:`Sample`: ``REPS`` laps of the same block,
+summarised with one nearest-rank quantile rule (:func:`percentile`) as
+median, q1, q3 and n -- the four keys of every timing cell a sidecar
+records.  The paper prints each figure as a mean with a deviation, so a
+sample gives those too.  Operation counts come from
+:func:`repro.obs.capture` around the same block.
+"""
 
 from __future__ import annotations
 
@@ -6,59 +14,60 @@ import statistics
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator
 
-from repro.obs import value_of
+__all__ = ["REPS", "CELL_KEYS", "Sample", "percentile", "ms_per_char"]
 
-__all__ = ["Stopwatch", "Sample", "ms_per_char"]
+#: laps per timing cell; at 5 the nearest-rank quartiles are the second
+#: and fourth laps, not the extremes
+REPS = 5
+
+#: a timing cell's keys, in the order every sidecar writes them
+CELL_KEYS = ("median", "q1", "q3", "n")
 
 
-class Stopwatch:
-    """Accumulates wall-clock time across ``measure()`` blocks.
-
-    Pass ``track`` (metric names from the global registry, e.g.
-    ``("crypto.aes.calls", "index.node_visits")``) and each lap also
-    records those counters' deltas into :attr:`lap_metrics` — the
-    benchmark tables' metrics column reads from there.
-    """
-
-    def __init__(self, track: Sequence[str] = ()) -> None:
-        self.elapsed = 0.0
-        self.laps: list[float] = []
-        self._track = tuple(track)
-        self.lap_metrics: list[dict[str, float]] = []
-
-    @contextmanager
-    def measure(self) -> Iterator[None]:
-        """Context manager timing one lap into :attr:`laps`."""
-        before = {name: value_of(name) for name in self._track}
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            lap = time.perf_counter() - start
-            self.elapsed += lap
-            self.laps.append(lap)
-            if self._track:
-                self.lap_metrics.append({
-                    name: value_of(name) - before[name]
-                    for name in self._track
-                })
-
-    def metric_total(self, name: str) -> float:
-        """Sum of a tracked metric's deltas across all laps."""
-        return sum(lap.get(name, 0) for lap in self.lap_metrics)
+def percentile(values: list[float], q: float) -> float:
+    """The ``q``-quantile (0..1) of ``values`` by nearest rank."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    rank = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
+    return ordered[rank]
 
 
 @dataclass
 class Sample:
-    """A set of scalar observations with paper-style summary stats."""
+    """Repeated observations of one cell: timed laps (seconds) or any
+    derived values, such as paired overhead ratios."""
 
     values: list[float] = field(default_factory=list)
 
     def add(self, value: float) -> None:
         """Record one observation."""
         self.values.append(value)
+
+    @contextmanager
+    def lap(self) -> Iterator[None]:
+        """Time the block into one lap, in seconds."""
+        start = time.perf_counter()
+        yield
+        self.values.append(time.perf_counter() - start)
+
+    def map(self, fn: Callable[[float], float]) -> Sample:
+        """The sample of ``fn`` over every value (laps to rates, say)."""
+        return Sample([fn(value) for value in self.values])
+
+    @property
+    def median(self) -> float:
+        return percentile(self.values, 0.50)
+
+    @property
+    def q1(self) -> float:
+        return percentile(self.values, 0.25)
+
+    @property
+    def q3(self) -> float:
+        return percentile(self.values, 0.75)
 
     @property
     def mean(self) -> float:
@@ -69,6 +78,13 @@ class Sample:
         if len(self.values) < 2:
             return 0.0
         return statistics.stdev(self.values)
+
+    def cell(self, digits: int) -> dict[str, float]:
+        """The sidecar timing cell: ``CELL_KEYS``, quantiles rounded."""
+        return {"median": round(self.median, digits),
+                "q1": round(self.q1, digits),
+                "q3": round(self.q3, digits),
+                "n": len(self)}
 
     def __len__(self) -> int:
         return len(self.values)

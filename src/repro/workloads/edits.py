@@ -22,6 +22,7 @@ __all__ = [
     "sentence_delete",
     "sentence_replace",
     "typing_burst",
+    "keystroke_deltas",
     "edit_stream",
     "CATEGORIES",
 ]
@@ -79,6 +80,29 @@ def typing_burst(document: str, rng: random.Random,
         for _ in range(rng.randint(1, max_chars))
     )
     return Delta.insertion(pos, text)
+
+
+def keystroke_deltas(rng: random.Random, length: int,
+                     count: int) -> list[Delta]:
+    """Keystroke-level edits the way typing produces them: runs of
+    single-character inserts (with occasional backspaces) at a cursor
+    that occasionally jumps to a new edit site, against a document of
+    ``length`` characters.  This is the workload edit coalescing exists
+    for: adjacent ops fold into one small delta."""
+    deltas: list[Delta] = []
+    cursor = rng.randrange(max(1, length))
+    for _ in range(count):
+        if rng.random() < 0.04:
+            cursor = rng.randrange(max(1, length))
+        if rng.random() < 0.12 and cursor > 0:  # backspace
+            cursor -= 1
+            length -= 1
+            deltas.append(Delta.deletion(cursor, 1))
+        else:
+            deltas.append(Delta.insertion(cursor, rng.choice("abcdefgh ")))
+            cursor += 1
+            length += 1
+    return deltas
 
 
 def edit_stream(document: str, category: str, rng: random.Random,

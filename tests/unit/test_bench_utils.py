@@ -2,9 +2,18 @@
 
 import json
 import pathlib
+import subprocess
 import time
 
-from repro.bench import Sample, Stopwatch, ms_per_char, pct, render_table
+from repro.bench import (
+    REPS,
+    Sample,
+    ms_per_char,
+    pct,
+    percentile,
+    render_table,
+    write_sidecar,
+)
 from repro.bench import collab
 from repro.bench.collab import run_collab
 from repro.bench.load import run_load
@@ -13,18 +22,16 @@ from repro.services import registry
 REPO = pathlib.Path(__file__).resolve().parents[2]
 
 
-class TestStopwatch:
-    def test_accumulates(self):
-        watch = Stopwatch()
-        with watch.measure():
-            time.sleep(0.01)
-        with watch.measure():
-            time.sleep(0.01)
-        assert watch.elapsed >= 0.02
-        assert len(watch.laps) == 2
-
-
 class TestSample:
+    def test_lap_times_the_block(self):
+        sample = Sample()
+        with sample.lap():
+            time.sleep(0.01)
+        with sample.lap():
+            time.sleep(0.01)
+        assert len(sample) == 2
+        assert all(lap >= 0.01 for lap in sample.values)
+
     def test_stats(self):
         sample = Sample()
         for v in (1.0, 2.0, 3.0):
@@ -33,10 +40,31 @@ class TestSample:
         assert 0.9 < sample.dev < 1.1
         assert len(sample) == 3
 
+    def test_quartiles_are_nearest_rank_inner_laps_at_reps(self):
+        assert REPS >= 5
+        sample = Sample([50.0, 10.0, 40.0, 20.0, 30.0])
+        assert (sample.q1, sample.median, sample.q3) == (20.0, 30.0, 40.0)
+        assert sample.cell(1) == {"median": 30.0, "q1": 20.0,
+                                  "q3": 40.0, "n": 5}
+        assert list(sample.cell(1)) == ["median", "q1", "q3", "n"]
+
+    def test_map_reorders_a_decreasing_transform(self):
+        rates = Sample([1.0, 2.0, 4.0, 5.0, 10.0]).map(lambda s: 10 / s)
+        assert rates.cell(1) == {"median": 2.5, "q1": 2.0, "q3": 5.0,
+                                 "n": 5}
+
+    def test_percentile_keeps_the_load_definition(self):
+        values = [float(v) for v in range(1, 101)]
+        assert percentile(values, 0.50) == 51.0   # rank round(49.5) = 50
+        assert percentile(values, 0.99) == 99.0
+        assert percentile([], 0.5) == 0.0
+
     def test_empty_and_single(self):
         assert Sample().mean == 0.0
         single = Sample([5.0])
         assert single.mean == 5.0 and single.dev == 0.0
+        assert single.cell(2) == {"median": 5.0, "q1": 5.0, "q3": 5.0,
+                                  "n": 1}
 
 
 class TestFormatting:
@@ -73,19 +101,72 @@ class TestRenderTableErrors:
 
 
 class TestMetricTracking:
-    def test_lap_metrics_record_counter_deltas(self):
+    def test_capture_records_each_laps_counter_deltas(self):
         from repro.bench import metrics_cell
-        from repro.obs import counter
+        from repro.obs import capture, counter
 
         probe = counter("test_bench.probe")
-        watch = Stopwatch(track=("test_bench.probe",))
-        with watch.measure():
-            probe.inc(5)
-        with watch.measure():
-            probe.inc(2)
-        assert [lap["test_bench.probe"] for lap in watch.lap_metrics] == [5, 2]
-        assert watch.metric_total("test_bench.probe") == 7
-        assert metrics_cell(watch.lap_metrics[0]) == "probe=5"
+        laps, deltas = Sample(), []
+        for amount in (5, 2):
+            with capture() as cap, laps.lap():
+                probe.inc(amount)
+            deltas.append({"test_bench.probe": cap["test_bench.probe"]})
+        assert len(laps) == 2
+        assert [d["test_bench.probe"] for d in deltas] == [5, 2]
+        assert metrics_cell(deltas[0]) == "probe=5"
+
+
+class TestWriteSidecar:
+    """One writer for every BENCH sidecar: the first run seeds the
+    baseline, later runs keep it, merged blocks update the previous
+    run's, and ``commit`` names the checkout."""
+
+    def test_first_run_seeds_and_later_runs_keep_the_baseline(
+            self, tmp_path):
+        path = tmp_path / "BENCH_x.json"
+        first = write_sidecar(path, "x/v2", {"current": {"a": 1}})
+        assert first["baseline"] == {"a": 1}
+        second = write_sidecar(path, "x/v2", {"current": {"a": 2}})
+        assert second["baseline"] == {"a": 1}
+        assert second["current"] == {"a": 2}
+        assert json.loads(path.read_text()) == second
+
+    def test_new_schema_reseeds_the_baseline(self, tmp_path):
+        path = tmp_path / "BENCH_x.json"
+        write_sidecar(path, "x/v1", {"current": {"a": 1}})
+        payload = write_sidecar(path, "x/v2", {"current": {"a": 9}})
+        assert payload["baseline"] == {"a": 9}
+
+    def test_merged_blocks_keep_unmeasured_services(self, tmp_path):
+        path = tmp_path / "BENCH_x.json"
+        write_sidecar(path, "x/v2", {"current": {"gdocs": 1, "bespin": 2},
+                                     "services": {"s": 1}},
+                      merge=("current", "services"))
+        payload = write_sidecar(path, "x/v2", {"current": {"bespin": 3},
+                                               "services": {}},
+                                merge=("current", "services"))
+        assert payload["current"] == {"gdocs": 1, "bespin": 3}
+        assert payload["services"] == {"s": 1}
+        assert payload["baseline"] == {"gdocs": 1, "bespin": 2}
+
+    def test_commit_outside_a_checkout_is_none(self, tmp_path):
+        payload = write_sidecar(tmp_path / "BENCH_x.json", "x/v2",
+                                {"current": {}})
+        assert payload["commit"] is None
+
+    def test_commit_is_the_checkout_head(self, tmp_path):
+        def git(*args):
+            return subprocess.run(
+                ["git", "-c", "user.name=bench", "-c",
+                 "user.email=bench@example.invalid", *args],
+                cwd=tmp_path, capture_output=True, text=True,
+                check=True).stdout.strip()
+
+        git("init", "-q")
+        git("commit", "-q", "--allow-empty", "-m", "seed")
+        payload = write_sidecar(tmp_path / "BENCH_x.json", "x/v2",
+                                {"current": {}})
+        assert payload["commit"] == git("rev-parse", "HEAD")
 
 
 class TestCellRows:

@@ -19,11 +19,13 @@ ignored.
 
 It also validates the **benchmark sidecars** at the repo root: any
 ``BENCH_*.json`` present must declare a known ``schema`` string and
-carry that schema's required keys (for ``repro.bench.load/v1``, every
-measured cell must report ``sessions``, ``edits_per_sec``,
-``save_p50_ms`` and ``save_p99_ms`` — the numbers EXPERIMENTS.md
-quotes).  A missing sidecar is fine (they are build artifacts); a
-malformed one is drift.
+carry that schema's required keys, ``commit`` among them (for
+``repro.bench.load/v1``, every measured cell must report ``sessions``,
+``edits_per_sec``, ``save_p50_ms`` and ``save_p99_ms`` — the numbers
+EXPERIMENTS.md quotes).  In a ``/v2`` sidecar every timing cell must be
+``{"median", "q1", "q3", "n"}`` in that order, with
+``q1 <= median <= q3``.  A missing sidecar is fine (they are build
+artifacts); a malformed one is drift.
 
 Run via ``make docs-check`` (part of ``make test``); exits non-zero
 listing every stale citation with its file and line.
@@ -116,16 +118,31 @@ def _check_filepath(token: str) -> str | None:
 #: sidecar filename -> (expected schema, top-level required keys)
 SIDECARS = {
     "BENCH_edit_throughput.json": (
-        "repro.bench.edit_throughput/v1", ("current",)),
-    "BENCH_faults.json": ("repro.bench.faults/v1", ("current", "seed")),
+        "repro.bench.edit_throughput/v2", ("commit", "current")),
+    "BENCH_faults.json": (
+        "repro.bench.faults/v2", ("commit", "current", "seed")),
     "BENCH_load.json": (
-        "repro.bench.load/v1", ("current", "seed", "fault_rate")),
+        "repro.bench.load/v1", ("commit", "current", "seed", "fault_rate")),
     "BENCH_collab.json": (
-        "repro.bench.collab/v1", ("current", "seed", "writer_counts")),
-    "BENCH_search.json": ("repro.bench.search/v1", ("current",)),
+        "repro.bench.collab/v1",
+        ("commit", "current", "seed", "writer_counts")),
+    "BENCH_search.json": ("repro.bench.search/v2", ("commit", "current")),
 }
 
-#: every repro.bench.search/v1 block must carry these sections (the
+#: where each v2 sidecar keeps its timing cells: block -> key path,
+#: ``*`` standing for every key at that level
+_EVERY_CELL = {"baseline": ("*", "*"), "current": ("*", "*")}
+TIMING_CELLS = {
+    "repro.bench.edit_throughput/v2": _EVERY_CELL,
+    "repro.bench.search/v2": _EVERY_CELL,
+    "repro.bench.faults/v2": {
+        "baseline": ("*", "edits_per_sec"),
+        "current": ("*", "edits_per_sec"),
+        "services": ("*", "*", "edits_per_sec"),
+    },
+}
+
+#: every repro.bench.search/v2 block must carry these sections (the
 #: three scaling curves plus the indexing-overhead gate cells)
 SEARCH_SECTIONS = ("query_usec", "index_update", "audit_verify_ms",
                    "burst_overhead")
@@ -179,24 +196,45 @@ def _check_collab_rows(payload: dict) -> list[str]:
 
 
 def _check_search_rows(payload: dict) -> list[str]:
-    """repro.bench.search/v1: every block carries all four sections,
-    each section a non-empty mapping of cells to numbers."""
+    """repro.bench.search/v2: every block carries all four sections,
+    each a non-empty mapping of cells."""
     errors = []
     for block_name in ("baseline", "current"):
-        block = payload.get(block_name)
-        if block is None:
-            continue  # a first-ever run has no baseline yet
+        block = payload.get(block_name) or {}
         for section in SEARCH_SECTIONS:
             rows = block.get(section)
             if not isinstance(rows, dict) or not rows:
                 errors.append(f"{block_name}.{section} missing or empty")
-                continue
-            bad = [k for k, v in rows.items()
-                   if not isinstance(v, (int, float))]
-            if bad:
-                errors.append(
-                    f"{block_name}.{section} has non-numeric cells: "
-                    f"{', '.join(bad)}")
+    return errors
+
+
+def _walk(node, path: tuple, label: str):
+    """(label, value) at every end of ``path`` below ``node``."""
+    if not path:
+        yield label, node
+    elif isinstance(node, dict):
+        keys = node if path[0] == "*" else [path[0]]
+        for key in keys:
+            yield from _walk(node.get(key), path[1:], f"{label}.{key}")
+    else:
+        yield label, node  # a scalar where a block belongs
+
+
+def _check_timing_cells(schema: str, payload: dict) -> list[str]:
+    """/v2: each timing cell is exactly ``CELL_KEYS``, in order, with
+    its quartiles around its median."""
+    from repro.bench.timing import CELL_KEYS
+
+    errors = []
+    for block_name, path in TIMING_CELLS.get(schema, {}).items():
+        for label, cell in _walk(payload.get(block_name), path,
+                                 block_name):
+            if not isinstance(cell, dict) or tuple(cell) != CELL_KEYS:
+                errors.append(f"{label} is not a timing cell "
+                              f"{{{', '.join(CELL_KEYS)}}}: {cell!r}")
+            elif not cell["q1"] <= cell["median"] <= cell["q3"]:
+                errors.append(f"{label} has q1 <= median <= q3 "
+                              f"broken: {cell!r}")
     return errors
 
 
@@ -226,9 +264,11 @@ def check_sidecars() -> list[str]:
         if schema == "repro.bench.collab/v1":
             problems.extend(f"{name}: {e}"
                             for e in _check_collab_rows(payload))
-        if schema == "repro.bench.search/v1":
+        if schema == "repro.bench.search/v2":
             problems.extend(f"{name}: {e}"
                             for e in _check_search_rows(payload))
+        problems.extend(f"{name}: {e}"
+                        for e in _check_timing_cells(schema, payload))
     return problems
 
 
