@@ -99,11 +99,13 @@ def write_sidecar(path: pathlib.Path, schema: str, fields: dict,
 
     ``fields`` are the run's top-level keys, ``current`` among them.
     The first run of ``schema`` seeds ``baseline`` with its ``current``
-    and later runs keep it; a file of another schema counts as no file,
-    so a new schema re-seeds.  Each block named in ``merge`` (the
-    per-service blocks) updates the previous run's instead of replacing
-    it, so re-measuring one service keeps the others.  ``commit`` is the
-    checkout's HEAD, or ``None`` outside a git checkout.
+    and later runs keep it, except that a section of ``current`` the
+    baseline lacks is seeded by its own first run; a file of another
+    schema counts as no file, so a new schema re-seeds.  Each block
+    named in ``merge`` (the per-service blocks) updates the previous
+    run's instead of replacing it, so re-measuring one service keeps
+    the others.  ``commit`` is the checkout's HEAD, or ``None`` outside
+    a git checkout.
     """
     previous = json.loads(path.read_text()) if path.exists() else {}
     if previous.get("schema") != schema:
@@ -112,7 +114,8 @@ def write_sidecar(path: pathlib.Path, schema: str, fields: dict,
     for key in merge:
         fields[key] = {**(previous.get(key) or {}), **(fields.get(key) or {})}
     payload = {"schema": schema, "commit": _commit(path.parent),
-               "baseline": previous.get("baseline") or fields["current"],
+               "baseline": {**fields["current"],
+                            **(previous.get("baseline") or {})},
                **fields}
     path.write_text(json.dumps(payload, indent=2) + "\n")
     return payload

@@ -34,7 +34,7 @@ import random
 from typing import Any, Iterable, Iterator
 
 from repro.errors import DataStructureError
-from repro.obs import counter, gauge
+from repro.obs import counter
 
 __all__ = ["IndexedSkipList"]
 
@@ -49,7 +49,6 @@ _SPLICES = counter("index.splices")
 #: level-0 steps taken inside get_range/splice — O(k), deliberately
 #: separate from the O(log n) node_visits of the descents
 _RANGE_VISITS = counter("index.range_visits")
-_LIST_LEVEL = gauge("index.skiplist.level")
 
 
 #: a node: ``[next_0, elems_0, chars_0, ..., value, width]``.  Nodes
@@ -341,7 +340,6 @@ class IndexedSkipList:
         while (self._level > 1
                and self._head[3 * (self._level - 1)] is None):
             self._level -= 1
-        _LIST_LEVEL.set(self._level)
         return removed
 
     def extend(self, items: Iterable[tuple[Any, int]]) -> None:

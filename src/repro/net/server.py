@@ -140,7 +140,8 @@ class ReproServer:
 
     @property
     def instance_count(self) -> int:
-        """Backend instances created so far (lazily, on first touch)."""
+        """Live backend instances (created lazily on first touch,
+        dropped by :meth:`shutdown`)."""
         with self._lock:
             return len(self._instances)
 
@@ -301,9 +302,13 @@ class ReproServer:
             await self._server.serve_forever()
 
     def shutdown(self) -> None:
-        """Stop executors (after the loop itself has stopped)."""
+        """Stop executors (after the loop itself has stopped) and drop
+        this server's instances from the live-instance gauge."""
         for pool in self._executors:
             pool.shutdown(wait=False)
+        with self._lock:
+            _INSTANCES.add(-len(self._instances))
+            self._instances.clear()
 
 
 class ServerThread:

@@ -1,4 +1,4 @@
-"""repro.obs — lightweight, zero-dependency metrics and tracing.
+"""repro.obs — lightweight, zero-dependency metrics.
 
 The paper's central performance claim (SV, Fig. 4-5) is *asymptotic*:
 IncE touches only the edited cluster, doing ``O(log n + cluster)`` work
@@ -9,7 +9,6 @@ package provides the counting substrate:
 
 * :class:`Counter`, :class:`Gauge`, :class:`Histogram` — the three
   instrument kinds, owned by a :class:`Registry` of dotted names;
-* :func:`span` / :class:`Timer` — wall-clock tracing into histograms;
 * :func:`capture` — snapshot/diff context manager, the primitive the
   sub-linearity regression tests are written against;
 * :mod:`repro.obs.export` — text and JSON renderings of a registry
@@ -19,8 +18,12 @@ Every hot path of the library is instrumented against the process-global
 default registry (:func:`default_registry`): the AES core counts block
 invocations, the document engine counts blocks re-encrypted per delta,
 the block indexes count search-path node visits, the channel counts
-exchanges and wire bytes.  Instrumentation can be globally disabled
-with :func:`set_enabled` (used to measure its own overhead).
+exchanges and wire bytes.  A timed path observes its seconds into a
+histogram with :func:`time.perf_counter` (``doc.apply_delta_seconds``,
+``server.shard.exec_seconds``).  Instrumentation can be globally
+disabled with :func:`set_enabled` (used to measure its own overhead).
+There is no tracing here yet: nothing follows one save across layers
+(per-layer spans live in ``perfbench/tracing.py``).
 
 The package is self-contained — it imports nothing from the rest of
 ``repro`` — so any layer may instrument itself without import cycles.
@@ -32,8 +35,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     Registry,
-    Scope,
-    Timer,
     capture,
     counter,
     default_registry,
@@ -41,7 +42,6 @@ from repro.obs.metrics import (
     histogram,
     is_enabled,
     set_enabled,
-    span,
     value_of,
 )
 
@@ -51,8 +51,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "Registry",
-    "Scope",
-    "Timer",
     "capture",
     "counter",
     "default_registry",
@@ -60,6 +58,5 @@ __all__ = [
     "histogram",
     "is_enabled",
     "set_enabled",
-    "span",
     "value_of",
 ]

@@ -16,14 +16,13 @@ Design constraints, in order:
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import contextmanager
 from typing import Iterator
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "Timer", "Registry", "Scope",
-    "Capture", "capture", "counter", "gauge", "histogram", "span",
-    "default_registry", "set_enabled", "is_enabled", "value_of",
+    "Counter", "Gauge", "Histogram", "Registry", "Capture", "capture",
+    "counter", "gauge", "histogram", "default_registry", "set_enabled",
+    "is_enabled", "value_of",
 ]
 
 #: process-wide instrumentation switch; read by every ``inc``/``set``/
@@ -172,24 +171,6 @@ class Histogram:
         }
 
 
-class Timer:
-    """Times code blocks into a :class:`Histogram` of seconds."""
-
-    __slots__ = ("histogram",)
-
-    def __init__(self, hist: Histogram):
-        self.histogram = hist
-
-    @contextmanager
-    def time(self) -> Iterator[None]:
-        """Context manager: observe the block's wall-clock duration."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.histogram.observe(time.perf_counter() - start)
-
-
 class Registry:
     """A named, flat namespace of instruments.
 
@@ -230,14 +211,6 @@ class Registry:
         """Get or create the histogram ``name``."""
         return self._get_or_create(name, Histogram, max_samples=max_samples)
 
-    def timer(self, name: str) -> Timer:
-        """Get or create a timer over the histogram ``name``."""
-        return Timer(self.histogram(name))
-
-    def scope(self, prefix: str) -> "Scope":
-        """A view that prefixes every instrument name with ``prefix.``."""
-        return Scope(self, prefix)
-
     def get(self, name: str) -> Counter | Gauge | Histogram | None:
         """The instrument registered under ``name``, or None."""
         return self._instruments.get(name)
@@ -269,40 +242,6 @@ class Registry:
         """Zero every instrument (names stay registered)."""
         for instrument in self._instruments.values():
             instrument.reset()
-
-
-class Scope:
-    """A prefixed view of a registry (``scope('crypto.aes')``)."""
-
-    __slots__ = ("_registry", "_prefix")
-
-    def __init__(self, registry: Registry, prefix: str):
-        self._registry = registry
-        self._prefix = prefix.rstrip(".")
-
-    def _full(self, name: str) -> str:
-        return f"{self._prefix}.{name}" if self._prefix else name
-
-    def counter(self, name: str) -> Counter:
-        """Get or create ``<prefix>.<name>`` as a counter."""
-        return self._registry.counter(self._full(name))
-
-    def gauge(self, name: str) -> Gauge:
-        """Get or create ``<prefix>.<name>`` as a gauge."""
-        return self._registry.gauge(self._full(name))
-
-    def histogram(self, name: str, max_samples: int = 4096) -> Histogram:
-        """Get or create ``<prefix>.<name>`` as a histogram."""
-        return self._registry.histogram(self._full(name),
-                                        max_samples=max_samples)
-
-    def timer(self, name: str) -> Timer:
-        """Get or create a timer over ``<prefix>.<name>``."""
-        return self._registry.timer(self._full(name))
-
-    def scope(self, prefix: str) -> "Scope":
-        """A nested scope ``<prefix>.<sub>``."""
-        return Scope(self._registry, self._full(prefix))
 
 
 _DEFAULT = Registry("repro")
@@ -337,18 +276,6 @@ def value_of(name: str, registry: Registry | None = None) -> float:
     if isinstance(instrument, Histogram):
         return instrument.count
     return instrument.value
-
-
-@contextmanager
-def span(name: str, registry: Registry | None = None) -> Iterator[None]:
-    """Trace span: time the block into histogram ``name`` (seconds)."""
-    reg = registry if registry is not None else _DEFAULT
-    hist = reg.histogram(name)
-    start = time.perf_counter()
-    try:
-        yield
-    finally:
-        hist.observe(time.perf_counter() - start)
 
 
 class Capture:

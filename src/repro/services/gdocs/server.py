@@ -32,26 +32,23 @@ from collections import OrderedDict
 from repro.encoding.formenc import encode_form
 from repro.errors import DeltaError, ProtocolError, QuotaExceededError
 from repro.net.http import HttpRequest, HttpResponse
-from repro.obs import default_registry
+from repro.obs import counter
 from repro.services.gdocs import protocol
 from repro.services.gdocs.storage import DocumentStore, StoredDocument
 from repro.workloads.text import WORDS
 
 __all__ = ["GDocsServer", "EditSession"]
 
-_OBS = default_registry().scope("services.gdocs")
 #: requests by endpoint: services.gdocs.requests.{open,full_save,
 #: delta_save,fetch,feature,error}
-_REQ = _OBS.scope("requests")
-_REQ_OPEN = _REQ.counter("open")
-_REQ_FULL_SAVE = _REQ.counter("full_save")
-_REQ_DELTA_SAVE = _REQ.counter("delta_save")
-_REQ_FETCH = _REQ.counter("fetch")
-_REQ_FEATURE = _REQ.counter("feature")
-_REQ_ERROR = _REQ.counter("error")
-_STORED_BYTES = _OBS.gauge("stored_bytes")
-_MERGES = _OBS.counter("merges")
-_DEDUP_HITS = _OBS.counter("dedup_hits")
+_REQ_OPEN = counter("services.gdocs.requests.open")
+_REQ_FULL_SAVE = counter("services.gdocs.requests.full_save")
+_REQ_DELTA_SAVE = counter("services.gdocs.requests.delta_save")
+_REQ_FETCH = counter("services.gdocs.requests.fetch")
+_REQ_FEATURE = counter("services.gdocs.requests.feature")
+_REQ_ERROR = counter("services.gdocs.requests.error")
+_MERGES = counter("services.gdocs.merges")
+_DEDUP_HITS = counter("services.gdocs.dedup_hits")
 
 #: idempotency-key responses remembered per server (a ring; replays of
 #: saves older than this window are no longer deduplicated)
@@ -119,13 +116,6 @@ class GDocsServer:
             # a delta field the client sent (or the network mangled)
             # that does not parse or apply is bad input, not a crash
             return _error(400, f"bad delta: {exc}")
-
-    def _stored_bytes(self) -> int:
-        """Total characters currently held by the store (gauge value)."""
-        return sum(
-            self.store.get(doc_id).length
-            for doc_id in self.store.doc_ids()
-        )
 
     def _dispatch(self, request: HttpRequest) -> HttpResponse:
         if request.path != protocol.DOC_PATH:
@@ -215,7 +205,6 @@ class GDocsServer:
                                   self._ack(doc, conflict=False))
         doc = self.store.set_content(doc_id, content)
         session.saw_full_save = True
-        _STORED_BYTES.set(self._stored_bytes())
         return self._remember(session, form, self._ack(doc, conflict=False))
 
     def _delta_save(self, doc_id: str, form: dict[str, str]) -> HttpResponse:
@@ -251,7 +240,6 @@ class GDocsServer:
             if refused is not None:
                 return refused
         doc = self.store.apply_delta(doc_id, form[protocol.F_DELTA])
-        _STORED_BYTES.set(self._stored_bytes())
         return self._remember(session, form,
                               self._ack(doc, conflict=False,
                                         echo_content=False))
@@ -293,7 +281,6 @@ class GDocsServer:
             return None
         self.merges_performed += 1
         _MERGES.inc()
-        _STORED_BYTES.set(self._stored_bytes())
         # No content echo: the patch carries the saver to the merged
         # state, and the hash lets it verify the result.
         return self._ack(doc, conflict=False, echo_content=False,

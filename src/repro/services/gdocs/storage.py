@@ -37,6 +37,7 @@ from repro.errors import (
     ProtocolError,
     QuotaExceededError,
 )
+from repro.obs import gauge
 from repro.services.gdocs.pieces import PieceTable
 
 __all__ = [
@@ -52,6 +53,11 @@ MAX_DOCUMENT_CHARS = 500_000
 
 #: revisions retained per document before the oldest are compacted
 DEFAULT_MAX_HISTORY = 256
+
+#: characters held by every stored document in the process: each
+#: document adds its own length changes, so servers sum
+_STORED_BYTES = gauge("services.gdocs.stored_bytes")
+
 
 class RevisionHistory:
     """Prior document versions, kept as one log read back from the head.
@@ -169,6 +175,7 @@ class StoredDocument:
         self.doc_id = doc_id
         self.revision = 0
         self._table = PieceTable(content)
+        _STORED_BYTES.add(len(content))
         self.history = RevisionHistory(self._table)
         self.max_history = max_history
         #: oldest revision whose commit record is still retained —
@@ -187,6 +194,7 @@ class StoredDocument:
         # Direct assignment (active tampering, test fixtures) bypasses
         # commit bookkeeping, same as mutating the old dataclass field.
         self.history._pin_newest()
+        _STORED_BYTES.add(len(text) - self._table.length)
         self._table.reset(text)
 
     @property
@@ -212,6 +220,7 @@ class StoredDocument:
             )
         old = self._table.materialize()
         self.history._record(None, Delta.between(new_content, old))
+        _STORED_BYTES.add(len(new_content) - len(old))
         self._table.reset(new_content)
         self.revision += 1
         self._compact()
@@ -229,6 +238,7 @@ class StoredDocument:
         exceed quota.
         """
         delta = Delta.parse(delta_text)
+        before = self._table.length
         inverse = delta.inverse(self._table.apply_delta(delta))
         if self._table.length > MAX_DOCUMENT_CHARS:
             would_be = self._table.length
@@ -237,6 +247,7 @@ class StoredDocument:
                 f"document {self.doc_id!r} would be {would_be} "
                 f"chars; limit is {MAX_DOCUMENT_CHARS}"
             )
+        _STORED_BYTES.add(self._table.length - before)
         self.history._record(delta_text, inverse)
         self.revision += 1
         self._compact()

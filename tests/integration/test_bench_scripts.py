@@ -52,8 +52,8 @@ def _faults():
 @pytest.mark.parametrize("run, cells", [
     # 2 schemes x 2 indexes x (3 sizes + 3 bursts x 3 sizes), 3 server
     (_edit_throughput, 2 * 2 * (3 + 3 * 3) + 3),
-    # 3 corpora, 1 index rate, 2 chain depths, 2 schemes
-    (_search, 3 + 1 + 2 + 2),
+    # 3 corpora warm and cold, 1 index rate, 2 chain depths, 2 schemes
+    (_search, 2 * 3 + 1 + 2 + 2),
     # 4 gdocs rates, then 4 backends x 3 rates
     (_faults, 4 + 4 * 3),
 ], ids=["edit_throughput", "search", "faults"])

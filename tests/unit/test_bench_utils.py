@@ -131,6 +131,15 @@ class TestWriteSidecar:
         assert second["current"] == {"a": 2}
         assert json.loads(path.read_text()) == second
 
+    def test_a_new_section_seeds_its_own_baseline(self, tmp_path):
+        path = tmp_path / "BENCH_x.json"
+        write_sidecar(path, "x/v2", {"current": {"a": 1}})
+        payload = write_sidecar(path, "x/v2",
+                                {"current": {"a": 2, "b": 3}})
+        assert payload["baseline"] == {"a": 1, "b": 3}
+        later = write_sidecar(path, "x/v2", {"current": {"a": 4, "b": 5}})
+        assert later["baseline"] == {"a": 1, "b": 3}
+
     def test_new_schema_reseeds_the_baseline(self, tmp_path):
         path = tmp_path / "BENCH_x.json"
         write_sidecar(path, "x/v1", {"current": {"a": 1}})
@@ -200,7 +209,7 @@ class TestCollabLeakVerdict:
 
     @staticmethod
     def _writer_with_echo(echo: bool):
-        writer = collab._Writer(0, "gdocs", "recb", 0.0, collab.SEED,
+        writer = collab._Writer(0, 0.0, collab.SEED, service="gdocs",
                                 server=registry.make_server("gdocs"))
         word = collab.SENTINEL.split()[0]
         echoes = [word] if echo else []
@@ -225,8 +234,48 @@ class TestCollabLeakVerdict:
     def test_sentinel_in_the_first_exchange_is_caught_after_the_ring_wraps(
             self):
         writer = self._writer_with_echo(True)
-        assert collab._finish([writer], True) == (True, False)
+        assert writer.session.stored_text() == writer.session.text
+        assert collab._leak_clean([writer]) is False
 
     def test_clean_writer_stays_clean(self):
         writer = self._writer_with_echo(False)
-        assert collab._finish([writer], True) == (True, True)
+        assert writer.session.stored_text() == writer.session.text
+        assert collab._leak_clean([writer]) is True
+
+
+class TestFleetCells:
+    """The fleet harness reproduces the cells of the two drivers it
+    replaced, field for field: every value below was read from the
+    in-process cells before ``repro.bench.fleet`` existed, so a
+    reordered RNG draw, seed or fault plan changes one of them."""
+
+    def test_load_cell(self):
+        row = run_load(sessions=12, rounds=3, service="gdocs",
+                       transport="inprocess", fault_rate=0.05).row()
+        assert row.pop("elapsed_s") >= 0 and row.pop("open_s") >= 0
+        assert row == {
+            "service": "gdocs", "transport": "inprocess", "sessions": 12,
+            "rounds": 3, "fault_rate": 0.05, "edits_per_sec": 1.4,
+            "save_p50_ms": 213.81, "save_p99_ms": 5197.92,
+            "latency_source": "simulated", "saves": 36,
+            "save_failures": 1, "converged_sample": True, "counters": {},
+        }
+
+    def test_collab_cell(self):
+        row = run_collab(writers=6, rounds=3, service="gdocs", merge=True,
+                         transport="inprocess", fault_rate=0.05).row()
+        assert row == {
+            "service": "gdocs", "transport": "inprocess", "merge": True,
+            "writers": 6, "rounds": 3, "fault_rate": 0.05, "saves": 25,
+            "conflicts": 6, "merges": 13, "save_failures": 0,
+            "conflict_rate": 0.24, "drain_rounds": 2, "converged": True,
+            "convergence_s": 1.235, "latency_source": "simulated",
+            "leak_clean": True,
+            "counters": {
+                "services.ot.transforms": 122, "services.ot.composes": 61,
+                "services.ot.merges": 13, "services.ot.rejects": 0,
+                "extension.merge_follows": 6,
+                "extension.merge_downgrades": 6, "client.resyncs": 6,
+                "client.retries.attempts": 8,
+            },
+        }

@@ -7,6 +7,7 @@ from repro.net.channel import Channel
 from repro.services.backend import GDOCS
 from repro.services.gdocs import protocol
 from repro.services.gdocs.server import GDocsServer
+from repro.obs import capture
 from repro.services.gdocs.storage import (
     MAX_DOCUMENT_CHARS,
     DocumentStore,
@@ -181,3 +182,36 @@ class TestServerFeatures:
         sid, rev = open_session(channel)
         resp = channel.send(protocol.feature_request("doc", "mine-bitcoin"))
         assert resp.status == 400
+
+
+class TestStoredBytesGauge:
+    """``services.gdocs.stored_bytes`` is the characters held by every
+    stored document in the process: each length change moves it."""
+
+    def test_two_servers_sum(self):
+        with capture() as cap:
+            for content in ("hello", "a longer document"):
+                channel = Channel(GDocsServer())
+                sid, rev = open_session(channel)
+                ack = GDOCS.parse_save(channel.send(
+                    protocol.full_save_request("doc", sid, rev, content)))
+                channel.send(protocol.delta_save_request(
+                    "doc", sid, ack.rev, "=2\t-1\t+xyz"))
+        assert cap["services.gdocs.stored_bytes"] == (5 + 2) + (17 + 2)
+
+    def test_quota_refused_saves_leave_it_unchanged(self):
+        store = DocumentStore()
+        store.create("d", "x" * MAX_DOCUMENT_CHARS)
+        with capture() as cap:
+            with pytest.raises(QuotaExceededError):
+                store.apply_delta("d", "+y")
+            with pytest.raises(QuotaExceededError):
+                store.set_content("d", "x" * (MAX_DOCUMENT_CHARS + 1))
+        assert cap["services.gdocs.stored_bytes"] == 0
+
+    def test_assignment_moves_it(self):
+        store = DocumentStore()
+        store.create("d", "abcdef")
+        with capture() as cap:
+            store.get("d").content = "ab"
+        assert cap["services.gdocs.stored_bytes"] == -4

@@ -23,6 +23,7 @@ from repro.net.transport import (
     AsyncioSocketTransport,
     decode_response_frame,
 )
+from repro.obs import value_of
 
 
 @pytest.fixture(scope="module")
@@ -137,6 +138,30 @@ def test_backend_instances_are_lazy_and_sharded(served):
     finally:
         for transport in transports:
             transport.close()
+
+
+def test_instances_gauge_falls_back_when_the_server_stops():
+    """``server.shard.instances`` counts live instances: a stopped
+    server takes its own off the gauge, once."""
+    start = value_of("server.shard.instances")
+    hosted = ServerThread(shards=2)
+    host, port = hosted.start()
+    try:
+        transport = AsyncioSocketTransport(host, port, service="gdocs",
+                                           tenant="gauge-tenant")
+        try:
+            for i in range(6):
+                _save_via(transport, f"gauge-{i}", f"text {i}")
+        finally:
+            transport.close()
+        created = hosted.server.instance_count
+        assert created >= 1
+        assert value_of("server.shard.instances") == start + created
+    finally:
+        hosted.stop()
+    assert value_of("server.shard.instances") == start
+    hosted.server.shutdown()
+    assert value_of("server.shard.instances") == start
 
 
 # -- broken framing ------------------------------------------------------

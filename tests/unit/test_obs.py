@@ -12,7 +12,6 @@ from repro.obs import (
     Registry,
     capture,
     set_enabled,
-    value_of,
 )
 from repro.obs.export import (
     SCHEMA_ID,
@@ -59,23 +58,6 @@ class TestRegistry:
         reg.reset()
         assert reg.snapshot() == {"c": 0, "g": 0.0, "h": 0}
         assert reg.names() == ["c", "g", "h"]  # names survive reset
-
-    def test_scope_prefixes_names(self):
-        reg = Registry("t")
-        scope = reg.scope("net")
-        scope.counter("exchanges").inc()
-        nested = scope.scope("http")
-        nested.counter("parses").inc(2)
-        assert value_of("net.exchanges", reg) == 1
-        assert value_of("net.http.parses", reg) == 2
-
-    def test_timer_observes_into_histogram(self):
-        reg = Registry("t")
-        with reg.timer("op_seconds").time():
-            pass
-        hist = reg.get("op_seconds")
-        assert hist.count == 1
-        assert hist.min >= 0.0
 
 
 class TestHistogram:

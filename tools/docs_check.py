@@ -143,9 +143,10 @@ TIMING_CELLS = {
 }
 
 #: every repro.bench.search/v2 block must carry these sections (the
-#: three scaling curves plus the indexing-overhead gate cells)
-SEARCH_SECTIONS = ("query_usec", "index_update", "audit_verify_ms",
-                   "burst_overhead")
+#: scaling curves, warm and cold queries, plus the indexing-overhead
+#: gate cells)
+SEARCH_SECTIONS = ("query_usec", "query_cold_usec", "index_update",
+                   "audit_verify_ms", "burst_overhead")
 
 #: every measured load cell must report these (the chart axes)
 LOAD_CELL_KEYS = ("sessions", "edits_per_sec", "save_p50_ms",
@@ -196,8 +197,8 @@ def _check_collab_rows(payload: dict) -> list[str]:
 
 
 def _check_search_rows(payload: dict) -> list[str]:
-    """repro.bench.search/v2: every block carries all four sections,
-    each a non-empty mapping of cells."""
+    """repro.bench.search/v2: every block carries every section of
+    ``SEARCH_SECTIONS``, each a non-empty mapping of cells."""
     errors = []
     for block_name in ("baseline", "current"):
         block = payload.get(block_name) or {}
