@@ -17,7 +17,8 @@ from repro.core.delta import Delete, Delta, Insert, Retain
 from repro.core.keys import KeyMaterial
 from repro.core.recb import RecbCodec
 from repro.crypto.random import RandomSource, SystemRandomSource
-from repro.encoding.wire import RECORD_CHARS, DocumentHeader, encode_records
+from repro.encoding.wire import (RECORD_CHARS, DocumentHeader, Record,
+                                 encode_records)
 
 __all__ = ["NaiveAlignedDocument"]
 
@@ -57,9 +58,9 @@ class NaiveAlignedDocument:
             salt=key_material.salt,
         )
         self._text = text
-        self._records = self._codec.encrypt_chunks(
-            self._state, _aligned_chunks(text, self._block_chars)
-        )
+        self._r0_record = Record(0, self._codec.encrypt_blob(
+            self._codec.prefix_plain(self._state)))
+        self._records = self._encrypt(_aligned_chunks(text, self._block_chars))
         #: cumulative count of blocks re-encrypted by updates (the
         #: ablation's cost metric, independent of wall clock)
         self.blocks_reencrypted = 0
@@ -74,8 +75,8 @@ class NaiveAlignedDocument:
 
     def wire(self) -> str:
         """The full stored form (header + r0 record + data records)."""
-        prefix = self._codec.prefix(self._state, None)
-        return self._header.encode() + encode_records(prefix + self._records)
+        records = [self._r0_record] + self._records
+        return self._header.encode() + encode_records(records)
 
     def wire_length(self) -> int:
         """Length of :meth:`wire` in characters."""
@@ -103,7 +104,7 @@ class NaiveAlignedDocument:
             if end_block is not None
             else new_chunks[first_block:]
         )
-        new_records = self._codec.encrypt_chunks(self._state, tail)
+        new_records = self._encrypt(tail)
         self.blocks_reencrypted += len(new_records)
 
         old_count = len(self._records)
@@ -131,6 +132,13 @@ class NaiveAlignedDocument:
         if new_records:
             ops.append(Insert(encode_records(new_records)))
         return Delta(ops)
+
+    def _encrypt(self, chunks: list[str]) -> list[Record]:
+        """Stage ``chunks`` and encrypt them into data records."""
+        blob = self._codec.encrypt_blob(
+            self._codec.prepare_chunks(self._state, chunks))
+        return [Record(len(chunk), blob[16 * i : 16 * i + 16])
+                for i, chunk in enumerate(chunks)]
 
     def insert(self, pos: int, text: str) -> Delta:
         """Insert text; realigns and re-encrypts every later block."""

@@ -1,7 +1,8 @@
 """The one timing discipline of the benchmark harnesses.
 
 A timed cell is a :class:`Sample`: ``REPS`` laps of the same block,
-summarised with one nearest-rank quantile rule (:func:`percentile`) as
+summarised with one nearest-rank quantile rule
+(:func:`repro.obs.percentile`, shared with the metric histograms) as
 median, q1, q3 and n -- the four keys of every timing cell a sidecar
 records.  The paper prints each figure as a mean with a deviation, so a
 sample gives those too.  Operation counts come from
@@ -16,6 +17,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
+from repro.obs import percentile
+
 __all__ = ["REPS", "CELL_KEYS", "Sample", "percentile", "ms_per_char"]
 
 #: laps per timing cell; at 5 the nearest-rank quartiles are the second
@@ -24,15 +27,6 @@ REPS = 5
 
 #: a timing cell's keys, in the order every sidecar writes them
 CELL_KEYS = ("median", "q1", "q3", "n")
-
-
-def percentile(values: list[float], q: float) -> float:
-    """The ``q``-quantile (0..1) of ``values`` by nearest rank."""
-    if not values:
-        return 0.0
-    ordered = sorted(values)
-    rank = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
-    return ordered[rank]
 
 
 @dataclass

@@ -194,17 +194,10 @@ class EncryptedDocument(ABC):
         rng: RandomSource | None = None,
         index_factory: Callable[[], BlockIndex] | None = None,
     ):
-        self._keys = key_material
         self._block_chars = blocks.validate_block_chars(block_chars)
         self._rng = rng if rng is not None else SystemRandomSource()
         self._index_factory = index_factory or IndexedSkipList
-        self._codec = self._codec_class(key_material.key, self._rng)
-        self._header = DocumentHeader(
-            scheme=self._codec.name,
-            block_chars=self._block_chars,
-            nonce_bits=self._codec.nonce_bits,
-            salt=key_material.salt,
-        )
+        self._set_keys(key_material)
         self._index: BlockIndex = self._index_factory()
         self._state: object = None
         #: the bookkeeping records before and after the data records,
@@ -276,27 +269,55 @@ class EncryptedDocument(ABC):
         doc._wire = wire_text
         return doc
 
+    def _set_keys(self, key_material: KeyMaterial) -> None:
+        """Install key material and the codec and header bound to it."""
+        self._keys = key_material
+        self._codec = self._codec_class(key_material.key, self._rng)
+        self._header = DocumentHeader(
+            scheme=self._codec.name,
+            block_chars=self._block_chars,
+            nonce_bits=self._codec.nonce_bits,
+            salt=key_material.salt,
+        )
+
     def _build_fresh(self, text: str, version: int = 0) -> None:
-        """(Re)initialize all ciphertext state from plaintext."""
-        chunks = blocks.chunk_text(text, self._block_chars)
+        """(Re)initialize all ciphertext state from plaintext.
+
+        Enc is IncE applied to the empty document: every chunk is
+        staged as one span with ``_prepare_span`` (for RPC, the chain
+        splice between ``r0`` and ``r0``), and the prefix, data and
+        suffix images are encrypted in one ``encrypt_blob`` call.
+        """
         self._state = self._codec.fresh_state()
         if hasattr(self._state, "version"):
             self._state.version = version
+        plain, metas = self._prepare_span(
+            [], blocks.chunk_text(text, self._block_chars), None
+        )
+        prefix_plain = self._codec.prefix_plain(
+            self._state, metas[0].lead if metas else None
+        )
+        blob = self._codec.encrypt_blob(
+            prefix_plain + plain + self._codec.suffix_plain(self._state)
+        )
+        data_start = len(prefix_plain)
+        data_end = data_start + len(plain)
+        for meta, off in zip(metas, range(data_start, data_end, 16)):
+            meta.block = blob[off : off + 16]
+        self._prefix = [(0, blob[i : i + 16]) for i in range(0, data_start, 16)]
+        self._suffix = [(0, blob[i : i + 16])
+                        for i in range(data_end, len(blob), 16)]
         self._index = self._index_factory()
-        metas = self._bulk_encrypt(chunks)
         self._index.extend((meta, len(meta.text)) for meta in metas)
-        first_lead = metas[0].lead if metas else None
-        self._prefix = [(r.char_count, r.block)
-                        for r in self._codec.prefix(self._state, first_lead)]
-        self._suffix = [(r.char_count, r.block)
-                        for r in self._codec.suffix(self._state)]
         self._wire = None
 
-    # -- subclass hooks --------------------------------------------------
+    def _rebuild(self, text: str) -> None:
+        """Enc of ``text``, continuing this document's RPC version."""
+        self._build_fresh(
+            text, version=getattr(self._state, "version", -1) + 1
+        )
 
-    @abstractmethod
-    def _bulk_encrypt(self, chunks: list[str]) -> list[BlockMeta]:
-        """Encrypt every chunk of a brand-new document."""
+    # -- subclass hooks --------------------------------------------------
 
     @abstractmethod
     def _load_records(self, counts: bytes, ciphertext: bytes) -> None:
@@ -317,7 +338,8 @@ class EncryptedDocument(ABC):
         metas)``: the span's concatenated pre-cipher block images and
         its new metas *without blocks* — the caller runs the cipher
         (batched across every span of the update) and patches each
-        meta's block from the output.
+        meta's block from the output.  Empty ``old_metas`` stage a
+        fresh document's whole text (``_build_fresh``).
         """
 
     # -- inspection --------------------------------------------------------
@@ -464,21 +486,9 @@ class EncryptedDocument(ABC):
                                  rng if rng is not None else self._rng)
         old_length = self.wire_length()
         text = self.text
-        next_version = getattr(self._state, "version", -1) + 1
-        self._keys = new_keys
-        self._codec = self._codec_class(new_keys.key, self._rng)
-        self._header = DocumentHeader(
-            scheme=self._codec.name,
-            block_chars=self._block_chars,
-            nonce_bits=self._codec.nonce_bits,
-            salt=new_keys.salt,
-        )
-        self._build_fresh(text, version=next_version)
-        ops: list[DeltaOp] = []
-        if old_length:
-            ops.append(Delete(old_length))
-        ops.append(Insert(self.wire()))
-        return Delta(ops)
+        self._set_keys(new_keys)
+        self._rebuild(text)
+        return Delta([Delete(old_length), Insert(self.wire())])
 
     # -- internals -----------------------------------------------------------
 
@@ -497,13 +507,9 @@ class EncryptedDocument(ABC):
         """Full-rewrite fallback (empty-document transitions)."""
         _FULL_REWRITES.inc()
         old_area = self.wire_length() - self._header.wire_length
-        next_version = getattr(self._state, "version", -1) + 1
-        self._build_fresh(new_text, version=next_version)
-        ops: list[DeltaOp] = [Retain(self._header.wire_length)]
-        if old_area:
-            ops.append(Delete(old_area))
-        ops.append(Insert(encode_records(self._records())))
-        return Delta(ops)
+        self._rebuild(new_text)
+        return Delta([Retain(self._header.wire_length), Delete(old_area),
+                      Insert(encode_records(self._records()))])
 
     def _apply_clusters(self, edits: list[SourceEdit]) -> Delta:
         """Re-encrypt every edited cluster with ONE deferred cipher call.
@@ -669,13 +675,6 @@ class RecbDocument(EncryptedDocument):
     _codec: RecbCodec
     _state: RecbState
 
-    def _bulk_encrypt(self, chunks: list[str]) -> list[BlockMeta]:
-        records = self._codec.encrypt_chunks(self._state, chunks)
-        return [
-            BlockMeta(text=chunk, block=record.block)
-            for chunk, record in zip(chunks, records)
-        ]
-
     def _load_records(self, counts: bytes, ciphertext: bytes) -> None:
         if not counts:
             raise CiphertextFormatError("rECB document missing its r0 record")
@@ -744,19 +743,6 @@ class RpcDocument(EncryptedDocument):
     _codec: RpcCodec
     _state: RpcState
 
-    def _bulk_encrypt(self, chunks: list[str]) -> list[BlockMeta]:
-        if not chunks:
-            return []
-        first_lead = self._rng.token(len(self._state.r0))
-        triples = self._codec.encrypt_span(
-            self._state, chunks, first_lead, self._state.r0
-        )
-        metas: list[BlockMeta] = []
-        for chunk, (record, lead, payload) in zip(chunks, triples):
-            self._state.add_block(lead, payload, len(chunk))
-            metas.append(BlockMeta(chunk, record.block, lead, payload))
-        return metas
-
     def _load_records(self, counts: bytes, ciphertext: bytes) -> None:
         state, data = self._codec.load(counts, ciphertext)
         self._state = state
@@ -777,10 +763,14 @@ class RpcDocument(EncryptedDocument):
         chunks: list[str],
         next_lead: bytes | None,
     ) -> tuple[bytes, list[BlockMeta]]:
-        assert old_metas, "RPC span replacement always covers >= 1 old block"
+        if old_metas:
+            lead_first = old_metas[0].lead
+            assert lead_first is not None
+        elif chunks:  # Enc: the first lead is fresh, the chain closes at r0
+            lead_first = self._rng.token(len(self._state.r0))
+        else:
+            return b"", []
         assert chunks, "RPC span replacement always produces >= 1 block"
-        lead_first = old_metas[0].lead
-        assert lead_first is not None
         tail_last = next_lead if next_lead is not None else self._state.r0
         for meta in old_metas:
             assert meta.lead is not None and meta.payload is not None

@@ -52,8 +52,6 @@ class RecbCodec(BlockCodec):
 
     name = "recb"
     supports_integrity = False
-    prefix_records = 1
-    suffix_records = 0
     nonce_bits = RECB_NONCE_BYTES * 8
 
     # -- document bookkeeping ----------------------------------------
@@ -62,14 +60,14 @@ class RecbCodec(BlockCodec):
         """Draw a fresh document nonce ``r0``."""
         return RecbState(r0=self._rng.token(RECB_NONCE_BYTES))
 
-    def prefix(self, state: RecbState, first_lead: bytes | None = None) -> list[Record]:
-        """The bookkeeping record ``F(r0 || 0^64)``."""
-        block = self._cipher.encrypt_block(state.r0 + bytes(8))
-        return [Record(char_count=0, block=block)]
+    def prefix_plain(self, state: RecbState,
+                     first_lead: bytes | None = None) -> bytes:
+        """The bookkeeping record's pre-cipher image ``r0 || 0^64``."""
+        return state.r0 + bytes(8)
 
-    def suffix(self, state: RecbState) -> list[Record]:
+    def suffix_plain(self, state: RecbState) -> bytes:
         """rECB has no suffix records."""
-        return []
+        return b""
 
     def parse_prefix(self, block: bytes) -> RecbState:
         """Recover ``r0`` from the bookkeeping record's AES block;
@@ -101,21 +99,6 @@ class RecbCodec(BlockCodec):
             plain += xor_bytes(state.r0, nonce)
             plain += xor_bytes(nonce, blocks.pack_chars(chunk))
         return bytes(plain)
-
-    def encrypt_chunks(self, state: RecbState, chunks: list[str]) -> list[Record]:
-        """Encrypt ``chunks`` into data records (batched AES)."""
-        if not chunks:
-            return []
-        encrypted = self._cipher.encrypt_many(
-            self.prepare_chunks(state, chunks)
-        )
-        return [
-            Record(
-                char_count=len(chunk),
-                block=encrypted[16 * i : 16 * (i + 1)],
-            )
-            for i, chunk in enumerate(chunks)
-        ]
 
     def decrypt_record(self, state: RecbState, record: Record) -> str:
         """Decrypt one data record (the random-access path)."""

@@ -102,8 +102,6 @@ class RpcCodec(BlockCodec):
 
     name = "rpc"
     supports_integrity = True
-    prefix_records = 1
-    suffix_records = 1
     nonce_bits = RPC_NONCE_BYTES * 8
 
     # -- document bookkeeping ------------------------------------------
@@ -112,32 +110,25 @@ class RpcCodec(BlockCodec):
         """Draw ``r0`` and zeroed aggregates for a new document."""
         return RpcState(r0=self._rng.token(RPC_NONCE_BYTES))
 
-    def prefix(self, state: RpcState, first_lead: bytes | None) -> list[Record]:
-        """The start record ``F(r0 || alpha || first_lead)``.
+    def prefix_plain(self, state: RpcState, first_lead: bytes | None) -> bytes:
+        """The start record's pre-cipher image ``r0 || alpha || first_lead``.
 
         For an empty document the chain loops straight back: the start
         record's tail is ``r0`` itself.
         """
         tail = first_lead if first_lead is not None else state.r0
-        block = self._cipher.encrypt_block(state.r0 + ALPHA + tail)
-        return [Record(char_count=0, block=block)]
+        return state.r0 + ALPHA + tail
 
     def suffix_plain(self, state: RpcState) -> bytes:
         """The checksum record's pre-cipher block image (one AES block).
 
-        Split out from :meth:`suffix` so a coalesced update can fold
-        the checksum rewrite into the same batched cipher call as the
-        data blocks — the length amendment is then paid once per
-        burst, not once per keystroke.
+        The engine encrypts it in the same batched cipher call as the
+        data blocks, so a coalesced update pays the length amendment
+        once per burst, not once per keystroke.
         """
         payload = xor_bytes(state.payload_xor, _pack_length(state.length))
         trailer = xor_bytes(state.lead_xor, _pack_version(state.version))
         return xor_bytes(state.r0, state.lead_xor) + payload + trailer
-
-    def suffix(self, state: RpcState) -> list[Record]:
-        """The checksum record binding aggregates, length, and version."""
-        block = self._cipher.encrypt_block(self.suffix_plain(state))
-        return [Record(char_count=0, block=block)]
 
     # -- data records --------------------------------------------------
 
@@ -171,32 +162,6 @@ class RpcCodec(BlockCodec):
             payloads.append(payload)
             plain += lead + payload + tail
         return bytes(plain), leads, payloads
-
-    def encrypt_span(
-        self,
-        state: RpcState,
-        chunks: list[str],
-        lead_first: bytes,
-        tail_last: bytes,
-    ) -> list[tuple[Record, bytes, bytes]]:
-        """Encrypt a contiguous run of chunks into chained records.
-
-        :meth:`prepare_span` plus the cipher call; returns ``(record,
-        lead, payload)`` triples for the caller to fold into the
-        aggregates.
-        """
-        plain, leads, payloads = self.prepare_span(
-            chunks, lead_first, tail_last
-        )
-        encrypted = self._cipher.encrypt_many(plain)
-        return [
-            (
-                Record(char_count=len(chunk), block=encrypted[16 * i : 16 * (i + 1)]),
-                leads[i],
-                payloads[i],
-            )
-            for i, chunk in enumerate(chunks)
-        ]
 
     def decrypt_record(self, record: Record) -> tuple[bytes, str, bytes, bytes]:
         """Decrypt one data record into ``(lead, chunk, tail, payload)``.

@@ -22,15 +22,16 @@ from typing import Callable
 
 from repro.crypto.blockcipher import AesCipher
 from repro.crypto.random import RandomSource, SystemRandomSource
-from repro.encoding.wire import Record
 from repro.errors import CiphertextFormatError
 
 
 class BlockCodec(ABC):
     """Block-level cryptography for one scheme.
 
-    A codec knows how to frame chunks of plaintext into wire
-    :class:`Record` objects and back; it is stateless across documents —
+    A codec lays chunks of plaintext out as pre-cipher block images
+    (``prepare_*``, :meth:`prefix_plain`, :meth:`suffix_plain`), which
+    the document encrypts with :meth:`encrypt_blob`, and decrypts and
+    checks stored records; it is stateless across documents —
     per-document state (``r0``, running checksums) is created by
     :meth:`fresh_state` and owned by the document object.
     """
@@ -39,10 +40,6 @@ class BlockCodec(ABC):
     name: str
     #: does Dec detect tampering?
     supports_integrity: bool
-    #: how many bookkeeping records precede the data records
-    prefix_records: int
-    #: how many bookkeeping records follow the data records
-    suffix_records: int
     #: nonce width in bits (recorded in the document header)
     nonce_bits: int
 
@@ -53,10 +50,12 @@ class BlockCodec(ABC):
     def encrypt_blob(self, plain: bytes) -> bytes:
         """One cipher pass over prepared block images (whole blocks).
 
-        The coalesced-update path concatenates every touched span's
-        ``prepare_*`` output (plus the checksum image, for schemes that
-        keep one) and encrypts it here in a single call, which is what
-        lets a multi-span burst reach the batched AES path.
+        Every block the engine writes goes through here.  An update
+        concatenates every touched span's ``prepare_*`` output (plus
+        the checksum image, for schemes that keep one) and a fresh
+        document its prefix, data and suffix images, each encrypted in
+        a single call, which is what lets a multi-span burst reach the
+        batched AES path.
         """
         return self._cipher.encrypt_many(plain)
 
@@ -65,12 +64,12 @@ class BlockCodec(ABC):
         """Create per-document scheme state for a new document."""
 
     @abstractmethod
-    def prefix(self, state: object, first_lead: bytes | None) -> list[Record]:
-        """Bookkeeping records that precede the data records."""
+    def prefix_plain(self, state: object, first_lead: bytes | None) -> bytes:
+        """Pre-cipher images of the records before the data records."""
 
     @abstractmethod
-    def suffix(self, state: object) -> list[Record]:
-        """Bookkeeping records that follow the data records."""
+    def suffix_plain(self, state: object) -> bytes:
+        """Pre-cipher images of the records after the data records."""
 
 
 _REGISTRY: dict[str, Callable[..., object]] = {}

@@ -20,8 +20,8 @@ invocations, the document engine counts blocks re-encrypted per delta,
 the block indexes count search-path node visits, the channel counts
 exchanges and wire bytes.  A timed path observes its seconds into a
 histogram with :func:`time.perf_counter` (``doc.apply_delta_seconds``,
-``server.shard.exec_seconds``).  Instrumentation can be globally
-disabled with :func:`set_enabled` (used to measure its own overhead).
+``server.shard.exec_seconds``); :func:`percentile` is the one
+nearest-rank quantile rule, shared with the benchmark harnesses.
 There is no tracing here yet: nothing follows one save across layers
 (per-layer spans live in ``perfbench/tracing.py``).
 
@@ -40,8 +40,7 @@ from repro.obs.metrics import (
     default_registry,
     gauge,
     histogram,
-    is_enabled,
-    set_enabled,
+    percentile,
     value_of,
 )
 
@@ -56,7 +55,6 @@ __all__ = [
     "default_registry",
     "gauge",
     "histogram",
-    "is_enabled",
-    "set_enabled",
+    "percentile",
     "value_of",
 ]

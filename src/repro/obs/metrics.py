@@ -3,8 +3,8 @@
 Design constraints, in order:
 
 1. **Hot-path cost.** ``Counter.inc`` sits inside ``AES.encrypt_block``
-   and the skip-list search loops; it must be a slot attribute add
-   behind one global-flag check, nothing more.  Callers in tight loops
+   and the skip-list search loops; it must be one slot attribute add,
+   nothing more.  Callers in tight loops
    accumulate locally and ``inc(n)`` once per operation.
 2. **No dependencies.** Pure stdlib, no imports from the rest of
    ``repro`` — every layer can instrument itself without cycles.
@@ -21,27 +21,19 @@ from typing import Iterator
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "Registry", "Capture", "capture",
-    "counter", "gauge", "histogram", "default_registry", "set_enabled",
-    "is_enabled", "value_of",
+    "counter", "gauge", "histogram", "default_registry", "percentile",
+    "value_of",
 ]
 
-#: process-wide instrumentation switch; read by every ``inc``/``set``/
-#: ``observe``.  A module-global read is the cheapest gate available to
-#: pure Python (one dict lookup).
-_ENABLED = True
 
-
-def set_enabled(flag: bool) -> bool:
-    """Turn all instrumentation on or off; returns the previous state."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(flag)
-    return previous
-
-
-def is_enabled() -> bool:
-    """Whether instrumentation is currently recording."""
-    return _ENABLED
+def percentile(values: list[float], q: float) -> float:
+    """The ``q``-quantile (0..1) of ``values`` by nearest rank (0.0 if
+    empty) -- the one quantile rule of histograms and bench cells."""
+    if not values:
+        return 0.0
+    ordered = sorted(values)
+    rank = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
+    return ordered[rank]
 
 
 class Counter:
@@ -56,8 +48,7 @@ class Counter:
 
     def inc(self, n: int = 1) -> None:
         """Add ``n`` events (callers batch loop-local counts into one call)."""
-        if _ENABLED:
-            self.value += n
+        self.value += n
 
     def reset(self) -> None:
         """Zero the count."""
@@ -76,13 +67,11 @@ class Gauge:
 
     def set(self, value: float) -> None:
         """Record the current level."""
-        if _ENABLED:
-            self.value = value
+        self.value = value
 
     def add(self, n: float) -> None:
         """Shift the current level by ``n`` (may be negative)."""
-        if _ENABLED:
-            self.value += n
+        self.value += n
 
     def reset(self) -> None:
         """Zero the level."""
@@ -111,8 +100,6 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         """Record one observation."""
-        if not _ENABLED:
-            return
         self.count += 1
         self.total += value
         if value < self.min:
@@ -147,12 +134,7 @@ class Histogram:
         """
         if not 0.0 <= q <= 100.0:
             raise ValueError(f"percentile must be in [0, 100], got {q}")
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        rank = max(0, min(len(ordered) - 1,
-                          round(q / 100.0 * (len(ordered) - 1))))
-        return ordered[rank]
+        return percentile(self._samples, q / 100.0)
 
     def summary(self) -> dict[str, float]:
         """The exported shape: count, sum, min/max, mean, p50/p90/p99."""

@@ -143,28 +143,25 @@ def build_colliding_document(
     state = codec.fresh_state()
     v = rng.token(RPC_NONCE_BYTES)
     first_lead = rng.token(RPC_NONCE_BYTES)
-    # encrypt_span draws interior nonces from the rng: script the three
+    # prepare_span draws interior nonces from the rng: script the three
     # interior leads to the same value v, so the duplicated pair reads
     # (v, dup, v)(v, dup, v) and excising it re-links the chain at v.
     codec._rng = _RiggedNonceSource([v, v, v], codec._rng)
     chunks = [filler, duplicated, duplicated, filler]
-    triples = codec.encrypt_span(state, chunks, first_lead, state.r0)
-    for record, lead, payload in triples:
-        state.add_block(lead, payload, record.char_count)
+    plain, leads, payloads = codec.prepare_span(chunks, first_lead, state.r0)
+    for chunk, lead, payload in zip(chunks, leads, payloads):
+        state.add_block(lead, payload, len(chunk))
     if amended:
-        suffix = codec.suffix(state)
+        suffix_plain = codec.suffix_plain(state)
     else:
-        block = AesCipher(key).encrypt_block(
-            xor_bytes(state.r0, state.lead_xor)
-            + state.payload_xor
-            + state.lead_xor
-        )
-        suffix = [Record(char_count=0, block=block)]
-    records = (
-        codec.prefix(state, first_lead)
-        + [record for record, _, _ in triples]
-        + suffix
+        suffix_plain = (xor_bytes(state.r0, state.lead_xor)
+                        + state.payload_xor + state.lead_xor)
+    blob = codec.encrypt_blob(
+        codec.prefix_plain(state, first_lead) + plain + suffix_plain
     )
+    counts = [0, *map(len, chunks), 0]
+    records = [Record(count, blob[16 * i : 16 * i + 16])
+               for i, count in enumerate(counts)]
     header = DocumentHeader(
         scheme="rpc", block_chars=blocks.MAX_BLOCK_CHARS,
         nonce_bits=RPC_NONCE_BYTES * 8, salt=b"\x00" * 10,

@@ -182,6 +182,10 @@ class StoredDocument:
         #: everything below it has been compacted away
         self.history_floor = 0
 
+    def __del__(self) -> None:
+        # a collected document (its server is gone) holds no characters
+        _STORED_BYTES.add(-self._table.length)
+
     # -- content views ---------------------------------------------------
 
     @property

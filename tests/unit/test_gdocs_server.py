@@ -1,5 +1,7 @@
 """The simulated Google Documents server and its storage."""
 
+import gc
+
 import pytest
 
 from repro.errors import ProtocolError, QuotaExceededError
@@ -188,16 +190,35 @@ class TestStoredBytesGauge:
     """``services.gdocs.stored_bytes`` is the characters held by every
     stored document in the process: each length change moves it."""
 
+    @pytest.fixture(autouse=True)
+    def _collect_earlier_garbage(self):
+        # an earlier test's document collected inside a capture would
+        # move the gauge
+        gc.collect()
+
     def test_two_servers_sum(self):
+        channels = [Channel(GDocsServer()) for _ in range(2)]
         with capture() as cap:
-            for content in ("hello", "a longer document"):
-                channel = Channel(GDocsServer())
+            for channel, content in zip(channels,
+                                        ("hello", "a longer document")):
                 sid, rev = open_session(channel)
                 ack = GDOCS.parse_save(channel.send(
                     protocol.full_save_request("doc", sid, rev, content)))
                 channel.send(protocol.delta_save_request(
                     "doc", sid, ack.rev, "=2\t-1\t+xyz"))
         assert cap["services.gdocs.stored_bytes"] == (5 + 2) + (17 + 2)
+
+    def test_collected_servers_leave_it(self):
+        """A server that is gone no longer stores its documents."""
+        with capture() as cap:
+            channels = [Channel(GDocsServer()) for _ in range(3)]
+            for channel in channels:
+                sid, rev = open_session(channel)
+                channel.send(protocol.full_save_request(
+                    "doc", sid, rev, "x" * 2159))
+            del channels, channel
+            gc.collect()
+        assert cap["services.gdocs.stored_bytes"] == 0
 
     def test_quota_refused_saves_leave_it_unchanged(self):
         store = DocumentStore()

@@ -11,7 +11,6 @@ from repro.obs import (
     Histogram,
     Registry,
     capture,
-    set_enabled,
 )
 from repro.obs.export import (
     SCHEMA_ID,
@@ -90,23 +89,6 @@ class TestHistogram:
             "count": 0, "sum": 0.0, "min": 0.0, "max": 0.0,
             "mean": 0.0, "p50": 0.0, "p90": 0.0, "p99": 0.0,
         }
-
-
-class TestEnabledFlag:
-    def test_disabled_stops_all_recording(self):
-        reg = Registry("t")
-        prev = set_enabled(False)
-        try:
-            reg.counter("c").inc(10)
-            reg.gauge("g").set(5)
-            reg.histogram("h").observe(1.0)
-        finally:
-            set_enabled(prev)
-        assert reg.snapshot() == {"c": 0, "g": 0.0, "h": 0}
-
-    def test_set_enabled_returns_previous(self):
-        assert set_enabled(True) is True
-        assert obs.is_enabled()
 
 
 class TestCapture:

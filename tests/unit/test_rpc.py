@@ -21,20 +21,29 @@ def codec():
     return RpcCodec(KEY, DeterministicRandomSource(11))
 
 
+def encrypt_span(codec, state, chunks, first_lead):
+    """Data records for a chain span between ``first_lead`` and ``r0``
+    through the staging API, folded into ``state``'s aggregates."""
+    plain, leads, payloads = codec.prepare_span(chunks, first_lead, state.r0)
+    for chunk, lead, payload in zip(chunks, leads, payloads):
+        state.add_block(lead, payload, len(chunk))
+    blob = codec.encrypt_blob(plain)
+    return [Record(len(chunk), blob[16 * i : 16 * i + 16])
+            for i, chunk in enumerate(chunks)]
+
+
 def build(codec, chunks):
     """Assemble a full record list for ``chunks``."""
     state = codec.fresh_state()
     first_lead = codec._rng.token(RPC_NONCE_BYTES)
     if chunks:
-        triples = codec.encrypt_span(state, chunks, first_lead, state.r0)
-        for record, lead, payload in triples:
-            state.add_block(lead, payload, record.char_count)
-        records = [r for r, _, _ in triples]
-        prefix = codec.prefix(state, first_lead)
+        records = encrypt_span(codec, state, chunks, first_lead)
+        prefix_plain = codec.prefix_plain(state, first_lead)
     else:
         records = []
-        prefix = codec.prefix(state, None)
-    return state, prefix + records + codec.suffix(state)
+        prefix_plain = codec.prefix_plain(state, None)
+    blob = codec.encrypt_blob(prefix_plain + codec.suffix_plain(state))
+    return state, [Record(0, blob[:16])] + records + [Record(0, blob[16:])]
 
 
 class TestHappyPath:
@@ -60,8 +69,8 @@ class TestHappyPath:
     def test_randomization(self, codec):
         state = codec.fresh_state()
         lead = codec._rng.token(RPC_NONCE_BYTES)
-        triples = codec.encrypt_span(state, ["same"] * 8, lead, state.r0)
-        assert len({r.block for r, _, _ in triples}) == 8
+        records = encrypt_span(codec, state, ["same"] * 8, lead)
+        assert len({r.block for r in records}) == 8
 
 
 class TestDetection:
@@ -120,9 +129,8 @@ class TestDetection:
             codec.load(*record_columns([]))
 
     def test_empty_span_rejected(self, codec):
-        state = codec.fresh_state()
         with pytest.raises(CiphertextFormatError):
-            codec.encrypt_span(state, [], b"\x00" * 4, b"\x00" * 4)
+            codec.prepare_span([], b"\x00" * 4, b"\x00" * 4)
 
 
 class TestAggregates:

@@ -19,8 +19,14 @@ The mutation table covers one oracle per stack layer:
 ``rpc-length-amendment``
     Deletes the Wang–Kao–Yeh *length amendment* from the RPC checksum
     record (the XOR of the packed document length into the payload
-    aggregate, ``RpcCodec.suffix``).  The engine profile's
+    aggregate, ``RpcCodec.suffix_plain``).  The engine profile's
     checksum-verifying reload must flag it (``roundtrip``).
+``fresh-enc-shifts-block-slicing``
+    ``EncryptedDocument._build_fresh`` — Enc, which stages a fresh
+    document's chunks and encrypts them in one call with its
+    bookkeeping images — slices each data block's ciphertext one record
+    too early, so the first block takes the start record's ciphertext.
+    The engine profile's reload must flag it (``roundtrip``).
 ``skiplist-splice-skips-upper-span``
     ``IndexedSkipList.splice`` — the block index's only write besides
     the bulk ``extend`` — stops widening the character span of the
@@ -162,6 +168,18 @@ MUTATIONS = (
         fuzz_args=("--profile", "engine", "--scheme", "rpc"),
         iters=25,
         blind_to="a broken RPC length amendment",
+        kind="roundtrip",
+    ),
+    Mutation(
+        name="fresh-enc-shifts-block-slicing",
+        file="repro/core/document.py",
+        target=("        for meta, off in zip(metas, "
+                "range(data_start, data_end, 16)):"),
+        mutant=("        for meta, off in zip(metas, range(0, data_end, 16)):"
+                "  # MUTANT: blocks sliced one record early"),
+        fuzz_args=("--profile", "engine"),
+        iters=10,
+        blind_to="an Enc that slices its blocks out of step",
         kind="roundtrip",
     ),
     Mutation(
