@@ -64,6 +64,10 @@ QUERIES = 300
 #: the acceptance bound: indexing folded into the burst edit path may
 #: cost at most this fraction of the plain client_burst keystroke rate
 MAX_OVERHEAD = 0.15
+#: keystrokes per script-mode ``burst_overhead`` pair: 64 lockstep
+#: bursts a side, so one slow burst cannot carry a quartile to the
+#: gate, as one 256-keystroke lap a side could
+BURST_KEYSTROKES = 2_048
 #: sub-linearity gate: 100x more documents must cost less than this
 #: factor per query (a linear scan would blow straight through it)
 MAX_QUERY_GROWTH = 10.0
@@ -151,59 +155,65 @@ def _audit_verify_ms(depth: int) -> dict[str, float]:
     return laps.map(lambda seconds: seconds * 1e3).cell(3)
 
 
-def _burst_run(scheme: str, size: int, keystrokes: int, burst: int,
-               indexer: WorkspaceIndexer | None, laps: Sample) -> None:
-    """One run of the coalesced IncE path, timed into ``laps``, with
-    the workspace indexer riding each flushed burst when given one."""
+def _burst_pair(scheme: str, size: int, keystrokes: int, burst: int,
+                indexer: WorkspaceIndexer) -> float:
+    """One pair of the ``burst_overhead`` cell: the same keystrokes
+    through a plain and an indexed copy of the coalesced IncE path.
+
+    The two copies run in lockstep, one burst's keystrokes at a time,
+    each side timed in turn, so a change of host speed during the pair
+    lands on both halves instead of on one lap.  Returns the
+    keystroke-rate cost of the indexer, 1 - indexed rate / plain rate.
+    """
     rng = random.Random(size * 13 + keystrokes + burst)
     text = make_text(size, rng)
-    doc = create_document(text, key_material=KEYS, scheme=scheme,
-                          rng=DeterministicRandomSource(9),
-                          index_factory=lambda: IndexedSkipList(
-                              rng=random.Random(5)))
-    if indexer is not None:
-        indexer.adopt("doc", text)
-    deltas = keystroke_deltas(rng, doc.char_length, keystrokes)
-    journal = EditCoalescer(max_ops=burst)
+    deltas = keystroke_deltas(rng, len(text), keystrokes)
+    indexer.adopt("doc", text)
+    sides = []
+    for side_indexer in (None, indexer):
+        doc = create_document(text, key_material=KEYS, scheme=scheme,
+                              rng=DeterministicRandomSource(9),
+                              index_factory=lambda: IndexedSkipList(
+                                  rng=random.Random(5)))
+        sides.append((doc, EditCoalescer(max_ops=burst), side_indexer,
+                      Sample()))
 
-    def flush(ready) -> None:
+    def flush(doc, side_indexer, ready) -> None:
         if ready is None:
             return
-        if indexer is not None:
-            indexer.apply("doc", ready)
+        if side_indexer is not None:
+            side_indexer.apply("doc", ready)
         doc.apply_delta(ready)
 
-    with laps.lap():
-        for delta in deltas:
-            flush(journal.add(delta))
-        flush(journal.flush("drain"))
+    for at in range(0, len(deltas) + burst, burst):
+        for doc, journal, side_indexer, laps in sides:
+            with laps.lap():
+                for delta in deltas[at:at + burst]:
+                    flush(doc, side_indexer, journal.add(delta))
+                if at >= len(deltas):
+                    flush(doc, side_indexer, journal.flush("drain"))
+    plain, indexed = (sum(side[3].values) for side in sides)
+    return 1.0 - plain / indexed
 
 
 def _burst_overhead(scheme: str, size: int, keystrokes: int,
                     burst: int) -> dict[str, float]:
     """The ``burst_overhead`` cell: fractional keystroke-rate cost of
-    attaching the indexer to the ``client_burst`` workload.
-
-    Plain and indexed runs are timed in *interleaved pairs*, and the
-    pair ratios are the cell's sample: scheduler drift between two
-    independent loops would otherwise masquerade as indexing cost.
+    attaching the indexer to the ``client_burst`` workload, one
+    lockstep pair per rep (``_burst_pair``): scheduler drift between
+    two independent loops would otherwise masquerade as indexing cost.
     One tenant indexer serves every pair (``adopt`` resets the
     document shadow; the trapdoor/blob caches persist), so the cell
     measures an editing session's steady state rather than
     first-keystroke cache warming.
     """
     indexer = WorkspaceIndexer("bench-tenant")
-    plain, indexed = Sample(), Sample()
-    for _ in range(REPS):
-        _burst_run(scheme, size, keystrokes, burst, None, plain)
-        _burst_run(scheme, size, keystrokes, burst, indexer, indexed)
-    # the keystroke-rate cost: 1 - indexed rate / plain rate
-    return Sample([1.0 - p / i for p, i in zip(plain.values,
-                                               indexed.values)]).cell(4)
+    return Sample([_burst_pair(scheme, size, keystrokes, burst, indexer)
+                   for _ in range(REPS)]).cell(4)
 
 
 def run_suite(corpus_sizes=None, chain_depths=None,
-              burst_keystrokes: int = 256) -> dict:
+              burst_keystrokes: int = BURST_KEYSTROKES) -> dict:
     """Measure every section; keys are flat human-readable labels."""
     corpus_sizes = corpus_sizes or CORPUS_SIZES
     chain_depths = chain_depths or CHAIN_DEPTHS
@@ -306,7 +316,7 @@ class TestSearchBench:
 def _warmup() -> None:
     """Stabilize frequency scaling before the first measured cell."""
     _build_corpus(500)
-    _burst_run("recb", 5_000, 64, 32, None, Sample())
+    _burst_pair("recb", 5_000, 64, 32, WorkspaceIndexer("warmup"))
 
 
 if __name__ == "__main__":

@@ -217,10 +217,11 @@ class Delta:
 
         ``document`` is normally a plain string; the delta is replayed
         into a fresh string in O(document) time.  It may instead be any
-        piece-table-like object exposing ``apply_delta(delta)`` (e.g.
-        :class:`repro.services.gdocs.pieces.PieceTable` — duck-typed so
+        object exposing ``apply_delta(delta)`` (e.g. the gdocs store's
+        :class:`repro.services.gdocs.leaves.LeafText` — duck-typed so
         the core layer needs no service import): the target is edited
-        in place in O(ops + pieces) and returned.
+        in place, at the cost of the parts the delta touches, and
+        returned.
         """
         if not isinstance(document, str):
             applier = getattr(document, "apply_delta", None)

@@ -31,9 +31,12 @@ aggregates make that O(1)), which is the paper's "slightly more, but
 constant, extra resources".
 
 The mirror applies the same cdelta to its own kept wire text, so
-:meth:`EncryptedDocument.wire` (which the extension hashes to verify
-every Ack) costs one string splice per update, not a Base32 re-encode
-of every record.
+:meth:`EncryptedDocument.wire` costs one string splice per update, not
+a Base32 re-encode of every record.  The extension verifies every Ack
+against :meth:`EncryptedDocument.wire_hash`, which keeps SHA-1
+midstates over that text and resumes from the last one before the
+cdelta's first changed character, so it hashes the suffix after the
+edit, not the whole wire.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from repro.core.recb import RecbCodec, RecbState
 from repro.core.rpc import RpcCodec, RpcState
 from repro.core.scheme import register_scheme, scheme_factory
 from repro.crypto.random import RandomSource, SystemRandomSource
+from repro.crypto.sha1 import Sha1Midstates
 from repro.datastructures import BlockIndex, IndexedSkipList
 from repro.encoding.wire import (
     RECORD_CHARS,
@@ -207,6 +211,9 @@ class EncryptedDocument(ABC):
         #: the stored wire text, built on first :meth:`wire` and then
         #: kept in step by splicing each update's cdelta into it
         self._wire: str | None = None
+        #: SHA-1 midstates over ``_wire`` (:meth:`wire_hash`), cut back
+        #: to each update's first changed character
+        self._wire_hash = Sha1Midstates()
 
     # -- construction -----------------------------------------------------
 
@@ -310,6 +317,7 @@ class EncryptedDocument(ABC):
         self._index = self._index_factory()
         self._index.extend((meta, len(meta.text)) for meta in metas)
         self._wire = None
+        self._wire_hash.truncate(0)
 
     def _rebuild(self, text: str) -> None:
         """Enc of ``text``, continuing this document's RPC version."""
@@ -387,6 +395,12 @@ class EncryptedDocument(ABC):
                 self._records()
             )
         return self._wire
+
+    def wire_hash(self) -> str:
+        """The SHA-1 hex digest of :meth:`wire` — the gdocs Ack's
+        ``contentFromServerHash`` of the stored text — hashing only the
+        wire after the last midstate no update has changed since."""
+        return self._wire_hash.hexdigest(self.wire())
 
     def wire_length(self) -> int:
         """Length of :meth:`wire` without materializing it."""
@@ -624,6 +638,7 @@ class EncryptedDocument(ABC):
         cdelta = Delta(ops)
         if self._wire is not None:
             self._wire = cdelta.apply(self._wire)
+            self._wire_hash.truncate(ops[0].count)  # the leading Retain
         return cdelta
 
     def _locate_span(

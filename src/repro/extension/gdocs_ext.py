@@ -392,7 +392,7 @@ class GDocsExtension:
         if not reported or reported == protocol.NEUTRAL_HASH:
             return None
         wire = mirror.wire()
-        if protocol.content_hash(wire) == reported:
+        if mirror.wire_hash() == reported:
             # A replayed/duplicated merge Ack — the patch is already in
             # (patch application is not idempotent, so never re-apply).
             patched = wire
@@ -466,11 +466,12 @@ class GDocsExtension:
         mirror = engine.mirror if engine is not None else None
         if mirror is None:
             return False
-        stored = mirror.wire()
         if self._stego:
             from repro.encoding.stego import stego_wrap
-            stored = stego_wrap(stored)
-        if protocol.content_hash(stored) == reported:
+            digest = protocol.content_hash(stego_wrap(mirror.wire()))
+        else:
+            digest = mirror.wire_hash()
+        if digest == reported:
             return False
         _ACK_MISMATCHES.inc()
         self.warnings.append(

@@ -8,7 +8,7 @@ generator (:mod:`repro.fuzz.generators`) produces random edit *traces*
 (insert/delete/replace, unicode, degenerate sizes, fault schedules,
 two-client interleavings); a runner (:mod:`repro.fuzz.runner`) drives
 each trace through the full stack — ``EncryptedDocument`` over
-{rECB, RPC} × {skiplist, AVL, reference} × server {piece-table, flat} —
+{rECB, RPC} × {skiplist, AVL, reference} × server {leaf table, flat} —
 while the oracle (:mod:`repro.fuzz.model`) re-applies every edit to a
 plain Python string and checks the invariants step by step; a shrinker
 (:mod:`repro.fuzz.shrink`) reduces any failing trace to a minimal one

@@ -60,7 +60,9 @@ POS_SCALE = 10_000
 SCHEMES = ("recb", "rpc")
 INDEXES = ("skiplist", "avl", "reference")
 #: which server store the cdelta is checked against ("both" cross-checks
-#: the flat string and the piece table every step)
+#: the flat string and the leaf table every step).  "pieces" now builds
+#: the gdocs leaf table (``LeafText``), which replaced the piece table;
+#: the serialized value stays so corpus traces and digests do not move.
 STORES = ("both", "flat", "pieces")
 MODES = ("engine", "session", "concurrent", "workspace")
 #: services a networked trace may target (mirrors

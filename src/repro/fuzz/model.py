@@ -31,8 +31,14 @@ Invariant catalogue (the names used in ``Violation.kind``):
     checksum verify) failed or produced different plaintext.
 ``cdelta-divergence``
     the ciphertext delta applied server-side (flat string and/or
-    piece table) does not reproduce the reference wire re-encoded
+    leaf table) does not reproduce the reference wire re-encoded
     from the client's records (:func:`reference_wire`).
+``ack-divergence``
+    the Ack hash disagrees with the SHA-1 of :func:`reference_wire`:
+    either the mirror's ``wire_hash`` (the extension's Ack check) or
+    the leaf store's midstate digest (the server's
+    ``contentFromServerHash``), each resumed from SHA-1 midstates that
+    every update must cut back to its first changed character.
 ``wire-divergence``
     the mirror's kept wire text (``doc.wire()``, spliced with each
     cdelta rather than re-encoded) differs from :func:`reference_wire`.

@@ -5,9 +5,11 @@ Three execution modes, selected by ``Trace.mode``:
 ``engine``
     The core pipeline with no network: an :class:`EncryptedDocument`
     built over the trace's scheme × index, with the resulting cdeltas
-    applied to a *flat wire string* and a :class:`PieceTable` — the two
-    server storage models — which must stay byte-equal to the client's
-    own rewrite.  Checks run after every op; the trace ends with a
+    applied to a *flat wire string* and a :class:`LeafText` — the
+    gdocs store's bounded leaves — which must stay byte-equal to the
+    client's own rewrite, while the leaf table's midstate digest and
+    the mirror's ``wire_hash`` must equal the SHA-1 of that rewrite
+    (the Ack check).  Checks run after every op; the trace ends with a
     fresh ``load_document`` round-trip (full parse + decrypt + RPC
     checksum verification).
 
@@ -94,7 +96,7 @@ from repro.obs.metrics import counter
 from repro.security.adversary import ActiveServerAdversary
 from repro.services import registry
 from repro.services.gdocs import protocol as gdocs_protocol
-from repro.services.gdocs.pieces import PieceTable
+from repro.services.gdocs.leaves import LeafText
 from repro.services.gdocs.server import GDocsServer
 
 __all__ = ["SENTINEL", "FuzzReport", "FuzzRunner", "run_trace", "execute_trace"]
@@ -161,7 +163,7 @@ def _run_engine(trace: Trace) -> str:
     )
     oracle = trace.init
     flat = doc.wire() if trace.store in ("both", "flat") else None
-    pieces = (PieceTable(doc.wire())
+    leaves = (LeafText(doc.wire())
               if trace.store in ("both", "pieces") else None)
 
     for step, op in enumerate(trace.ops):
@@ -175,12 +177,17 @@ def _run_engine(trace: Trace) -> str:
         cdelta = doc.apply_delta(delta)
         reference = reference_wire(doc)
         check_wire(doc, reference, step)
+        acked = gdocs_protocol.content_hash(reference)
+        check_equal("ack-divergence", doc.wire_hash(), acked, step,
+                    "mirror Ack hash vs the SHA-1 of the reference wire")
         if flat is not None:
             flat = cdelta.apply(flat)
             check_store("flat", flat, reference, step)
-        if pieces is not None:
-            cdelta.apply(pieces)
-            check_store("pieces", pieces.materialize(), reference, step)
+        if leaves is not None:
+            cdelta.apply(leaves)
+            check_store("leaf", leaves.join(), reference, step)
+            check_equal("ack-divergence", leaves.hexdigest(), acked, step,
+                        "leaf store Ack hash vs the SHA-1 of the reference")
         check_document(doc, oracle, step)
 
     check_roundtrip(doc, oracle, -1)

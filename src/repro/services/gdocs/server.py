@@ -304,7 +304,7 @@ class GDocsServer:
             protocol.A_STATUS: "ok",
             protocol.A_REV: str(doc.revision),
             protocol.A_CONTENT: doc.content if (echo_content or conflict) else "",
-            protocol.A_CONTENT_HASH: protocol.content_hash(doc.content),
+            protocol.A_CONTENT_HASH: doc.content_hash(),
             protocol.A_CONFLICT: "1" if conflict else "0",
             protocol.A_MERGED: "1" if merged else "0",
         }

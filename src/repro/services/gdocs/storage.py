@@ -16,13 +16,18 @@ threat analysis depends on them:
 * **quota** — Google enforced a maximum file size of 500 kB, which is
   why ciphertext blow-up matters (SV-C).
 
-Storage is a :class:`~repro.services.gdocs.pieces.PieceTable`, so an
-incremental save costs O(delta ops + pieces touched) rather than a full
-O(document) string rebuild.  History is one per-revision log: the head
-plus, per revision, the forward op and the inverse delta that takes the
-next version back to it, kept as wire strings.  A revision costs
-O(delta) characters, not a copy of the document, and an old version is
-rebuilt only if somebody reads it.  ``content`` remains an exact
+Storage is a :class:`~repro.services.gdocs.leaves.LeafText`: the text
+as leaves of at most ``2 * LEAF_CHARS`` characters, each with its end
+offset and the SHA-1 midstate after it.  An incremental save rewrites
+only the leaves it touches, and the Ack's ``contentFromServerHash``
+(:meth:`StoredDocument.content_hash`) hashes from the first changed
+leaf on, so both cost the edit and the suffix after it, not a join of
+the document.  History is one per-revision log: the head plus, per
+revision, the forward op and the inverse delta that takes the next
+version back to it, kept as wire strings.  A revision costs O(delta)
+characters, not a copy of the document, and an old version is rebuilt
+only if somebody reads it.  ``content`` joins the leaves — for a
+fetch, an echo, a full save or a history read — and remains an exact
 plain-string view for every existing caller (including tests and
 adversaries that *assign* to it).
 """
@@ -38,7 +43,7 @@ from repro.errors import (
     QuotaExceededError,
 )
 from repro.obs import gauge
-from repro.services.gdocs.pieces import PieceTable
+from repro.services.gdocs.leaves import LeafText
 
 __all__ = [
     "MAX_DOCUMENT_CHARS",
@@ -77,7 +82,7 @@ class RevisionHistory:
 
     __slots__ = ("_head", "_ops", "_backs", "_whole")
 
-    def __init__(self, head: PieceTable) -> None:
+    def __init__(self, head: LeafText) -> None:
         self._head = head
         self._ops: list[str | None] = []
         self._backs: list[str] = []
@@ -86,7 +91,7 @@ class RevisionHistory:
 
     def append(self, text: str) -> None:
         """Push a raw version string (the tampering path)."""
-        if text != self._head.materialize():
+        if text != self._head.join():
             # the newest inverse was taken against the head, and
             # ``text`` now stands between the two
             self._pin_newest()
@@ -122,7 +127,7 @@ class RevisionHistory:
         start = hi - 1
         while start < n and not whole[start]:
             start += 1
-        text = backs[start] if start < n else self._head.materialize()
+        text = backs[start] if start < n else self._head.join()
         out = [text] if start < hi else []
         for i in range(start - 1, lo - 1, -1):
             if whole[i]:
@@ -174,7 +179,7 @@ class StoredDocument:
                  max_history: int = DEFAULT_MAX_HISTORY):
         self.doc_id = doc_id
         self.revision = 0
-        self._table = PieceTable(content)
+        self._table = LeafText(content)
         _STORED_BYTES.add(len(content))
         self.history = RevisionHistory(self._table)
         self.max_history = max_history
@@ -191,7 +196,7 @@ class StoredDocument:
     @property
     def content(self) -> str:
         """The current document text, exactly as submitted."""
-        return self._table.materialize()
+        return self._table.join()
 
     @content.setter
     def content(self, text: str) -> None:
@@ -203,8 +208,13 @@ class StoredDocument:
 
     @property
     def length(self) -> int:
-        """Current document length in characters, without materializing."""
+        """Current document length in characters, without joining."""
         return self._table.length
+
+    def content_hash(self) -> str:
+        """``protocol.content_hash(self.content)``, hashed from the first
+        leaf changed since the last call, without joining."""
+        return self._table.hexdigest()
 
     @property
     def ops_log(self) -> list[str | None]:
@@ -222,7 +232,7 @@ class StoredDocument:
                 f"document {self.doc_id!r} would be {len(new_content)} "
                 f"chars; limit is {MAX_DOCUMENT_CHARS}"
             )
-        old = self._table.materialize()
+        old = self._table.join()
         self.history._record(None, Delta.between(new_content, old))
         _STORED_BYTES.add(len(new_content) - len(old))
         self._table.reset(new_content)
@@ -230,11 +240,11 @@ class StoredDocument:
         self._compact()
 
     def apply_delta(self, delta_text: str) -> None:
-        """Incremental save: splice ``delta_text`` into the piece table.
+        """Incremental save: splice ``delta_text`` into the leaves.
 
-        O(delta ops + pieces touched) — the stored text is never
-        rebuilt as a string, and the logged inverse is built from the
-        deleted spans alone.  Raises
+        Rewrites only the leaves the delta touches — the stored text is
+        never rebuilt as a string, and the logged inverse is built from
+        the deleted spans alone.  Raises
         :class:`~repro.errors.DeltaSyntaxError` /
         :class:`~repro.errors.DeltaApplicationError` for malformed or
         ill-fitting deltas and :class:`QuotaExceededError` (with the

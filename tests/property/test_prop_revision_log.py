@@ -1,7 +1,7 @@
 """The inverse-delta revision log reads like the flat list it replaced.
 
-Random sequences of delta saves, full saves (small, and above the piece
-table's flat-string limit), quota refusals, adversary overwrites
+Random sequences of delta saves, full saves (small, and above one
+leaf of the store), quota refusals, adversary overwrites
 (``history.append`` + ``content =`` + ``revision += 1``), bare raw
 appends and bare ``content =`` assignments run against a
 :class:`StoredDocument` and against a reference that keeps every
@@ -16,7 +16,7 @@ import pytest
 from repro.core.delta import Delta
 from repro.errors import QuotaExceededError
 from repro.security.adversary import ActiveServerAdversary
-from repro.services.gdocs.pieces import SMALL_DOC_CHARS
+from repro.services.gdocs.leaves import LEAF_CHARS
 from repro.services.gdocs.storage import MAX_DOCUMENT_CHARS, DocumentStore
 
 SEEDS = 100
@@ -89,7 +89,7 @@ def _step(rng, store, adversary, ref):
         store.set_content("d", new)
         ref.commit(new, None)
     elif roll < 0.64:
-        size = SMALL_DOC_CHARS + rng.randrange(1, 2_000)
+        size = 2 * LEAF_CHARS + rng.randrange(1, 2_000)
         new = (_text(rng, 512) * (size // 512 + 1))[:size]
         store.set_content("d", new)
         ref.commit(new, None)

@@ -1,14 +1,15 @@
-"""Piece-table store: string equivalence, atomicity, history cap.
+"""Leaf-table store: string equivalence, atomicity, history cap.
 
-The gdocs server now stores each document as a
-:class:`~repro.services.gdocs.pieces.PieceTable` and applies deltas by
-splicing pieces instead of rebuilding the content string.  These tests
-pin the two load-bearing claims: (1) the piece-table apply path is
-*observationally identical* to ``Delta.apply`` on a plain string, under
-arbitrary random edit histories and across flattens, and the deleted
-spans it returns invert every edit; (2) the
-:class:`StoredDocument` history cap compacts old revisions without
-perturbing anything a client (or adversary) can still reach.
+The gdocs server stores each document as a
+:class:`~repro.services.gdocs.leaves.LeafText` — the text as a table of
+bounded pieces, its leaves — and applies deltas by rewriting only the
+leaves they touch.  These tests pin the two load-bearing claims: (1)
+the leaf apply path is *observationally identical* to ``Delta.apply``
+on a plain string, under arbitrary random edit histories and across
+leaf splits and merges, and the deleted spans it returns invert every
+edit; (2) the :class:`StoredDocument` history cap compacts old
+revisions without perturbing anything a client (or adversary) can
+still reach.
 """
 
 import random
@@ -17,7 +18,8 @@ import pytest
 
 from repro.core.delta import Delta
 from repro.errors import DeltaApplicationError, QuotaExceededError
-from repro.services.gdocs.pieces import PieceTable
+from repro.services.gdocs import leaves
+from repro.services.gdocs.leaves import LeafText
 from repro.services.gdocs.storage import (
     MAX_DOCUMENT_CHARS,
     DocumentStore,
@@ -41,59 +43,74 @@ def random_delta(rng, length):
 
 
 class TestPieceTableEquivalence:
-    # 1500 chars stays on the flat small-document path; 20000 exceeds
-    # SMALL_DOC_CHARS and exercises the real piece-splicing walk
+    """The store's table of pieces is a leaf table; ``leaf_chars``
+    shrinks its leaf cap so short texts split into many leaves."""
+
+    # caps of 512 and 4 split the text into a few, dozens or
+    # thousands of leaves, which random edits keep splitting and
+    # merging
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    @pytest.mark.parametrize("size,flatten_at,rounds", [
+    @pytest.mark.parametrize("size,leaf_chars,rounds", [
         (1_500, 512, 300), (20_000, 4, 120), (20_000, 512, 120),
     ])
     def test_random_histories_match_string_apply(self, seed, size,
-                                                 flatten_at, rounds):
+                                                 leaf_chars, rounds,
+                                                 monkeypatch):
+        monkeypatch.setattr(leaves, "LEAF_CHARS", leaf_chars)
         rng = random.Random(seed)
         text = "".join(rng.choice("abcdef \n") for _ in range(size))
-        table = PieceTable(text, flatten_at=flatten_at)
+        table = LeafText(text)
         for _ in range(rounds):
             delta = random_delta(rng, len(text))
             text = delta.apply(text)
-            delta.apply(table)  # duck-typed piece-table target
+            delta.apply(table)  # duck-typed leaf-table target
             assert table.length == len(text)
-        assert table.materialize() == text
-        assert table.piece_count <= flatten_at + 1
+        assert table.join() == text
+        cap = 2 * leaves.LEAF_CHARS
+        assert all(0 < len(leaf) <= cap for leaf in table._leaves)
+        assert all(len(leaf) >= leaf_chars // 2
+                   for leaf in table._leaves[:-1])
 
     @pytest.mark.parametrize("size", [11, 20_000])
     def test_failed_delta_leaves_table_unchanged(self, size):
         text = "hello world" * (size // 11)
-        table = PieceTable(text)
+        table = LeafText(text)
+        digest = table.hexdigest()
         with pytest.raises(DeltaApplicationError):
             Delta.parse(f"={len(text) - 5}\t-99").apply(table)
-        assert table.materialize() == text
+        assert table.join() == text
         assert table.length == len(text)
+        assert table.hexdigest() == digest
 
-    def test_inverses_rebuild_every_version_across_flattens(self):
-        table = PieceTable("hello", flatten_at=2)
+    def test_inverses_rebuild_every_version_across_splits(self,
+                                                          monkeypatch):
+        monkeypatch.setattr(leaves, "LEAF_CHARS", 2)
+        table = LeafText("hello")
         versions, inverses = ["hello"], []
         for i in range(10):
             delta = Delta.parse(f"+{i}")
             inverses.append(delta.inverse(table.apply_delta(delta)))
-            versions.append(table.materialize())
-        text = table.materialize()
+            versions.append(table.join())
+        assert len(table._leaves) > 1
+        text = table.join()
         for want, inverse in zip(reversed(versions[:-1]),
                                  reversed(inverses)):
             text = inverse.apply(text)
             assert text == want
         assert text == "hello"
 
-    def test_inverses_on_the_piece_path(self):
+    def test_inverses_on_the_multi_leaf_path(self):
         rng = random.Random(9)
-        text = "abcdefgh" * 3000  # 24k chars: piece path
-        table = PieceTable(text, flatten_at=8)
+        text = "abcdefgh" * 6000  # 48k chars: several leaves
+        table = LeafText(text)
+        assert len(table._leaves) > 1
         for _ in range(40):
             delta = random_delta(rng, len(text))
             deleted = table.apply_delta(delta)
             after = delta.apply(text)
             assert delta.inverse(deleted).apply(after) == text
             text = after
-        assert table.materialize() == text
+        assert table.join() == text
 
 
 class TestHistoryCap:

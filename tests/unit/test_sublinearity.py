@@ -17,10 +17,12 @@ import pytest
 
 from repro.core import Delta, KeyMaterial, create_document, load_document
 from repro.crypto.random import DeterministicRandomSource
+from repro.crypto.sha1 import STRIDE
 from repro.encoding.wire import Record
 from repro.extension.gdocs_ext import GDocsExtension
 from repro.extension.session import PrivateEditingSession
 from repro.obs import capture
+from repro.services.gdocs.leaves import LEAF_CHARS
 
 KEYS = KeyMaterial.from_password("sublinear", salt=b"sublinear1")
 
@@ -123,6 +125,46 @@ def test_verified_delta_save_encodes_only_new_records(scheme, monkeypatch):
         f"{cap['wire.records_encoded']} records (bound {bound}) — the "
         f"Ack check re-encodes the whole mirror again"
     )
+
+
+@pytest.mark.parametrize("scheme", ["recb", "rpc"])
+@pytest.mark.parametrize("stored_chars", [40_000, 400_000])
+def test_verified_delta_save_hashes_the_changed_suffix(scheme,
+                                                       stored_chars):
+    """Both SHA-1 runs of a verified delta save — the server's
+    ``contentFromServerHash`` and the extension's Ack check — resume
+    from midstates.  An edit in the last 1% of the document hashes the
+    suffix after its first changed wire character, plus at most one
+    leaf (2L) before it on the server and one stride on the client.
+    An edit at character 0 hashes the whole wire on both sides."""
+    text = (TEXT * 4)[:stored_chars * 2 // 7]  # ~3.5 wire chars each
+    session = PrivateEditingSession("hashed", "pw", scheme=scheme,
+                                    rng=DeterministicRandomSource(8),
+                                    verify_acks=True)
+    session.open()
+    session.type_text(0, text)
+    assert session.save().kind == "full"
+    stored = session.server.store.get("hashed")
+    assert abs(stored.length - stored_chars) < stored_chars // 10
+
+    def hashed_by_save(pos):
+        session.type_text(pos, "word ")
+        with capture() as cap:
+            outcome = session.save()
+        assert outcome.kind == "delta" and outcome.ok
+        assert not outcome.complaints
+        changed_at = Delta.parse(stored.ops_log[-1]).ops[0].count
+        return cap["crypto.sha1.bytes"], stored.length - changed_at
+
+    hashed, suffix = hashed_by_save(len(text) * 99 // 100)
+    assert suffix <= stored.length // 50
+    bound = 2 * suffix + 2 * LEAF_CHARS + STRIDE
+    assert 0 < hashed <= bound, (
+        f"{scheme}: an edit {suffix} chars from the end of a "
+        f"{stored.length}-char document hashed {hashed} bytes "
+        f"(bound {bound})")
+    hashed, _ = hashed_by_save(0)
+    assert hashed == 2 * stored.length
 
 
 def _one_keystroke_full_save_after_reopen(scheme: str, chars: int):

@@ -107,6 +107,21 @@ The mutation table covers one oracle per stack layer:
     and overwrite the recovered document.  The entry runs the unit
     test that counts the save exchanges a Bespin settle sends.
 
+``leaf-midstate-not-truncated``
+    The gdocs store's leaf table (``LeafText.apply_delta``) stops
+    cutting its SHA-1 midstates back to the first leaf a multi-leaf
+    splice touched, so the next ``contentFromServerHash`` resumes from
+    a chaining value of text that is gone (or returns the old digest).
+    Fuzz documents fit in one leaf, whose splice path cuts the
+    midstates on its own line, so the entry runs the property test
+    that checks the store's digest over random multi-leaf histories.
+``mirror-digest-not-truncated``
+    The mirror (``EncryptedDocument._apply_clusters``) splices each
+    cdelta into its kept wire but stops cutting the wire's SHA-1
+    midstates back to the cdelta's leading ``Retain``, so
+    ``wire_hash`` — the extension's Ack check — answers for the old
+    wire.  The ci profile's engine traces must flag it
+    (``ack-divergence``).
 ``history-skips-inverse-step``
     The server's revision log (``RevisionHistory._versions``) skips the
     first inverse delta of every backward walk, so ``history[k]``
@@ -328,6 +343,29 @@ MUTATIONS = (
         kind="",
         test=("tests/unit/test_session_settle.py::"
               "test_settle_on_bespin_lands_one_extra_full_save"),
+    ),
+    Mutation(
+        name="leaf-midstate-not-truncated",
+        file="repro/services/gdocs/leaves.py",
+        target="        self._hash.truncate(first)",
+        mutant="        pass  # MUTANT: stale midstates kept after a splice",
+        fuzz_args=(),
+        iters=1,
+        blind_to="a store whose Ack hash resumes from stale midstates",
+        kind="",
+        test=("tests/property/test_prop_ack_hash.py::"
+              "test_store_digest_is_content_hash[64]"),
+    ),
+    Mutation(
+        name="mirror-digest-not-truncated",
+        file="repro/core/document.py",
+        target=("            self._wire_hash.truncate(ops[0].count)"
+                "  # the leading Retain"),
+        mutant="            pass  # MUTANT: stale wire midstates kept",
+        fuzz_args=("--profile", "ci"),
+        iters=40,
+        blind_to="a mirror whose Ack check resumes from stale midstates",
+        kind="ack-divergence",
     ),
     Mutation(
         name="history-skips-inverse-step",
