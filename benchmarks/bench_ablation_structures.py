@@ -10,6 +10,11 @@ document scales:
 * ReferenceIndex (a plain list: O(1)-amortized memory moves but O(n)
   scans — the "just use an array" strawman).
 
+These are the per-block structures: one node per block, the paper's
+SV-C index.  The encrypted document runs them at B = 1 only
+(``repro.core.document.per_block``); by default it indexes leaves of
+``LEAF_BLOCKS`` = 32 blocks, one node each (``repro.core.leaves``).
+
 Measured: mixed find-by-char / insert / delete / width-update
 per-operation cost, the median of ``REPS`` laps.  Every write is a
 ``splice`` — the index's only write, and the one the encrypted document

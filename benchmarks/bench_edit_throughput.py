@@ -9,7 +9,10 @@ for
 
 * the client IncE path (``EncryptedDocument.apply_delta``), for both
   schemes (rECB, RPC) and both block-index backends (IndexedSkipList,
-  IndexedAVL), and
+  IndexedAVL).  These index cells time the per-block structures: the
+  mirror runs at B = 1 (``repro.core.document.per_block``, one block
+  per leaf — the paper's SV-C index), so the skip list and the AVL
+  index every block as before, not one node per leaf of B = 32; and
 * the server store (``DocumentStore.apply_delta``), which applies
   opaque deltas to the stored text.
 
@@ -31,7 +34,7 @@ import sys
 
 from repro.bench import REPS, Sample, write_sidecar
 from repro.client.coalesce import EditCoalescer
-from repro.core import Delta, KeyMaterial, create_document
+from repro.core import Delta, KeyMaterial, per_block, scheme_factory
 from repro.crypto.random import DeterministicRandomSource
 from repro.datastructures import IndexedAVL, IndexedSkipList
 from repro.services.gdocs.storage import DocumentStore
@@ -74,6 +77,13 @@ def _edit_deltas(rng: random.Random, length: int, count: int) -> list[Delta]:
     return deltas
 
 
+def _per_block_document(text: str, scheme: str, index: str):
+    """A mirror with one block per leaf (B = 1) over the named index."""
+    return per_block(scheme_factory(scheme)).create(
+        text, key_material=KEYS, rng=DeterministicRandomSource(9),
+        index_factory=INDEXES[index])
+
+
 def _eps(laps: Sample, edits: int) -> dict[str, float]:
     """A timing cell of edits/sec from laps over ``edits`` edits each."""
     return laps.map(lambda seconds: edits / seconds).cell(1)
@@ -86,9 +96,7 @@ def _client_eps(scheme: str, index: str, size: int,
     for _ in range(REPS):
         rng = random.Random(size * 31 + edits)
         text = make_text(size, rng)
-        doc = create_document(text, key_material=KEYS, scheme=scheme,
-                              rng=DeterministicRandomSource(9),
-                              index_factory=INDEXES[index])
+        doc = _per_block_document(text, scheme, index)
         deltas = _edit_deltas(rng, doc.char_length, edits)
         with laps.lap():
             for delta in deltas:
@@ -106,9 +114,7 @@ def _burst_eps(scheme: str, index: str, size: int, keystrokes: int,
     for _ in range(REPS):
         rng = random.Random(size * 13 + keystrokes + burst)
         text = make_text(size, rng)
-        doc = create_document(text, key_material=KEYS, scheme=scheme,
-                              rng=DeterministicRandomSource(9),
-                              index_factory=INDEXES[index])
+        doc = _per_block_document(text, scheme, index)
         deltas = keystroke_deltas(rng, doc.char_length, keystrokes)
         journal = EditCoalescer(max_ops=burst)
         with laps.lap():

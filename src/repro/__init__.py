@@ -3,8 +3,12 @@ Services* (Huang & Evans, 2011).
 
 The library lets a client edit documents through an untrusted cloud
 editing service while the service only ever stores ciphertext, using
-incremental encryption (rECB / RPC modes) over an IndexedSkipList of
-variable-length multi-character blocks.
+incremental encryption (rECB / RPC modes) over variable-length
+multi-character blocks.  The client's mirror keeps the blocks in
+leaves of ``LEAF_BLOCKS`` (B = 32) to 2B - 1 consecutive blocks, held
+as columns under an IndexedSkipList with one node per leaf; with B = 1
+(:func:`repro.core.per_block`) it is the paper's per-block skip list
+(SV-C).
 
 Quick start::
 
@@ -22,7 +26,8 @@ Layer map (bottom-up):
 * :mod:`repro.crypto` — AES from scratch, batched ECB, random sources;
 * :mod:`repro.encoding` — Base32, form encoding, the record wire format;
 * :mod:`repro.datastructures` — IndexedSkipList / IndexedAVL;
-* :mod:`repro.core` — deltas, keys, the rECB and RPC schemes,
+* :mod:`repro.core` — deltas, keys, the rECB and RPC schemes, the
+  mirror's leaves (:mod:`repro.core.leaves`),
   :class:`EncryptedDocument` (Enc/Dec/IncE);
 * :mod:`repro.net`, :mod:`repro.services`, :mod:`repro.client` — the
   simulated cloud (Google Documents, Bespin, Buzzword);

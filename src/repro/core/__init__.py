@@ -18,12 +18,13 @@ from repro.core.delta import (
     SourceInsert,
 )
 from repro.core.document import (
-    BlockMeta,
+    LEAF_BLOCKS,
     EncryptedDocument,
     RecbDocument,
     RpcDocument,
     create_document,
     load_document,
+    per_block,
 )
 from repro.core.incmac import (
     MerkleIncrementalMac,
@@ -46,12 +47,13 @@ __all__ = [
     "SourceInsert",
     "SourceDelete",
     "KeyMaterial",
-    "BlockMeta",
+    "LEAF_BLOCKS",
     "EncryptedDocument",
     "RecbDocument",
     "RpcDocument",
     "create_document",
     "load_document",
+    "per_block",
     "RecbCodec",
     "RecbState",
     "RpcCodec",

@@ -5,8 +5,13 @@ keeps of the ciphertext stored by the untrusted server.  It combines
 
 * a scheme codec (:mod:`repro.core.recb` or :mod:`repro.core.rpc`) for
   per-block cryptography,
-* a block index (:class:`repro.datastructures.IndexedSkipList` by
-  default) mapping character positions to variable-length blocks, and
+* a block store (:class:`repro.core.leaves.BlockLeaves`) mapping
+  character positions to variable-length blocks: leaves of
+  :data:`LEAF_BLOCKS` to ``2 * LEAF_BLOCKS - 1`` consecutive blocks held
+  as columns, under an outer index
+  (:class:`repro.datastructures.IndexedSkipList` by default) with one
+  node per leaf — with one block per leaf it is the paper's per-block
+  skip list (SV-C), kept as :func:`per_block` — and
 * the wire format (:mod:`repro.encoding.wire`) the server actually
   stores,
 
@@ -21,14 +26,14 @@ How IncE stays sub-linear
 A plaintext delta is first re-anchored into original-document
 coordinates, then grouped into *clusters* of nearby edits.  Each cluster
 maps to a contiguous run of blocks; only that run is re-encrypted (for
-RPC, reusing the boundary nonces so neighbours stay chained), the index
-run is read with one ``get_range`` walk and replaced with one ``splice``
-along a single ``O(log n)`` search path — ``O(log n + cluster)`` total,
-never a per-rank get/delete/insert loop — and the cdelta patches
-exactly those records.  Bookkeeping records are patched as needed — for
-RPC the checksum record is rewritten once per update (its running XOR
-aggregates make that O(1)), which is the paper's "slightly more, but
-constant, extra resources".
+RPC, reusing the boundary nonces so neighbours stay chained), the run
+is read with one ``get_range`` and replaced with one ``splice`` that
+rewrites the one or two leaves holding it — ``O(log(n/B) + B +
+cluster)`` total, never a per-rank get/delete/insert loop — and the
+cdelta patches exactly those records.  Bookkeeping records are patched
+as needed — for RPC the checksum record is rewritten once per update
+(its running XOR aggregates make that O(1)), which is the paper's
+"slightly more, but constant, extra resources".
 
 The mirror applies the same cdelta to its own kept wire text, so
 :meth:`EncryptedDocument.wire` costs one string splice per update, not
@@ -58,6 +63,8 @@ from repro.core.delta import (
     SourceInsert,
 )
 from repro.core.keys import KeyMaterial
+from repro.core.leaves import NO_BLOCKS, BlockLeaves, Run
+from repro.core.nonces import RPC_NONCE_BYTES
 from repro.core.recb import RecbCodec, RecbState
 from repro.core.rpc import RpcCodec, RpcState
 from repro.core.scheme import register_scheme, scheme_factory
@@ -69,8 +76,7 @@ from repro.encoding.wire import (
     DocumentHeader,
     Record,
     decode_area,
-    encode_records,
-    record_columns,
+    encode_area,
     split_header,
 )
 from repro.errors import (
@@ -94,40 +100,20 @@ _REKEYS = counter("doc.rekeys")
 _APPLY_SECONDS = histogram("doc.apply_delta_seconds")
 
 __all__ = [
-    "BlockMeta",
+    "LEAF_BLOCKS",
     "EncryptedDocument",
     "RecbDocument",
     "RpcDocument",
     "create_document",
     "load_document",
+    "per_block",
 ]
 
-
-@dataclass(slots=True)
-class BlockMeta:
-    """Client-side view of one encrypted data block.
-
-    A mirror keeps one per block, so it holds the bare 16-byte AES
-    ``block`` rather than a :class:`Record`: the record's header count
-    is just ``len(text)`` (``load`` checks exactly that), and without a
-    ``__dict__`` or a record this object and its skip-list node are the
-    only two objects per block the cyclic garbage collector tracks.
-
-    ``block`` is None only transiently inside ``_apply_clusters``:
-    freshly prepared blocks are spliced into the index before the
-    (single, deferred) cipher call of the update, then patched with
-    their blocks — nothing reads ``block`` in between.
-    """
-
-    text: str                       #: the plaintext characters in this block
-    block: bytes | None = None      #: the AES block currently storing them
-    lead: bytes | None = None       #: RPC lead nonce (None for rECB)
-    payload: bytes | None = None    #: RPC padded payload (None for rECB)
-
-    @property
-    def record(self) -> Record:
-        """The wire record storing this block (built on demand)."""
-        return Record(char_count=len(self.text), block=self.block)
+#: B, the mirror's leaf size: a leaf holds B to 2B - 1 consecutive
+#: blocks (a lone leaf may hold fewer).  B = 1 is the paper's per-block
+#: index (SV-C); :func:`per_block` keeps it for the ablations and as the
+#: fuzz reference
+LEAF_BLOCKS = 32
 
 
 @dataclass
@@ -190,6 +176,8 @@ class EncryptedDocument(ABC):
     #: output byte-identical to per-span calls; False forces the
     #: per-span reference path (the fuzz differential flips this)
     _coalesce_ciphers: bool = True
+    #: blocks per mirror leaf; :func:`per_block` makes the B = 1 twin
+    _leaf_blocks: int = LEAF_BLOCKS
 
     def __init__(
         self,
@@ -202,7 +190,7 @@ class EncryptedDocument(ABC):
         self._rng = rng if rng is not None else SystemRandomSource()
         self._index_factory = index_factory or IndexedSkipList
         self._set_keys(key_material)
-        self._index: BlockIndex = self._index_factory()
+        self._leaves = self._new_leaves()
         self._state: object = None
         #: the bookkeeping records before and after the data records,
         #: as ``(char_count, block)`` pairs
@@ -287,35 +275,36 @@ class EncryptedDocument(ABC):
             salt=key_material.salt,
         )
 
+    def _new_leaves(self) -> BlockLeaves:
+        return BlockLeaves(self._index_factory, self._leaf_blocks)
+
     def _build_fresh(self, text: str, version: int = 0) -> None:
         """(Re)initialize all ciphertext state from plaintext.
 
         Enc is IncE applied to the empty document: every chunk is
         staged as one span with ``_prepare_span`` (for RPC, the chain
-        splice between ``r0`` and ``r0``), and the prefix, data and
-        suffix images are encrypted in one ``encrypt_blob`` call.
+        splice between ``r0`` and ``r0``), the prefix, data and suffix
+        images are encrypted in one ``encrypt_blob`` call, and the
+        leaves are cut straight from the chunk and cipher columns.
         """
         self._state = self._codec.fresh_state()
         if hasattr(self._state, "version"):
             self._state.version = version
-        plain, metas = self._prepare_span(
-            [], blocks.chunk_text(text, self._block_chars), None
-        )
+        self._leaves = self._new_leaves()
+        chunks = blocks.chunk_text(text, self._block_chars)
+        plain, leads, payloads = self._prepare_span(NO_BLOCKS, chunks, 0)
         prefix_plain = self._codec.prefix_plain(
-            self._state, metas[0].lead if metas else None
+            self._state, leads[:RPC_NONCE_BYTES] if leads else None
         )
         blob = self._codec.encrypt_blob(
             prefix_plain + plain + self._codec.suffix_plain(self._state)
         )
         data_start = len(prefix_plain)
         data_end = data_start + len(plain)
-        for meta, off in zip(metas, range(data_start, data_end, 16)):
-            meta.block = blob[off : off + 16]
         self._prefix = [(0, blob[i : i + 16]) for i in range(0, data_start, 16)]
         self._suffix = [(0, blob[i : i + 16])
                         for i in range(data_end, len(blob), 16)]
-        self._index = self._index_factory()
-        self._index.extend((meta, len(meta.text)) for meta in metas)
+        self._leaves.extend(chunks, blob[data_start:data_end], leads, payloads)
         self._wire = None
         self._wire_hash.truncate(0)
 
@@ -330,24 +319,23 @@ class EncryptedDocument(ABC):
     @abstractmethod
     def _load_records(self, counts: bytes, ciphertext: bytes) -> None:
         """Verify and decrypt the stored record columns (header bytes,
-        AES blocks back to back), populating index and state; each
-        mirror block keeps a slice of ``ciphertext``."""
+        AES blocks back to back), populating leaves and state straight
+        from the columns."""
 
     @abstractmethod
     def _prepare_span(
-        self,
-        old_metas: list[BlockMeta],
-        chunks: list[str],
-        next_lead: bytes | None,
-    ) -> tuple[bytes, list[BlockMeta]]:
-        """Stage the replacement of a contiguous block run.
+        self, old: Run, chunks: list[str], after: int
+    ) -> tuple[bytes, bytes | None, bytes | None]:
+        """Stage the replacement of the contiguous block run ``old``,
+        which ends before block ``after``.
 
         Draws nonces, updates scheme state, and returns ``(plain,
-        metas)``: the span's concatenated pre-cipher block images and
-        its new metas *without blocks* — the caller runs the cipher
-        (batched across every span of the update) and patches each
-        meta's block from the output.  Empty ``old_metas`` stage a
-        fresh document's whole text (``_build_fresh``).
+        leads, payloads)``: the span's concatenated pre-cipher block
+        images and, for RPC, the new blocks' lead and payload columns
+        (None for rECB).  The caller splices the chunks in, runs the
+        cipher (batched across every span of the update) and writes the
+        blocks back.  An empty ``old`` stages a fresh document's whole
+        text (``_build_fresh``).
         """
 
     # -- inspection --------------------------------------------------------
@@ -371,17 +359,17 @@ class EncryptedDocument(ABC):
     @property
     def char_length(self) -> int:
         """Plaintext length in characters."""
-        return self._index.total_chars
+        return self._leaves.total_chars
 
     @property
     def block_count(self) -> int:
         """Number of data blocks."""
-        return len(self._index)
+        return len(self._leaves)
 
     @property
     def text(self) -> str:
         """Dec: the current plaintext."""
-        return "".join(meta.text for meta in self._index.values())
+        return "".join(self._leaves.texts())
 
     def wire(self) -> str:
         """The full stored form: header + bookkeeping + data records.
@@ -391,9 +379,7 @@ class EncryptedDocument(ABC):
         just its new records instead of the whole document.
         """
         if self._wire is None:
-            self._wire = self._header.encode() + encode_records(
-                self._records()
-            )
+            self._wire = self._header.encode() + encode_area(*self._columns())
         return self._wire
 
     def wire_hash(self) -> str:
@@ -405,7 +391,7 @@ class EncryptedDocument(ABC):
     def wire_length(self) -> int:
         """Length of :meth:`wire` without materializing it."""
         n_records = (
-            len(self._prefix) + len(self._index) + len(self._suffix)
+            len(self._prefix) + len(self._leaves) + len(self._suffix)
         )
         return self._header.wire_length + n_records * RECORD_CHARS
 
@@ -418,8 +404,8 @@ class EncryptedDocument(ABC):
     def block_fill_histogram(self) -> dict[int, int]:
         """Histogram of block fill (chars per block) — fragmentation view."""
         hist: dict[int, int] = {}
-        for _, width in self._index.items():
-            hist[width] = hist.get(width, 0) + 1
+        for chunk in self._leaves.texts():
+            hist[len(chunk)] = hist.get(len(chunk), 0) + 1
         return hist
 
     # -- IncE ---------------------------------------------------------------
@@ -506,13 +492,14 @@ class EncryptedDocument(ABC):
 
     # -- internals -----------------------------------------------------------
 
-    def _records(self) -> list[Record]:
-        """Every stored record in wire order: prefix, data, suffix."""
-        return (
-            [Record(count, block) for count, block in self._prefix]
-            + [meta.record for meta in self._index.values()]
-            + [Record(count, block) for count, block in self._suffix]
-        )
+    def _columns(self) -> tuple[bytes, bytes]:
+        """Every stored record in wire order — prefix, data, suffix —
+        as the two record columns (header counts, AES blocks)."""
+        counts, data = self._leaves.columns()
+        outer = (self._prefix, self._suffix)
+        head, tail = (bytes(count for count, _ in part) for part in outer)
+        first, last = (b"".join(block for _, block in part) for part in outer)
+        return head + counts + tail, first + data + last
 
     def _data_area_start(self) -> int:
         return self._header.wire_length + len(self._prefix) * RECORD_CHARS
@@ -523,24 +510,24 @@ class EncryptedDocument(ABC):
         old_area = self.wire_length() - self._header.wire_length
         self._rebuild(new_text)
         return Delta([Retain(self._header.wire_length), Delete(old_area),
-                      Insert(encode_records(self._records()))])
+                      Insert(encode_area(*self._columns()))])
 
     def _apply_clusters(self, edits: list[SourceEdit]) -> Delta:
         """Re-encrypt every edited cluster with ONE deferred cipher call.
 
         Two phases.  Phase 1 walks the clusters exactly as before —
         locate the span, rewrite its text, draw nonces, update scheme
-        state, splice the index — but only *stages* each span's
+        state, splice the leaves — but only *stages* each span's
         pre-cipher block images (``_prepare_span``).  Phase 2 encrypts
         the concatenation of every staged image (plus the checksum
         image, for schemes that keep one) in a single ``encrypt_many``,
         so a coalesced multi-span burst crosses the batched-AES
-        threshold that per-span calls never reached, then patches the
-        blocks back into the already-spliced metas and builds the
-        cdelta.  ECB independence plus the buffered DRBG's
-        draw-order-only dependence make the output bytes identical to
-        the per-span path (``_coalesce_ciphers = False``, kept as the
-        reference for the fuzz differential).
+        threshold that per-span calls never reached, then writes the
+        blocks into the already-spliced leaves and builds the cdelta.
+        ECB independence plus the buffered DRBG's draw-order-only
+        dependence make the output bytes identical to the per-span path
+        (``_coalesce_ciphers = False``, kept as the reference for the
+        fuzz differential).
         """
         gap = max(16, 2 * self._block_chars)
         clusters = _cluster_edits(edits, gap)
@@ -548,46 +535,34 @@ class EncryptedDocument(ABC):
         _CLUSTERS_PER_DELTA.observe(len(clusters))
 
         base = self._data_area_start()
-        old_data_count = len(self._index)
+        old_data_count = len(self._leaves)
         rank_shift = 0  # current rank - old rank, left of the frontier
         char_shift = 0  # current char pos - old char pos, ditto
 
-        #: per cluster: (old-rank span, metas awaiting blocks)
-        staged: list[tuple[int, int, list[BlockMeta]]] = []
+        #: per cluster: (current first rank, old-rank span, new chunks)
+        staged: list[tuple[int, int, int, list[str]]] = []
         plain_parts: list[bytes] = []
 
         for cluster in clusters:
-            ra, rb, old_metas = self._locate_span(cluster, char_shift)
-            span_text = "".join(meta.text for meta in old_metas)
-            span_start = (
-                self._index.char_start(ra) - char_shift
-                if len(self._index)
-                else 0
-            )
+            ra, rb, span_start, old = self._locate_span(cluster, char_shift)
+            span_text = "".join(old.texts)
             new_text = _apply_edits_local(span_text, cluster.edits, span_start)
             chunks = blocks.chunk_text(new_text, self._block_chars)
 
             if not chunks and self._require_nonempty_span:
-                ra, rb, old_metas, new_text = self._absorb_neighbor(
-                    ra, rb, old_metas
-                )
-                span_text = "".join(meta.text for meta in old_metas)
+                ra, rb, old, new_text = self._absorb_neighbor(ra, rb)
+                span_text = "".join(old.texts)
                 chunks = blocks.chunk_text(new_text, self._block_chars)
 
-            next_lead = (
-                self._index.get(rb)[0].lead if rb < len(self._index) else None
-            )
-            plain, new_metas = self._prepare_span(old_metas, chunks, next_lead)
-            _BLOCKS_REENCRYPTED.inc(len(new_metas))
+            plain, leads, payloads = self._prepare_span(old, chunks, rb)
+            _BLOCKS_REENCRYPTED.inc(len(chunks))
             _BLOCKS_REPACKED.inc(rb - ra)
 
-            self._index.splice(
-                ra, rb, ((meta, len(meta.text)) for meta in new_metas)
-            )
+            self._leaves.splice(ra, rb, chunks, leads, payloads)
 
             plain_parts.append(plain)
-            staged.append((ra - rank_shift, rb - rank_shift, new_metas))
-            rank_shift += len(new_metas) - (rb - ra)
+            staged.append((ra, ra - rank_shift, rb - rank_shift, chunks))
+            rank_shift += len(chunks) - (rb - ra)
             char_shift += len(new_text) - len(span_text)
 
         suffix_plain = b""
@@ -610,19 +585,17 @@ class EncryptedDocument(ABC):
         off = 0
         ops: list[DeltaOp] = []
         cursor = 0      # old-wire characters already consumed
-        for ra_old, rb_old, new_metas in staged:
-            for meta in new_metas:
-                meta.block = blob[off : off + 16]
-                off += 16
+        for ra, ra_old, rb_old, chunks in staged:
+            data = blob[off : off + 16 * len(chunks)]
+            off += len(data)
+            self._leaves.write(ra, data)
             pos_old = base + ra_old * RECORD_CHARS
             if pos_old > cursor:
                 ops.append(Retain(pos_old - cursor))
             if rb_old > ra_old:
                 ops.append(Delete((rb_old - ra_old) * RECORD_CHARS))
-            if new_metas:
-                ops.append(
-                    Insert(encode_records([m.record for m in new_metas]))
-                )
+            if chunks:
+                ops.append(Insert(encode_area(bytes(map(len, chunks)), data)))
             cursor = base + rb_old * RECORD_CHARS
 
         if self._suffix:
@@ -632,7 +605,7 @@ class EncryptedDocument(ABC):
             if pos_old > cursor:
                 ops.append(Retain(pos_old - cursor))
             ops.append(Delete(len(self._suffix) * RECORD_CHARS))
-            ops.append(Insert(encode_records([Record(0, checksum)])))
+            ops.append(Insert(encode_area(b"\0", checksum)))
             self._suffix = [(0, checksum)]
 
         cdelta = Delta(ops)
@@ -643,41 +616,41 @@ class EncryptedDocument(ABC):
 
     def _locate_span(
         self, cluster: _Cluster, char_shift: int
-    ) -> tuple[int, int, list[BlockMeta]]:
-        """Map a cluster's char span to the current block-rank range,
-        returning the run's metas from one ``get_range`` walk instead of
-        a per-rank ``get`` loop."""
-        size = len(self._index)
+    ) -> tuple[int, int, int, Run]:
+        """Map a cluster's char span to the current block-rank range
+        ``[ra, rb)``, returning it with its first character in original
+        coordinates and the run itself, read with one ``get_range``
+        instead of a per-rank ``get`` loop."""
+        size = len(self._leaves)
         if size == 0:
-            return 0, 0, []
+            return 0, 0, 0, NO_BLOCKS
+        pos = cluster.lo + char_shift
+        if pos < self._leaves.total_chars:
+            ra, offset = self._leaves.find_char(pos)
+            start = pos - offset
+        else:  # a pure insertion at the end
+            ra = size - 1
+            start = self._leaves.char_start(ra)
         if cluster.lo == cluster.hi:  # pure insertion
-            pos = cluster.lo + char_shift
-            if pos >= self._index.total_chars:
-                ra = size - 1
-            else:
-                ra, _ = self._index.find_char(pos)
             rb = ra + 1
         else:
-            ra, _ = self._index.find_char(cluster.lo + char_shift)
-            rb_block, _ = self._index.find_char(cluster.hi - 1 + char_shift)
-            rb = rb_block + 1
-        metas = [value for value, _ in self._index.get_range(ra, rb)]
-        return ra, rb, metas
+            rb = self._leaves.find_char(cluster.hi - 1 + char_shift)[0] + 1
+        return ra, rb, start - char_shift, self._leaves.get_range(ra, rb)
 
-    def _absorb_neighbor(
-        self, ra: int, rb: int, old_metas: list[BlockMeta]
-    ) -> tuple[int, int, list[BlockMeta], str]:
+    def _absorb_neighbor(self, ra: int, rb: int) -> tuple[int, int, Run, str]:
         """Extend an emptied span over one untouched neighbour so a chain
-        splice always carries at least one block."""
-        if rb < len(self._index):
-            neighbor = self._index.get(rb)[0]
-            return ra, rb + 1, old_metas + [neighbor], neighbor.text
-        if ra > 0:
-            neighbor = self._index.get(ra - 1)[0]
-            return ra - 1, rb, [neighbor] + old_metas, neighbor.text
-        raise AssertionError(
-            "document would become empty; handled by the rewrite path"
-        )
+        splice always carries at least one block; returns the wider
+        span, its run and the neighbour's text."""
+        if rb < len(self._leaves):
+            rb, neighbor = rb + 1, -1
+        elif ra > 0:
+            ra, neighbor = ra - 1, 0
+        else:
+            raise AssertionError(
+                "document would become empty; handled by the rewrite path"
+            )
+        old = self._leaves.get_range(ra, rb)
+        return ra, rb, old, old.texts[neighbor]
 
 
 class RecbDocument(EncryptedDocument):
@@ -700,28 +673,28 @@ class RecbDocument(EncryptedDocument):
         texts = self._codec.decrypt_records(
             self._state, counts[1:], ciphertext[16:]
         )
-        self._index = self._index_factory()
-        self._index.extend(
-            (BlockMeta(chunk, ciphertext[off : off + 16]), len(chunk))
-            for off, chunk in zip(range(16, len(ciphertext), 16), texts)
-        )
+        self._leaves.extend(texts, ciphertext[16:])
 
     def _prepare_span(
-        self,
-        old_metas: list[BlockMeta],
-        chunks: list[str],
-        next_lead: bytes | None,
-    ) -> tuple[bytes, list[BlockMeta]]:
-        plain = self._codec.prepare_chunks(self._state, chunks)
-        return plain, [BlockMeta(text=chunk) for chunk in chunks]
+        self, old: Run, chunks: list[str], after: int
+    ) -> tuple[bytes, None, None]:
+        return self._codec.prepare_chunks(self._state, chunks), None, None
+
+    def _decrypt_run(self, run: Run) -> list[str]:
+        """Decrypt each block of ``run`` as its own record."""
+        return [
+            self._codec.decrypt_record(
+                self._state,
+                Record(len(chunk), run.blocks[16 * i : 16 * i + 16]),
+            )
+            for i, chunk in enumerate(run.texts)
+        ]
 
     def decrypt_char(self, index: int) -> str:
         """Random access: decrypt the single block holding character
         ``index`` (the 2-record access pattern described in SV-B)."""
-        rank, offset = self._index.find_char(index)
-        meta = self._index.get(rank)[0]
-        chunk = self._codec.decrypt_record(self._state, meta.record)
-        return chunk[offset]
+        rank, offset = self._leaves.find_char(index)
+        return self._decrypt_run(self._leaves.get(rank))[0][offset]
 
     def decrypt_range(self, start: int, end: int) -> str:
         """Random access to ``[start, end)``: decrypt only the blocks
@@ -738,13 +711,11 @@ class RecbDocument(EncryptedDocument):
             )
         if start == end:
             return ""
-        first, offset = self._index.find_char(start)
-        last, _ = self._index.find_char(end - 1)
-        pieces = [
-            self._codec.decrypt_record(self._state, meta.record)
-            for meta, _ in self._index.get_range(first, last + 1)
-        ]
-        text = "".join(pieces)
+        first, offset = self._leaves.find_char(start)
+        last, _ = self._leaves.find_char(end - 1)
+        text = "".join(
+            self._decrypt_run(self._leaves.get_range(first, last + 1))
+        )
         return text[offset : offset + (end - start)]
 
 
@@ -759,45 +730,35 @@ class RpcDocument(EncryptedDocument):
     _state: RpcState
 
     def _load_records(self, counts: bytes, ciphertext: bytes) -> None:
-        state, data = self._codec.load(counts, ciphertext)
+        state, chunks, leads, payloads = self._codec.load(counts, ciphertext)
         self._state = state
         self._prefix = [(counts[0], ciphertext[:16])]
         self._suffix = [(counts[-1], ciphertext[-16:])]
-        self._index = self._index_factory()
-        self._index.extend(
-            (BlockMeta(chunk, ciphertext[off : off + 16], lead, payload),
-             len(chunk))
-            for off, (chunk, lead, payload) in zip(
-                range(16, len(ciphertext), 16), data
-            )
-        )
+        self._leaves.extend(chunks, ciphertext[16:-16], leads, payloads)
 
     def _prepare_span(
-        self,
-        old_metas: list[BlockMeta],
-        chunks: list[str],
-        next_lead: bytes | None,
-    ) -> tuple[bytes, list[BlockMeta]]:
-        if old_metas:
-            lead_first = old_metas[0].lead
-            assert lead_first is not None
+        self, old: Run, chunks: list[str], after: int
+    ) -> tuple[bytes, bytes, bytes]:
+        n, p = RPC_NONCE_BYTES, blocks.PAYLOAD_BYTES
+        if old.texts:
+            lead_first = old.leads[:n]
         elif chunks:  # Enc: the first lead is fresh, the chain closes at r0
             lead_first = self._rng.token(len(self._state.r0))
         else:
-            return b"", []
+            return b"", b"", b""
         assert chunks, "RPC span replacement always produces >= 1 block"
-        tail_last = next_lead if next_lead is not None else self._state.r0
-        for meta in old_metas:
-            assert meta.lead is not None and meta.payload is not None
-            self._state.remove_block(meta.lead, meta.payload, len(meta.text))
+        tail_last = (self._leaves.get(after).leads
+                     if after < len(self._leaves) else self._state.r0)
+        for k, chunk in enumerate(old.texts):
+            self._state.remove_block(old.leads[n * k : n * k + n],
+                                     old.payloads[p * k : p * k + p],
+                                     len(chunk))
         plain, leads, payloads = self._codec.prepare_span(
             chunks, lead_first, tail_last
         )
-        metas: list[BlockMeta] = []
         for chunk, lead, payload in zip(chunks, leads, payloads):
             self._state.add_block(lead, payload, len(chunk))
-            metas.append(BlockMeta(text=chunk, lead=lead, payload=payload))
-        return plain, metas
+        return plain, b"".join(leads), b"".join(payloads)
 
     @property
     def version(self) -> int:
@@ -810,7 +771,20 @@ class RpcDocument(EncryptedDocument):
         Mostly a testing/diagnostic aid: tampering normally surfaces on
         :meth:`load` of the *server's* copy.
         """
-        self._codec.load(*record_columns(self._records()))
+        self._codec.load(*self._columns())
+
+
+_PER_BLOCK: dict[type, type] = {}
+
+
+def per_block(cls: type[EncryptedDocument]) -> type[EncryptedDocument]:
+    """``cls`` with one block per leaf (B = 1): the paper's per-block
+    index (SV-C), the reference the fuzz compares the leaves with and
+    the structure the index ablations time.  Same wire, same draws."""
+    if cls not in _PER_BLOCK:
+        _PER_BLOCK[cls] = type(f"PerBlock{cls.__name__}", (cls,),
+                               {"_leaf_blocks": 1})
+    return _PER_BLOCK[cls]
 
 
 def _resolve_keys(

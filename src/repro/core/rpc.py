@@ -190,15 +190,16 @@ class RpcCodec(BlockCodec):
 
     def load(
         self, counts: bytes, ciphertext: bytes
-    ) -> tuple[RpcState, list[tuple[str, bytes, bytes]]]:
+    ) -> tuple[RpcState, list[str], bytes, bytes]:
         """Verify a whole ciphertext document and decrypt it.
 
         Reads the full record area as columns
         (:func:`repro.encoding.wire.decode_area`): ``counts`` holds
         each record's header byte and ``ciphertext`` its AES blocks
         back to back — start record, data records, checksum record.
-        Returns the reconstructed state and, per data block, ``(chunk,
-        lead, payload)``.
+        Returns the reconstructed state and three data-block columns:
+        the chunks, the lead nonces back to back (4 bytes each) and the
+        padded payloads back to back (8 bytes each).
 
         Raises :class:`IntegrityError` naming the first failed check —
         start marker, chain link, circular closure, checksum aggregates,
@@ -219,7 +220,8 @@ class RpcCodec(BlockCodec):
 
         data_counts = counts[1:-1]
         state = RpcState(r0=r0)
-        out: list[tuple[str, bytes, bytes]] = []
+        chunks: list[str] = []
+        lead_column = payload_column = b""
         if data_counts:
             blob = self._cipher.decrypt_many(ciphertext[16:-16])
             lo, hi = RPC_NONCE_BYTES, RPC_NONCE_BYTES + blocks.PAYLOAD_BYTES
@@ -247,11 +249,8 @@ class RpcCodec(BlockCodec):
                     f"nonce chain broken at data block {intact}"
                 )
             state.length = sum(map(len, chunks))
-            out = [
-                (chunk, blob[16 * i : 16 * i + lo],
-                 blob[16 * i + lo : 16 * i + hi])
-                for i, chunk in enumerate(chunks)
-            ]
+            lead_column = leads.tobytes()
+            payload_column = payloads.tobytes()
             state.lead_xor = np.bitwise_xor.reduce(leads, axis=0).tobytes()
             state.payload_xor = np.bitwise_xor.reduce(payloads, axis=0).tobytes()
             expected_lead = blob[-RPC_NONCE_BYTES:]
@@ -289,7 +288,7 @@ class RpcCodec(BlockCodec):
                     f"chars, document has {state.length}"
                 )
             raise IntegrityError("checksum record: payload aggregate mismatch")
-        return state, out
+        return state, chunks, lead_column, payload_column
 
 
 def _checked_chunk(i: int, payload: bytes, char_count: int) -> str:

@@ -7,11 +7,17 @@ ablation baselines.  All three implement the same interface — the
 ``BlockIndex`` protocol — so the encrypted-document layer is generic
 over them.
 
-The contract is four queries (``find_char``, ``get``, ``get_range``,
-``char_start``) and two writers: ``splice(ra, rb, items)`` replaces a
-rank run, ``extend(items)`` appends (the bulk build).  The paper's
-Insert and Delete (SV-C) are ``splice(r, r, [block])``
-and ``splice(r, r + 1, [])``.
+The contract is six queries (``find_char``, ``get``, ``get_range``,
+``char_start``, and ``locate`` / ``locate_char``, which return a node's
+value with its first rank and first character) and two writers:
+``splice(ra, rb, items)`` replaces a rank run, ``extend(items)``
+appends (the bulk build).  The paper's Insert and Delete (SV-C) are
+``splice(r, r, [block])`` and ``splice(r, r + 1, [])``.
+
+An item may also be ``(value, width, count)``: one node standing for
+``count`` consecutive ranks (:mod:`repro.datastructures.items`).  The
+encrypted document's mirror indexes its leaves of blocks that way
+(:mod:`repro.core.leaves`), one counted node per leaf.
 """
 
 from typing import Any, Iterable, Iterator, Protocol, runtime_checkable
@@ -50,6 +56,16 @@ class BlockIndex(Protocol):
 
     def char_start(self, rank: int) -> int:  # pragma: no cover
         """First character position covered by block ``rank``."""
+        ...
+
+    def locate(self, rank: int) -> tuple[Any, int, int]:  # pragma: no cover
+        """``(value, first rank, first char)`` of the node covering
+        ``rank``, in one descent."""
+        ...
+
+    def locate_char(self, index: int) -> tuple[Any, int, int]:  # pragma: no cover
+        """``(value, first rank, first char)`` of the node holding
+        character ``index``, in one descent."""
         ...
 
     def extend(self, items: Iterable[tuple[Any, int]]) -> None:  # pragma: no cover

@@ -9,15 +9,18 @@ subtree element counts and character widths, giving worst-case
 of ``k`` blocks for ``m`` new ones.
 
 It implements the same interface as
-:class:`repro.datastructures.indexed_skiplist.IndexedSkipList`, so the
-encrypted-document layer can run on either (``bench_ablation_structures``
-compares them).
+:class:`repro.datastructures.indexed_skiplist.IndexedSkipList`, counted
+nodes included (a node of count ``c`` covers ``c`` ranks and adds ``c``
+to its subtree's element count), so the encrypted document can index
+its leaves with either (``bench_ablation_structures`` compares them
+per block).
 """
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Iterator
 
+from repro.datastructures.items import weighted
 from repro.errors import DataStructureError
 from repro.obs import counter
 
@@ -35,16 +38,17 @@ _ROTATIONS = counter("index.avl.rotations")
 
 
 class _Node:
-    __slots__ = ("value", "width", "left", "right", "height",
+    __slots__ = ("value", "width", "count", "left", "right", "height",
                  "sub_elems", "sub_chars")
 
-    def __init__(self, value: Any, width: int):
+    def __init__(self, value: Any, width: int, count: int = 1):
         self.value = value
         self.width = width
+        self.count = count
         self.left: _Node | None = None
         self.right: _Node | None = None
         self.height = 1
-        self.sub_elems = 1
+        self.sub_elems = count
         self.sub_chars = width
 
 
@@ -62,7 +66,7 @@ def _chars(node: _Node | None) -> int:
 
 def _refresh(node: _Node) -> None:
     node.height = 1 + max(_h(node.left), _h(node.right))
-    node.sub_elems = 1 + _elems(node.left) + _elems(node.right)
+    node.sub_elems = node.count + _elems(node.left) + _elems(node.right)
     node.sub_chars = node.width + _chars(node.left) + _chars(node.right)
 
 
@@ -129,14 +133,21 @@ def _join2(left: _Node | None, right: _Node | None) -> _Node | None:
         return right
     if right is None:
         return left
-    pivot_tree, rest = _split(right, 1)
+    first = right
+    while first.left is not None:
+        first = first.left
+    pivot_tree, rest = _split(right, first.count)
     assert pivot_tree is not None
     pivot_tree.left = pivot_tree.right = None
     return _join(left, pivot_tree, rest)
 
 
 def _split(node: _Node | None, count: int) -> tuple[_Node | None, _Node | None]:
-    """Split into (first ``count`` elements, the rest), both valid AVLs."""
+    """Split into (first ``count`` elements, the rest), both valid AVLs.
+
+    ``count`` must fall on a node boundary; one that falls inside a
+    counted node raises (a caller error: the tree is left undefined).
+    """
     if node is None:
         return None, None
     _NODE_VISITS.inc()
@@ -144,7 +155,11 @@ def _split(node: _Node | None, count: int) -> tuple[_Node | None, _Node | None]:
     if count <= left_elems:
         first, rest = _split(node.left, count)
         return first, _join(rest, node, node.right)
-    first, rest = _split(node.right, count - left_elems - 1)
+    if count < left_elems + node.count:
+        raise DataStructureError(
+            "split point falls inside a counted node"
+        )
+    first, rest = _split(node.right, count - left_elems - node.count)
     return _join(node.left, node, first), rest
 
 
@@ -153,8 +168,7 @@ def _build_balanced(items: list, lo: int, hi: int) -> _Node | None:
     if lo >= hi:
         return None
     mid = (lo + hi) // 2
-    value, width = items[mid]
-    node = _Node(value, width)
+    node = _Node(*items[mid])
     node.left = _build_balanced(items, lo, mid)
     node.right = _build_balanced(items, mid + 1, hi)
     _refresh(node)
@@ -181,50 +195,68 @@ class IndexedAVL:
 
         Returns ``(rank, offset)`` exactly like the skip list.
         """
+        _, rank, start = self.locate_char(index)
+        return rank, index - start
+
+    def locate_char(self, index: int) -> tuple[Any, int, int]:
+        """The node holding character ``index``, as ``(value, rank,
+        char)``: its value, first rank and first character."""
         if not 0 <= index < self.total_chars:
             raise IndexError(
                 f"char index {index} out of range [0, {self.total_chars})"
             )
         node = self._root
         rank = 0
+        start = 0
         visits = 0
         _SEARCHES.inc()
         while node is not None:
             visits += 1
             left_chars = _chars(node.left)
-            if index < left_chars:
+            if index < start + left_chars:
                 node = node.left
-            elif index < left_chars + node.width:
+            elif index < start + left_chars + node.width:
                 _NODE_VISITS.inc(visits)
-                return rank + _elems(node.left), index - left_chars
+                return (node.value, rank + _elems(node.left),
+                        start + left_chars)
             else:
-                rank += _elems(node.left) + 1
-                index -= left_chars + node.width
+                rank += _elems(node.left) + node.count
+                start += left_chars + node.width
                 node = node.right
         raise DataStructureError("find_char fell off the tree")
 
-    def _node_at(self, rank: int) -> _Node:
+    def locate(self, rank: int) -> tuple[Any, int, int]:
+        """The node covering ``rank``, as ``(value, rank, char)``: its
+        value, first rank and first character."""
+        node, first, start = self._node_at(rank)
+        return node.value, first, start
+
+    def _node_at(self, rank: int) -> tuple[_Node, int, int]:
+        """The node covering ``rank``, its first rank and first char."""
         if not 0 <= rank < len(self):
             raise IndexError(f"rank {rank} out of range [0, {len(self)})")
         node = self._root
+        first = 0
+        start = 0
         visits = 0
         _SEARCHES.inc()
         while node is not None:
             visits += 1
             left = _elems(node.left)
-            if rank < left:
+            if rank < first + left:
                 node = node.left
-            elif rank == left:
+            elif rank < first + left + node.count:
                 _NODE_VISITS.inc(visits)
-                return node
+                return node, first + left, start + _chars(node.left)
             else:
-                rank -= left + 1
+                first += left + node.count
+                start += _chars(node.left) + node.width
                 node = node.right
         raise DataStructureError("_node_at fell off the tree")
 
     def get(self, rank: int) -> tuple[Any, int]:
         """Return ``(value, width)`` of the block with ordinal ``rank``."""
-        node = self._node_at(rank)
+        node, _, _ = self._node_at(rank)
         return node.value, node.width
 
     def char_start(self, rank: int) -> int:
@@ -233,23 +265,7 @@ class IndexedAVL:
             raise IndexError(f"rank {rank} out of range [0, {len(self)}]")
         if rank == len(self):
             return self.total_chars
-        node = self._root
-        start = 0
-        visits = 0
-        _SEARCHES.inc()
-        while node is not None:
-            visits += 1
-            left = _elems(node.left)
-            if rank < left:
-                node = node.left
-            elif rank == left:
-                _NODE_VISITS.inc(visits)
-                return start + _chars(node.left)
-            else:
-                start += _chars(node.left) + node.width
-                rank -= left + 1
-                node = node.right
-        raise DataStructureError("char_start fell off the tree")
+        return self.locate(rank)[2]
 
     def get_range(self, ra: int, rb: int) -> list[tuple[Any, int]]:
         """Return ``(value, width)`` for every block in ranks ``[ra, rb)``.
@@ -276,14 +292,16 @@ class IndexedAVL:
             if r < left:
                 stack.append(node)
                 node = node.left
-            elif r == left:
+            elif r < left + node.count:
+                count += r - left  # ranks of the first node before ra
                 break
             else:
-                r -= left + 1
+                r -= left + node.count
                 node = node.right
         _NODE_VISITS.inc(visits)
-        while node is not None and len(out) < count:
+        while node is not None and count > 0:
             out.append((node.value, node.width))
+            count -= node.count
             if node.right is not None:
                 node = node.right
                 while node.left is not None:
@@ -291,7 +309,7 @@ class IndexedAVL:
                     node = node.left
             else:
                 node = stack.pop() if stack else None
-        _RANGE_VISITS.inc(count)
+        _RANGE_VISITS.inc(len(out))
         return out
 
     # -- mutations ------------------------------------------------------
@@ -311,10 +329,7 @@ class IndexedAVL:
             raise IndexError(
                 f"range [{ra}, {rb}) out of range [0, {len(self)}]"
             )
-        items = list(items)
-        for _, width in items:
-            if width < 0:
-                raise DataStructureError(f"width must be >= 0, got {width}")
+        items = weighted(items)
         _SPLICES.inc()
         _SEARCHES.inc()
         left, rest = _split(self._root, ra)
@@ -341,10 +356,7 @@ class IndexedAVL:
         if self._root is not None:
             self.splice(len(self), len(self), items)
             return
-        items = list(items)
-        for _, width in items:
-            if width < 0:
-                raise DataStructureError(f"width must be >= 0, got {width}")
+        items = weighted(items)
         self._root = _build_balanced(items, 0, len(items))
 
     # -- iteration ------------------------------------------------------
@@ -381,8 +393,10 @@ class IndexedAVL:
             rh, re, rc = walk(node.right)
             if abs(lh - rh) > 1:
                 raise DataStructureError("AVL balance violated")
+            if node.count < 1:
+                raise DataStructureError("node counts fewer than one element")
             height = 1 + max(lh, rh)
-            elems = 1 + le + re
+            elems = node.count + le + re
             chars = node.width + lc + rc
             if node.height != height:
                 raise DataStructureError("stale height")

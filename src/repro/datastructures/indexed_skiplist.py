@@ -17,8 +17,16 @@ cost; the character count is the paper's ``skip_count``.
 Node layout: a node *is* one flat list, ``node[3*i]`` (the forward
 pointer at level ``i``), ``node[3*i + 1]`` (elements spanned) and
 ``node[3*i + 2]`` (characters spanned) for each of its levels, then
-``node[-2]`` (the value) and ``node[-1]`` (the width), so each block
-adds one container for the cyclic garbage collector to walk.
+``node[-3]`` (the elements it stands for), ``node[-2]`` (the value) and
+``node[-1]`` (the width), so each node adds one container for the
+cyclic garbage collector to walk.
+
+Counted nodes: an item ``(value, width, count)`` makes one node that
+stands for ``count`` consecutive elements (:mod:`repro.datastructures.items`),
+and the element spans add up counts instead of nodes.  The encrypted
+document indexes its leaves this way — one node per leaf, counted in
+blocks — so a rank is a block rank and ``find_char`` returns the
+leaf's first block.  Plain ``(value, width)`` items count one each.
 
 Span convention: for a node ``x`` and level ``i``, the element and
 character spans count the elements/characters strictly after ``x`` up
@@ -33,6 +41,7 @@ from __future__ import annotations
 import random
 from typing import Any, Iterable, Iterator
 
+from repro.datastructures.items import weighted
 from repro.errors import DataStructureError
 from repro.obs import counter
 
@@ -51,21 +60,22 @@ _SPLICES = counter("index.splices")
 _RANGE_VISITS = counter("index.range_visits")
 
 
-#: a node: ``[next_0, elems_0, chars_0, ..., value, width]``.  Nodes
-#: are lists that point at each other, so they are compared with
+#: a node: ``[next_0, elems_0, chars_0, ..., count, value, width]``.
+#: Nodes are lists that point at each other, so they are compared with
 #: ``is`` and keyed by ``id`` — ``==`` or ``in`` would walk the chain
 _Node = list
 
 
-def _new_node(value: Any, width: int, level: int) -> _Node:
+def _new_node(value: Any, width: int, level: int, count: int = 1) -> _Node:
     node: _Node = [None, 0, 0] * level
+    node.append(count)
     node.append(value)
     node.append(width)
     return node
 
 
 def _level(node: _Node) -> int:
-    return len(node) // 3
+    return len(node) // 3 - 1
 
 
 class IndexedSkipList:
@@ -85,7 +95,7 @@ class IndexedSkipList:
             raise DataStructureError(f"p must be in (0, 1), got {p}")
         self._p = p
         self._rng = rng if rng is not None else random.Random()
-        self._head = _new_node(None, 0, _MAX_LEVEL)
+        self._head = _new_node(None, 0, _MAX_LEVEL, 0)
         self._level = 1  # number of levels currently in use
         self._size = 0
         self._chars = 0
@@ -156,6 +166,12 @@ class IndexedSkipList:
         (descend the poles, subtracting ``skip_count``), returning the
         block instead of a single character.
         """
+        _, rank, start = self.locate_char(index)
+        return rank, index - start
+
+    def locate_char(self, index: int) -> tuple[Any, int, int]:
+        """The node holding character ``index``, as ``(value, rank,
+        char)``: its value, first rank and first character."""
         if not 0 <= index < self._chars:
             raise IndexError(
                 f"char index {index} out of range [0, {self._chars})"
@@ -177,34 +193,44 @@ class IndexedSkipList:
                 visits += 1
         _SEARCHES.inc()
         _NODE_VISITS.inc(visits)
-        assert x[0] is not None  # index < total_chars guarantees this
-        return pos + 1, index - cend
+        node = x[0]
+        assert node is not None  # index < total_chars guarantees this
+        return node[-2], pos + 1, cend
 
     def get(self, rank: int) -> tuple[Any, int]:
         """Return ``(value, width)`` of the block with ordinal ``rank``."""
-        node = self._node_at(rank)
+        node, _, _ = self._node_at(rank)
         return node[-2], node[-1]
 
-    def _node_at(self, rank: int) -> _Node:
+    def locate(self, rank: int) -> tuple[Any, int, int]:
+        """The node covering ``rank``, as ``(value, rank, char)``: its
+        value, first rank and first character."""
+        node, pos, cend = self._node_at(rank)
+        return node[-2], pos - node[-3] + 1, cend - node[-1]
+
+    def _node_at(self, rank: int) -> tuple[_Node, int, int]:
+        """The node covering ``rank`` with its last rank and end char."""
         self._check_rank(rank, self._size)
         x = self._head
         pos = -1
+        cend = 0
         visits = 0
         for i in range(self._level - 1, -1, -1):
             j = 3 * i
             nxt = x[j]
             while nxt is not None:
                 step = pos + x[j + 1]
-                if step > rank:
+                if step - nxt[-3] >= rank:  # nxt starts past rank
                     break
                 pos = step
+                cend += x[j + 2]
                 x = nxt
                 nxt = x[j]
                 visits += 1
         _SEARCHES.inc()
         _NODE_VISITS.inc(visits)
-        assert pos == rank
-        return x
+        assert pos - x[-3] < rank <= pos
+        return x, pos, cend
 
     def char_start(self, rank: int) -> int:
         """First character position covered by block ``rank``."""
@@ -215,10 +241,11 @@ class IndexedSkipList:
         return cends[0]
 
     def get_range(self, ra: int, rb: int) -> list[tuple[Any, int]]:
-        """Return ``(value, width)`` for every block in ranks ``[ra, rb)``.
+        """Return ``(value, width)`` for every node covering ranks
+        ``[ra, rb)``.
 
         One ``O(log n)`` descent to rank ``ra`` plus a level-0 walk of
-        ``rb - ra`` steps — versus ``rb - ra`` full descents for the
+        one step per node — versus one full descent per node for the
         equivalent :meth:`get` loop.
         """
         if not 0 <= ra <= rb <= self._size:
@@ -227,14 +254,16 @@ class IndexedSkipList:
             )
         if ra == rb:
             return []
-        update, _, _ = self._predecessors(ra)
+        update, ranks, _ = self._predecessors(ra)
         out: list[tuple[Any, int]] = []
         node = update[0][0]
-        for _ in range(rb - ra):
+        covered = ranks[0] + 1
+        while covered < rb:
             assert node is not None
             out.append((node[-2], node[-1]))
+            covered += node[-3]
             node = node[0]
-        _RANGE_VISITS.inc(rb - ra)
+        _RANGE_VISITS.inc(len(out))
         return out
 
     # -- mutations ---------------------------------------------------------
@@ -251,36 +280,40 @@ class IndexedSkipList:
         new nodes are threaded in ``extend``-style from the same
         predecessor state — no per-rank searches.  The paper's Insert
         and Delete are ``splice(r, r, [block])`` and
-        ``splice(r, r + 1, [])``.
+        ``splice(r, r + 1, [])``.  With counted nodes ``ra`` and ``rb``
+        must fall on node boundaries.
         """
         if not 0 <= ra <= rb <= self._size:
             raise IndexError(
                 f"range [{ra}, {rb}) out of range [0, {self._size}]"
             )
-        items = list(items)
-        for _, width in items:
-            if width < 0:
-                raise DataStructureError(f"width must be >= 0, got {width}")
-        _SPLICES.inc()
+        items = weighted(items)
         update, ranks, cends = self._predecessors(ra)
 
-        # Unlink the dead run [ra, rb).  Each level's pointers are fixed
-        # by walking only the dead nodes linked at that level, so total
-        # work is O(k) expected beyond the one descent above.
+        # Collect the dead run [ra, rb) before touching any pointer.
         removed: list[tuple[Any, int]] = []
         dead_ids: set[int] = set()
         walk_steps = 0
         node = update[0][0]
         removed_chars = 0
-        for _ in range(rb - ra):
+        k = 0
+        while k < rb - ra:
             assert node is not None
             removed.append((node[-2], node[-1]))
             removed_chars += node[-1]
+            k += node[-3]
             dead_ids.add(id(node))
             node = node[0]
             walk_steps += 1
+        if ranks[0] + 1 != ra or k != rb - ra:
+            raise DataStructureError(
+                f"splice [{ra}, {rb}) does not fall on node boundaries"
+            )
+        _SPLICES.inc()
+        # Unlink it.  Each level's pointers are fixed by walking only the
+        # dead nodes linked at that level, so total work is O(k)
+        # expected beyond the one descent above.
         if dead_ids:
-            k = rb - ra
             for i in range(self._level):
                 j = 3 * i
                 pred = update[i]
@@ -304,7 +337,7 @@ class IndexedSkipList:
         last_cend: list[int] = list(cends)
         rank = ra
         cstart = cends[0]
-        for value, width in items:
+        for value, width, count in items:
             level = self._random_level()
             if level > self._level:
                 head = self._head
@@ -314,8 +347,9 @@ class IndexedSkipList:
                     last_rank.append(-1)
                     last_cend.append(0)
                 self._level = level
-            node = _new_node(value, width, level)
+            node = _new_node(value, width, level, count)
             end_new = cstart + width
+            pos = rank + count - 1  # the node's last rank
             for i in range(level):
                 j = 3 * i
                 pred = last_node[i]
@@ -323,18 +357,18 @@ class IndexedSkipList:
                 node[j + 1] = last_rank[i] + pred[j + 1] + 1 - rank
                 node[j + 2] = last_cend[i] + pred[j + 2] - cstart
                 pred[j] = node
-                pred[j + 1] = rank - last_rank[i]
+                pred[j + 1] = pos - last_rank[i]
                 pred[j + 2] = end_new - last_cend[i]
                 last_node[i] = node
-                last_rank[i] = rank
+                last_rank[i] = pos
                 last_cend[i] = end_new
             for i in range(level, self._level):
                 upper = last_node[i]
-                upper[3 * i + 1] += 1
+                upper[3 * i + 1] += count
                 upper[3 * i + 2] += width
-            self._size += 1
+            self._size += count
             self._chars += width
-            rank += 1
+            rank += count
             cstart = end_new
 
         while (self._level > 1
@@ -350,7 +384,7 @@ class IndexedSkipList:
         tail fix-ups — this is what makes whole-document encryption
         (10k+ blocks) cheap.
         """
-        items = list(items)
+        items = weighted(items)
         if not items:
             return
         update, ranks, cends = self._predecessors(self._size)
@@ -359,23 +393,22 @@ class IndexedSkipList:
         ]
         rank = self._size
         chars = self._chars
-        for value, width in items:
-            if width < 0:
-                raise DataStructureError(f"width must be >= 0, got {width}")
+        for value, width, count in items:
             level = self._random_level()
             while self._level < level:
                 last.append((self._head, -1, 0))
                 self._level += 1
-            node = _new_node(value, width, level)
+            node = _new_node(value, width, level, count)
             end = chars + width
+            pos = rank + count - 1  # the node's last rank
             for i in range(level):
                 prev_node, prev_rank, prev_cend = last[i]
                 j = 3 * i
                 prev_node[j] = node
-                prev_node[j + 1] = rank - prev_rank
+                prev_node[j + 1] = pos - prev_rank
                 prev_node[j + 2] = end - prev_cend
-                last[i] = (node, rank, end)
-            rank += 1
+                last[i] = (node, pos, end)
+            rank += count
             chars = end
         self._size = rank
         self._chars = chars
@@ -422,27 +455,30 @@ class IndexedSkipList:
         while x is not None:
             nodes.append(x)
             x = x[0]
-        if len(nodes) != self._size:
+        if any(n[-3] < 1 for n in nodes):
+            raise DataStructureError("node counts fewer than one element")
+        if sum(n[-3] for n in nodes) != self._size:
             raise DataStructureError(
-                f"size {self._size} != level-0 walk {len(nodes)}"
+                f"size {self._size} != level-0 count "
+                f"{sum(n[-3] for n in nodes)}"
             )
         if sum(n[-1] for n in nodes) != self._chars:
             raise DataStructureError("total_chars out of sync")
 
-        rank_of = {id(n): r for r, n in enumerate(nodes)}
-        ends = []
-        acc = 0
+        #: per node: its last rank and its end character
+        ends: dict[int, tuple[int, int]] = {}
+        pos, acc = -1, 0
         for n in nodes:
+            pos += n[-3]
             acc += n[-1]
-            ends.append(acc)
+            ends[id(n)] = (pos, acc)
 
         def elems_between(a: _Node | None, b: _Node | None) -> tuple[int, int]:
-            ra = -1 if a is self._head else rank_of[id(a)]
+            pa, ca = (-1, 0) if a is self._head else ends[id(a)]
             if b is None:
-                return self._size - 1 - ra, self._chars - (ends[ra] if ra >= 0 else 0)
-            rb = rank_of[id(b)]
-            ea = ends[ra] if ra >= 0 else 0
-            return rb - ra, ends[rb] - ea
+                return self._size - 1 - pa, self._chars - ca
+            pb, cb = ends[id(b)]
+            return pb - pa, cb - ca
 
         for i in range(self._level):
             x = self._head

@@ -36,7 +36,7 @@ RECORD_BYTES = 17
 #: characters one record occupies on the wire
 RECORD_CHARS = base32.encoded_length(RECORD_BYTES)  # == 28
 
-#: records Base32-encoded by :func:`encode_records` — O(records changed)
+#: records Base32-encoded by :func:`encode_area` — O(records changed)
 #: per save while the mirror splices its kept wire text
 _RECORDS_ENCODED = counter("wire.records_encoded")
 
@@ -87,27 +87,44 @@ _POW5 = np.array([16, 8, 4, 2, 1], dtype=np.uint8)
 _PAD_BITS = RECORD_CHARS * 5 - RECORD_BYTES * 8
 
 
-def encode_records(records: list[Record]) -> str:
-    """Encode a sequence of records to contiguous wire text.
+def encode_area(counts: bytes, blocks: bytes) -> str:
+    """Encode the two record columns to contiguous wire text.
 
-    Batched: documents run to tens of thousands of records, so the
-    Base32 expansion is done as one NumPy bit-unpack over all of them
-    (records are fixed-width, making every record's encoding
+    The inverse of :func:`decode_area`: ``counts`` holds each record's
+    header byte and ``blocks`` its 16-byte AES blocks back to back.
+    This is the one record encoder; :func:`encode_records` is a view
+    over it.  Batched: documents run to tens of thousands of records,
+    so the Base32 expansion is done as one NumPy bit-unpack over all of
+    them (records are fixed-width, making every record's encoding
     independent and alignment-free).
     """
-    _RECORDS_ENCODED.inc(len(records))
-    if len(records) < 8:
-        return "".join(encode_record(r) for r in records)
-    raw = np.frombuffer(
-        b"".join(bytes([r.char_count]) + r.block for r in records),
-        dtype=np.uint8,
-    ).reshape(len(records), RECORD_BYTES)
+    count = len(counts)
+    if len(blocks) != 16 * count:
+        raise CiphertextFormatError(
+            f"{count} records need {16 * count} block bytes, "
+            f"got {len(blocks)}"
+        )
+    _RECORDS_ENCODED.inc(count)
+    if count < 8:
+        return "".join(
+            base32.encode(counts[i : i + 1] + blocks[16 * i : 16 * i + 16])
+            for i in range(count)
+        )
+    raw = np.empty((count, RECORD_BYTES), dtype=np.uint8)
+    raw[:, 0] = np.frombuffer(counts, dtype=np.uint8)
+    raw[:, 1:] = np.frombuffer(blocks, dtype=np.uint8).reshape(count, 16)
     bits = np.unpackbits(raw, axis=1)
     bits = np.concatenate(
-        [bits, np.zeros((len(records), _PAD_BITS), dtype=np.uint8)], axis=1
+        [bits, np.zeros((count, _PAD_BITS), dtype=np.uint8)], axis=1
     )
-    groups = bits.reshape(len(records), RECORD_CHARS, 5) @ _POW5
+    groups = bits.reshape(count, RECORD_CHARS, 5) @ _POW5
     return _ALPHABET_BYTES[groups].tobytes().decode("ascii")
+
+
+def encode_records(records: list[Record]) -> str:
+    """Encode a sequence of records to contiguous wire text: a
+    :class:`Record` view over :func:`encode_area`."""
+    return encode_area(*record_columns(records))
 
 
 #: a record's first 24 characters are three 8-character groups, each one

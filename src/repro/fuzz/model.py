@@ -21,11 +21,15 @@ Invariant catalogue (the names used in ``Violation.kind``):
 ``length-mismatch``
     ``doc.char_length`` disagrees with the oracle length.
 ``index-checkrep``
-    the BlockIndex's own representation invariant failed (skip-list
-    widths, AVL balance, ...).
-``index-widths``
-    block widths no longer sum to ``total_chars`` — the paper's
-    skip-count law.
+    the mirror's block store failed its representation invariant: a
+    leaf's prefix sums or size bounds, a leaf's outer width or place
+    (the paper's skip-count law), or the outer BlockIndex's own
+    invariant (skip-list spans, AVL balance, ...).
+``leaf-divergence``
+    the mirror (leaves of ``LEAF_BLOCKS``) and its per-block twin
+    (``repro.core.document.per_block``), fed the same deltas from the
+    same seed, returned different cdeltas or hold different text or
+    wire.
 ``roundtrip``
     re-loading ``doc.wire()`` fresh (full parse + decrypt + RPC
     checksum verify) failed or produced different plaintext.
@@ -87,7 +91,7 @@ from repro.core.document import (
 )
 from repro.core.keys import KeyMaterial
 from repro.crypto.random import DeterministicRandomSource
-from repro.encoding.wire import encode_records
+from repro.encoding.wire import encode_area
 from repro.errors import ReproError
 from repro.fuzz.generators import POS_SCALE
 
@@ -196,7 +200,7 @@ def apply_op(text: str, op: tuple) -> str:
 
 
 def check_document(doc: EncryptedDocument, oracle: str, step: int) -> None:
-    """Per-step document laws: text, length, index rep, width sums."""
+    """Per-step document laws: text, length, leaf and index rep."""
     got = doc.text
     if got != oracle:
         _fail("oracle-divergence", step,
@@ -204,15 +208,10 @@ def check_document(doc: EncryptedDocument, oracle: str, step: int) -> None:
     if doc.char_length != len(oracle):
         _fail("length-mismatch", step,
               f"char_length={doc.char_length} oracle={len(oracle)}")
-    index = doc._index
     try:
-        index.checkrep()
+        doc._leaves.checkrep()
     except Exception as exc:  # checkrep uses bare AssertionError too
         _fail("index-checkrep", step, f"{type(exc).__name__}: {exc}")
-    widths = sum(width for _, width in index.items())
-    if widths != index.total_chars:
-        _fail("index-widths", step,
-              f"sum(widths)={widths} total_chars={index.total_chars}")
 
 
 def check_roundtrip(doc: EncryptedDocument, oracle: str, step: int) -> None:
@@ -233,7 +232,7 @@ def reference_wire(doc: EncryptedDocument) -> str:
     Independent of the kept, cdelta-spliced text ``doc.wire()`` returns:
     header plus every record in order, Base32-encoded from scratch.
     """
-    return doc._header.encode() + encode_records(doc._records())
+    return doc._header.encode() + encode_area(*doc._columns())
 
 
 def check_store(store_name: str, stored_wire: str, reference: str,

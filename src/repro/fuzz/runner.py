@@ -9,9 +9,13 @@ Three execution modes, selected by ``Trace.mode``:
     gdocs store's bounded leaves — which must stay byte-equal to the
     client's own rewrite, while the leaf table's midstate digest and
     the mirror's ``wire_hash`` must equal the SHA-1 of that rewrite
-    (the Ack check).  Checks run after every op; the trace ends with a
-    fresh ``load_document`` round-trip (full parse + decrypt + RPC
-    checksum verification).
+    (the Ack check).  A per-block twin of the mirror (one block per
+    leaf, the paper's index; :func:`repro.core.document.per_block`),
+    built from its own copy of the seed, takes the same deltas and
+    must return the same cdeltas and pass the same document checks.
+    Checks run after every op; the trace ends with a fresh
+    ``load_document`` round-trip (full parse + decrypt + RPC checksum
+    verification).
 
 ``session``
     A resilient :class:`PrivateEditingSession` against the trace's
@@ -64,8 +68,9 @@ from pathlib import Path
 
 from repro.client.coalesce import EditCoalescer
 from repro.client.workspace import Workspace
-from repro.core.document import create_document
+from repro.core.document import create_document, per_block
 from repro.core.keys import KeyMaterial
+from repro.core.scheme import scheme_factory
 from repro.crypto.random import DeterministicRandomSource
 from repro.datastructures import IndexedAVL, IndexedSkipList, ReferenceIndex
 from repro.encoding.wire import split_header
@@ -153,13 +158,16 @@ def _plan_from_dict(data: dict | None) -> FaultPlan | None:
 
 
 def _run_engine(trace: Trace) -> str:
-    doc = create_document(
-        trace.init,
-        key_material=_engine_keys(),
-        scheme=trace.scheme,
-        block_chars=trace.block_chars,
-        rng=DeterministicRandomSource(trace.seed or 1),
-        index_factory=_INDEX_FACTORIES[trace.index],
+    doc, twin = (
+        cls.create(
+            trace.init,
+            key_material=_engine_keys(),
+            block_chars=trace.block_chars,
+            rng=DeterministicRandomSource(trace.seed or 1),
+            index_factory=_INDEX_FACTORIES[trace.index],
+        )
+        for cls in (scheme_factory(trace.scheme),
+                    per_block(scheme_factory(trace.scheme)))
     )
     oracle = trace.init
     flat = doc.wire() if trace.store in ("both", "flat") else None
@@ -189,7 +197,14 @@ def _run_engine(trace: Trace) -> str:
             check_equal("ack-divergence", leaves.hexdigest(), acked, step,
                         "leaf store Ack hash vs the SHA-1 of the reference")
         check_document(doc, oracle, step)
+        twin_cdelta = twin.apply_delta(delta)
+        check_document(twin, oracle, step)
+        check_equal("leaf-divergence", cdelta.serialize(),
+                    twin_cdelta.serialize(), step,
+                    "cdelta, leaves vs the per-block twin")
 
+    check_equal("leaf-divergence", doc.wire(), twin.wire(), -1,
+                "wire, leaves vs the per-block twin")
     check_roundtrip(doc, oracle, -1)
     _check_coalescing(trace)
     return doc.wire()

@@ -121,19 +121,23 @@ class TestRpc:
     def test_load_equals_per_record(self, text, block_chars, changes):
         doc, records = _stored(text, "rpc", block_chars, changes)
         codec = doc._codec
-        state, out = codec.load(*record_columns(records))
+        state, chunks, leads, payloads = codec.load(*record_columns(records))
         reference = RpcState(r0=state.r0, version=state.version)
         tail = codec._cipher.decrypt_block(records[0].block)[-4:]
-        for (chunk, lead, payload), record in zip(out, records[1:-1]):
+        for i, record in enumerate(records[1:-1]):
             r_lead, r_chunk, r_tail, r_payload = codec.decrypt_record(record)
-            assert (chunk, lead, payload) == (r_chunk, r_lead, r_payload)
+            got = (chunks[i], leads[4 * i : 4 * i + 4],
+                   payloads[8 * i : 8 * i + 8])
+            assert got == (r_chunk, r_lead, r_payload)
             assert r_lead == tail  # the chain the batch check accepted
             tail = r_tail
             reference.add_block(r_lead, r_payload, len(r_chunk))
         assert tail == state.r0
-        assert len(out) == len(records) - 2
+        assert len(chunks) == len(records) - 2
+        assert len(leads) == 4 * len(chunks)
+        assert len(payloads) == 8 * len(chunks)
         assert state == reference == doc._state
-        assert "".join(chunk for chunk, _, _ in out) == doc.text
+        assert "".join(chunks) == doc.text
 
     @settings(max_examples=120, deadline=None)
     @given(documents.filter(bool), block_sizes, st.data())

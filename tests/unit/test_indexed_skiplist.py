@@ -188,3 +188,30 @@ class TestExtend:
     def test_extend_negative_width(self, sl):
         with pytest.raises(DataStructureError):
             sl.extend([("x", -1)])
+
+
+class TestCountedNodes:
+    """Items of ``(value, width, count)``: one node for ``count`` ranks."""
+
+    def test_ranks_count_elements(self, sl):
+        sl.extend([("a", 5, 3), ("b", 2, 1), ("c", 4, 2)])
+        assert len(sl) == 6 and sl.total_chars == 11
+        assert sl.locate(4) == ("c", 4, 7)
+        assert sl.locate_char(6) == ("b", 3, 5)
+        assert sl.find_char(6) == (3, 1)
+        assert sl.get_range(2, 5) == [("a", 5), ("b", 2), ("c", 4)]
+        assert sl.splice(3, 4, [("d", 1, 2)]) == [("b", 2)]
+        assert list(sl.items()) == [("a", 5), ("d", 1), ("c", 4)]
+        sl.checkrep()
+
+    def test_splice_inside_a_node_raises_and_changes_nothing(self, sl):
+        sl.extend([("a", 5, 3), ("b", 2, 1)])
+        for ra, rb in ((1, 3), (0, 2), (1, 1)):
+            with pytest.raises(DataStructureError, match="boundaries"):
+                sl.splice(ra, rb, [("x", 1)])
+        assert list(sl.items()) == [("a", 5), ("b", 2)] and len(sl) == 4
+        sl.checkrep()
+
+    def test_count_below_one_rejected(self, sl):
+        with pytest.raises(DataStructureError, match="count"):
+            sl.extend([("x", 1, 0)])

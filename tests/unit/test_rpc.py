@@ -49,19 +49,21 @@ def build(codec, chunks):
 class TestHappyPath:
     def test_round_trip(self, codec):
         _, records = build(codec, ["attack a", "t dawn"])
-        state, data = codec.load(*record_columns(records))
-        assert "".join(chunk for chunk, _, _ in data) == "attack at dawn"
+        state, chunks, leads, payloads = codec.load(*record_columns(records))
+        assert "".join(chunks) == "attack at dawn"
+        assert (len(leads), len(payloads)) == (4 * 2, 8 * 2)
         assert state.length == 14
 
     def test_empty_document(self, codec):
         _, records = build(codec, [])
-        state, data = codec.load(*record_columns(records))
-        assert data == [] and state.length == 0
+        state, chunks, leads, payloads = codec.load(*record_columns(records))
+        assert chunks == [] and leads == payloads == b""
+        assert state.length == 0
 
     def test_single_block(self, codec):
         _, records = build(codec, ["x"])
-        _, data = codec.load(*record_columns(records))
-        assert data[0][0] == "x"
+        _, chunks, _, _ = codec.load(*record_columns(records))
+        assert chunks == ["x"]
 
     def test_alpha_is_payload_width(self):
         assert len(ALPHA) == 8

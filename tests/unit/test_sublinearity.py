@@ -15,7 +15,13 @@ import math
 
 import pytest
 
-from repro.core import Delta, KeyMaterial, create_document, load_document
+from repro.core import (
+    LEAF_BLOCKS,
+    Delta,
+    KeyMaterial,
+    create_document,
+    load_document,
+)
 from repro.crypto.random import DeterministicRandomSource
 from repro.crypto.sha1 import STRIDE
 from repro.encoding.wire import Record
@@ -217,20 +223,26 @@ def test_full_save_after_reopen_costs_the_edit_not_the_document(scheme):
             f"{cap['wire.records_encoded']} records")
 
 
-#: tracked objects a loaded document holds besides its blocks (13-14
-#: measured): the document, codec, cipher, key schedules, header,
-#: scheme state, bookkeeping records, and the index with its head node
-#: and RNG
+#: tracked objects a loaded document holds besides its leaves (about
+#: 20 measured): the document, codec, cipher, key schedules, header,
+#: scheme state, bookkeeping records, the leaf store, and its outer
+#: index with its head node and RNG
 _MIRROR_OVERHEAD = 32
+
+#: tracked objects per leaf: the leaf, its text list, its prefix-sum
+#: list and its outer index node (its block, lead and payload columns
+#: are bytes, which the collector does not track)
+_PER_LEAF = 4
 
 
 @pytest.mark.parametrize("scheme", ["recb", "rpc"])
 @pytest.mark.parametrize("chars", [4_000, 40_000])
-def test_loaded_mirror_tracks_two_objects_per_block(scheme, chars):
-    """A reopened mirror holds at most two objects per block that the
-    cyclic garbage collector tracks (the block's meta and its skip-list
-    node), before and after a delta save: a full collection walks
-    every one of them, so an open's heap is its GC cost."""
+def test_loaded_mirror_tracks_a_few_objects_per_leaf(scheme, chars):
+    """A reopened mirror holds a few objects per leaf of ``LEAF_BLOCKS``
+    blocks that the cyclic garbage collector tracks, before and after a
+    delta save: a full collection walks every one of them, so an
+    open's heap is its GC cost, and a per-block structure would hold
+    two per block (~16x more at B = 32)."""
     source = create_document("lorem ipsum dolor sit amet " * (chars // 27),
                              key_material=KEYS, scheme=scheme,
                              rng=DeterministicRandomSource(5))
@@ -246,9 +258,12 @@ def test_loaded_mirror_tracks_two_objects_per_block(scheme, chars):
         saved = len(gc.get_objects()) - before
     finally:
         gc.enable()
-    bound = 2 * doc.block_count + _MIRROR_OVERHEAD
+    leaves = -(-doc.block_count // LEAF_BLOCKS)
+    bound = _PER_LEAF * leaves + _MIRROR_OVERHEAD
+    assert doc.block_count >= 16 * leaves  # the bound is per leaf
     assert loaded <= bound, (
-        f"{scheme}: {loaded} tracked objects for {doc.block_count} blocks")
+        f"{scheme}: {loaded} tracked objects for {doc.block_count} blocks "
+        f"(bound {bound})")
     assert saved <= bound, (
         f"{scheme}: {saved} tracked objects after one delta save")
 

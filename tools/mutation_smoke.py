@@ -24,9 +24,18 @@ The mutation table covers one oracle per stack layer:
 ``fresh-enc-shifts-block-slicing``
     ``EncryptedDocument._build_fresh`` — Enc, which stages a fresh
     document's chunks and encrypts them in one call with its
-    bookkeeping images — slices each data block's ciphertext one record
-    too early, so the first block takes the start record's ciphertext.
-    The engine profile's reload must flag it (``roundtrip``).
+    bookkeeping images — slices the data blocks' cipher column one
+    record too early before cutting it into leaves, so the first block
+    takes the start record's ciphertext.  The engine profile's reload
+    must flag it (``roundtrip``).
+``leaf-width-stale``
+    A splice that rewrites a mirror leaf in place
+    (``Leaf.replace``, :mod:`repro.core.leaves`) stops recomputing the
+    leaf's character prefix sums, so the sums — and the char total the
+    outer index takes from them — keep the old chunks' widths.  The
+    engine profile's per-step document checks must flag it
+    (``length-mismatch``: the mirror's length is the outer index's
+    char total).
 ``skiplist-splice-skips-upper-span``
     ``IndexedSkipList.splice`` — the block index's only write besides
     the bulk ``extend`` — stops widening the character span of the
@@ -188,14 +197,25 @@ MUTATIONS = (
     Mutation(
         name="fresh-enc-shifts-block-slicing",
         file="repro/core/document.py",
-        target=("        for meta, off in zip(metas, "
-                "range(data_start, data_end, 16)):"),
-        mutant=("        for meta, off in zip(metas, range(0, data_end, 16)):"
+        target=("        self._leaves.extend(chunks, blob[data_start:data_end], "
+                "leads, payloads)"),
+        mutant=("        self._leaves.extend(chunks, blob[data_start - 16:"
+                "data_end - 16], leads, payloads)"
                 "  # MUTANT: blocks sliced one record early"),
         fuzz_args=("--profile", "engine"),
         iters=10,
         blind_to="an Enc that slices its blocks out of step",
         kind="roundtrip",
+    ),
+    Mutation(
+        name="leaf-width-stale",
+        file="repro/core/leaves.py",
+        target="        self._refresh_ends(i)",
+        mutant="        pass  # MUTANT: leaf prefix sums left stale",
+        fuzz_args=("--profile", "engine"),
+        iters=10,
+        blind_to="a leaf splice that leaves its prefix sums stale",
+        kind="length-mismatch",
     ),
     Mutation(
         name="mirror-wire-not-spliced",
