@@ -86,7 +86,7 @@ class Workspace:
 
     def __init__(self, secret: str, *, server=None, transport=None,
                  scheme: str = "recb", block_chars: int = 8,
-                 index_factory=None, rng_seed: int | None = None):
+                 rng_seed: int | None = None):
         if (server is None) == (transport is None):
             raise ValueError(
                 "Workspace needs exactly one of server= or transport= "
@@ -99,7 +99,6 @@ class Workspace:
         self._transport = transport
         self._scheme = scheme
         self._block_chars = block_chars
-        self._index_factory = index_factory
         self._rng_seed = rng_seed
         #: doc_id -> its nonce stream, when ``rng_seed`` pins them
         self._rngs: dict[str, DeterministicRandomSource] = {}
@@ -168,7 +167,6 @@ class Workspace:
             transport=self._transport,
             scheme=self._scheme,
             block_chars=self._block_chars,
-            index_factory=self._index_factory,
             rng=self._session_rng(doc_id),
             verify_acks=True,
             clock=self.clock,

@@ -212,26 +212,15 @@ class Delta:
 
     # -- semantics --------------------------------------------------------
 
-    def apply(self, document) -> str:
+    def apply(self, document: str) -> str:
         """Apply this delta to ``document`` and return the result.
 
-        ``document`` is normally a plain string; the delta is replayed
-        into a fresh string in O(document) time.  It may instead be any
-        object exposing ``apply_delta(delta)`` (e.g. the gdocs store's
-        :class:`repro.services.gdocs.leaves.LeafText` — duck-typed so
-        the core layer needs no service import): the target is edited
-        in place, at the cost of the parts the delta touches, and
-        returned.
+        The delta is replayed into a fresh string in O(document) time.
+        A text kept as leaves (:class:`repro.core.leaves.LeafText`, the
+        gdocs store's and the mirror's stored wire) applies a delta in
+        place with its own ``apply_delta``, at the cost of the leaves
+        the delta touches.
         """
-        if not isinstance(document, str):
-            applier = getattr(document, "apply_delta", None)
-            if applier is None:
-                raise TypeError(
-                    f"Delta.apply target must be a str or expose "
-                    f"apply_delta(); got {type(document).__name__}"
-                )
-            applier(self)
-            return document
         pieces: list[str] = []
         cursor = 0
         for op in self._ops:

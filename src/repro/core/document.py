@@ -35,13 +35,13 @@ as needed — for RPC the checksum record is rewritten once per update
 (its running XOR aggregates make that O(1)), which is the paper's
 "slightly more, but constant, extra resources".
 
-The mirror applies the same cdelta to its own kept wire text, so
-:meth:`EncryptedDocument.wire` costs one string splice per update, not
-a Base32 re-encode of every record.  The extension verifies every Ack
-against :meth:`EncryptedDocument.wire_hash`, which keeps SHA-1
-midstates over that text and resumes from the last one before the
-cdelta's first changed character, so it hashes the suffix after the
-edit, not the whole wire.
+The mirror keeps its wire in the same :class:`repro.core.leaves.LeafText`
+the gdocs store keeps it in and applies each cdelta to it, so an update
+rewrites the wire leaves the cdelta touches instead of re-encoding
+every record in Base32.  The extension verifies every Ack against
+:meth:`EncryptedDocument.wire_hash`, that text's digest, which resumes
+from the SHA-1 midstate before the first changed leaf, so it hashes the
+suffix after the edit, not the whole wire.
 """
 
 from __future__ import annotations
@@ -63,13 +63,12 @@ from repro.core.delta import (
     SourceInsert,
 )
 from repro.core.keys import KeyMaterial
-from repro.core.leaves import NO_BLOCKS, BlockLeaves, Run
+from repro.core.leaves import NO_BLOCKS, BlockLeaves, LeafText, Run
 from repro.core.nonces import RPC_NONCE_BYTES
 from repro.core.recb import RecbCodec, RecbState
 from repro.core.rpc import RpcCodec, RpcState
 from repro.core.scheme import register_scheme, scheme_factory
 from repro.crypto.random import RandomSource, SystemRandomSource
-from repro.crypto.sha1 import Sha1Midstates
 from repro.datastructures import BlockIndex, IndexedSkipList
 from repro.encoding.wire import (
     RECORD_CHARS,
@@ -196,12 +195,9 @@ class EncryptedDocument(ABC):
         #: as ``(char_count, block)`` pairs
         self._prefix: list[tuple[int, bytes]] = []
         self._suffix: list[tuple[int, bytes]] = []
-        #: the stored wire text, built on first :meth:`wire` and then
-        #: kept in step by splicing each update's cdelta into it
-        self._wire: str | None = None
-        #: SHA-1 midstates over ``_wire`` (:meth:`wire_hash`), cut back
-        #: to each update's first changed character
-        self._wire_hash = Sha1Midstates()
+        #: the stored wire text, built on first use and then kept in
+        #: step by applying each update's cdelta to it
+        self._wire: LeafText | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -261,7 +257,7 @@ class EncryptedDocument(ABC):
         canonical = doc._header.encode()
         if not wire_text.startswith(canonical):
             wire_text = canonical + area
-        doc._wire = wire_text
+        doc._wire = LeafText(wire_text)
         return doc
 
     def _set_keys(self, key_material: KeyMaterial) -> None:
@@ -306,7 +302,6 @@ class EncryptedDocument(ABC):
                         for i in range(data_end, len(blob), 16)]
         self._leaves.extend(chunks, blob[data_start:data_end], leads, payloads)
         self._wire = None
-        self._wire_hash.truncate(0)
 
     def _rebuild(self, text: str) -> None:
         """Enc of ``text``, continuing this document's RPC version."""
@@ -371,22 +366,25 @@ class EncryptedDocument(ABC):
         """Dec: the current plaintext."""
         return "".join(self._leaves.texts())
 
-    def wire(self) -> str:
-        """The full stored form: header + bookkeeping + data records.
-
-        Encoded from the records on first use only; every later update
-        splices its cdelta into the kept text, so a delta save encodes
-        just its new records instead of the whole document.
-        """
+    def _kept_wire(self) -> LeafText:
+        """The kept wire text, encoded from the records on first use
+        only; every later update applies its cdelta to it, so a delta
+        save encodes just its new records instead of the whole
+        document."""
         if self._wire is None:
-            self._wire = self._header.encode() + encode_area(*self._columns())
+            self._wire = LeafText(
+                self._header.encode() + encode_area(*self._columns()))
         return self._wire
+
+    def wire(self) -> str:
+        """The full stored form: header + bookkeeping + data records."""
+        return self._kept_wire().join()
 
     def wire_hash(self) -> str:
         """The SHA-1 hex digest of :meth:`wire` — the gdocs Ack's
         ``contentFromServerHash`` of the stored text — hashing only the
-        wire after the last midstate no update has changed since."""
-        return self._wire_hash.hexdigest(self.wire())
+        wire leaves no update has changed since the last digest."""
+        return self._kept_wire().hexdigest()
 
     def wire_length(self) -> int:
         """Length of :meth:`wire` without materializing it."""
@@ -610,8 +608,7 @@ class EncryptedDocument(ABC):
 
         cdelta = Delta(ops)
         if self._wire is not None:
-            self._wire = cdelta.apply(self._wire)
-            self._wire_hash.truncate(ops[0].count)  # the leading Retain
+            self._wire.apply_delta(cdelta)
         return cdelta
 
     def _locate_span(

@@ -1,4 +1,7 @@
-"""The mirror's block store: leaves of consecutive blocks under one index.
+"""Leaf stores: the mirror's blocks, and the stored wire text.
+
+:class:`BlockLeaves` is the mirror's block store: leaves of consecutive
+blocks under one index.
 
 The paper indexes every encrypted block by character position in a
 skip list (SV-C).  The mirror keeps that index over **leaves** instead:
@@ -32,20 +35,53 @@ Operation counts follow the per-block structures': a leaf bisect adds
 its steps to ``index.node_visits`` and every block a read or a splice
 covers adds one to ``index.range_visits``, on top of the outer index's
 own counts.
+
+:class:`LeafText` is the stored wire text itself, held the same way on
+both sides of a gdocs save: the server's store keeps every document in
+one and the mirror keeps its wire in one.  Every save is answered with
+``contentFromServerHash``, the SHA-1 of the stored text, which both
+sides must compute, and both an update and its hash should cost what
+the edit touches, not the document.  So the text is a list of leaves
+— consecutive substrings of at most ``2 * LEAF_CHARS`` characters —
+with their end offsets and the SHA-1 midstate (a copied Python
+``sha1`` object, the chaining value) after each:
+
+* :meth:`LeafText.apply_delta` rewrites only the leaves an edit
+  touches: one string splice of those leaves per insert or delete,
+  one C-level prefix-sum pass for the end offsets after it, and it
+  drops the midstates from the first touched leaf on.  It returns the
+  text each delete removed, which is what the store's inverse log
+  needs.
+* :meth:`LeafText.hexdigest` resumes from the last midstate kept, so
+  SHA-1 (Merkle–Damgård: the hash of ``a + b`` is the chaining value
+  after ``a`` fed ``b``) reads the leaves from the first changed one
+  on.  It never joins them.
+* :meth:`LeafText.join` builds the whole text.
+
+A text of up to ``2 * LEAF_CHARS`` characters is one leaf, and an edit
+to it is one string splice.  A leaf that grows past the cap splits
+evenly into leaves of ``LEAF_CHARS // 2`` to ``LEAF_CHARS``; an edit
+that leaves one shorter absorbs its right neighbour.  So no leaf is
+empty, and every leaf but the last holds at least ``LEAF_CHARS // 2``.
+A midstate is a chaining value of text its holder already has: no key,
+nothing the text itself does not give away (docs/security.md).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate, chain
+from hashlib import sha1
+from itertools import accumulate, chain, islice
 from typing import Callable, Iterator, NamedTuple
 
 from repro.core.blocks import PAYLOAD_BYTES
+from repro.core.delta import Delete, Delta, Insert, Retain
 from repro.core.nonces import RPC_NONCE_BYTES
-from repro.errors import DataStructureError
+from repro.errors import DataStructureError, DeltaApplicationError
 from repro.obs import counter
 
-__all__ = ["NO_BLOCKS", "BlockLeaves", "Leaf", "Run"]
+__all__ = ["LEAF_CHARS", "NO_BLOCKS", "BlockLeaves", "Leaf", "LeafText",
+           "Run"]
 
 #: shared with the per-block index structures
 _NODE_VISITS = counter("index.node_visits")
@@ -354,3 +390,120 @@ class BlockLeaves:
         if rank != len(self._outer) or chars != self._outer.total_chars:
             raise DataStructureError("outer totals out of step")
 
+
+#: L: a split text leaf holds at most L characters, any text leaf at most 2L
+LEAF_CHARS = 8_192
+
+#: bytes fed to SHA-1 by every :class:`LeafText` digest, the store's and
+#: the mirror's: the suffix after each change, not the whole text
+_SHA1_BYTES = counter("crypto.sha1.bytes")
+
+
+def _split(text: str) -> list[str]:
+    """``text`` as leaves: itself up to 2L, else even parts of L/2 to L."""
+    n = len(text)
+    if n <= 2 * LEAF_CHARS:
+        return [text] if text else []
+    parts = -(-n // LEAF_CHARS)
+    return [text[n * i // parts:n * (i + 1) // parts] for i in range(parts)]
+
+
+class LeafText:
+    """A mutable string stored as bounded leaves with SHA-1 midstates."""
+
+    __slots__ = ("_leaves", "_ends", "_states", "walked")
+
+    def __init__(self, text: str = "") -> None:
+        self.reset(text)
+        #: leaves the last :meth:`apply_delta` rewrote, neighbours it
+        #: merged included
+        self.walked = 0
+
+    @property
+    def length(self) -> int:
+        """Length in characters, without joining."""
+        return self._ends[-1] if self._ends else 0
+
+    def join(self) -> str:
+        """The whole text."""
+        return "".join(self._leaves)
+
+    def hexdigest(self) -> str:
+        """SHA-1 of the text, fed the leaves from the first one changed
+        since the last digest (equal to ``content_hash(self.join())``)."""
+        leaves, states = self._leaves, self._states
+        state = states[-1] if states else sha1()
+        for leaf in leaves[len(states):]:
+            data = leaf.encode()
+            state = state.copy()
+            state.update(data)
+            _SHA1_BYTES.inc(len(data))
+            states.append(state)
+        return state.hexdigest()
+
+    def reset(self, text: str) -> None:
+        """Replace the whole text (a full save)."""
+        self._leaves = _split(text)
+        self._ends = list(accumulate(map(len, self._leaves)))
+        #: ``_states[i]`` has hashed leaves ``0..i`` (UTF-8 encoded)
+        self._states: list = []
+
+    def apply_delta(self, delta: Delta) -> list[str]:
+        """Apply ``delta`` in place, rewriting only the leaves it touches.
+
+        Returns the text each ``Delete`` removed, in op order — what
+        :meth:`Delta.inverse` needs to undo the edit.  Atomic: a delta
+        that does not fit raises :class:`DeltaApplicationError` and
+        leaves the text unchanged.
+        """
+        leaves, ends = self._leaves, self._ends
+        length = self.length
+        consumed = sum(op.count for op in delta.ops if type(op) is not Insert)
+        if consumed > length:  # checked before anything changes
+            raise DeltaApplicationError(
+                f"delta consumes {consumed} chars, text has {length}")
+        cursor, deleted = 0, []
+        if len(leaves) == 1:  # one leaf: one string splice
+            old, text = leaves[0], delta.apply(leaves[0])
+            for op in delta.ops:
+                if type(op) is Delete:
+                    deleted.append(old[cursor:cursor + op.count])
+                if type(op) is not Insert:
+                    cursor += op.count
+            if 0 < len(text) <= 2 * LEAF_CHARS:
+                leaves[0], ends[0] = text, len(text)
+            else:
+                leaves[:] = _split(text)
+                ends[:] = accumulate(map(len, leaves))
+            first, walked = 0, 1
+        else:
+            first, walked = len(leaves), 0
+            for op in delta.ops:
+                if type(op) is Retain:
+                    cursor += op.count
+                    continue
+                lo = max(0, min(bisect_right(ends, cursor), len(leaves) - 1))
+                start = ends[lo - 1] if lo else 0
+                at = cursor - start
+                if type(op) is Insert:
+                    hi, text = lo, leaves[lo] if leaves else ""
+                    text = text[:at] + op.text + text[at:]
+                    cursor += len(op.text)
+                else:
+                    hi = bisect_right(ends, cursor + op.count - 1)
+                    text = "".join(leaves[lo:hi + 1])
+                    deleted.append(text[at:at + op.count])
+                    text = text[:at] + text[at + op.count:]
+                if len(text) < LEAF_CHARS // 2 and hi < len(leaves) - 1:
+                    hi += 1  # too short: absorb the right neighbour
+                    text += leaves[hi]
+                walked += hi - lo + 1
+                leaves[lo:hi + 1] = _split(text)
+                ends[lo:] = islice(
+                    accumulate(map(len, leaves[lo:]), initial=start), 1, None)
+                first = min(first, lo)
+        # every midstate from the first rewritten leaf on hashed text
+        # that is gone
+        del self._states[first:]
+        self.walked = walked
+        return deleted

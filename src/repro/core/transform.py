@@ -15,8 +15,6 @@ in the form fields the mediator rewrites.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.core.delta import Delta
 from repro.core.document import (
     EncryptedDocument,
@@ -25,7 +23,6 @@ from repro.core.document import (
 )
 from repro.core.keys import KeyMaterial
 from repro.crypto.random import RandomSource
-from repro.datastructures import BlockIndex
 from repro.errors import TransformError
 
 __all__ = ["EncryptionEngine"]
@@ -40,13 +37,11 @@ class EncryptionEngine:
         scheme: str = "recb",
         block_chars: int = 8,
         rng: RandomSource | None = None,
-        index_factory: Callable[[], BlockIndex] | None = None,
     ):
         self._password = password
         self._scheme = scheme
         self._block_chars = block_chars
         self._rng = rng
-        self._index_factory = index_factory
         self._keys: KeyMaterial | None = None
         self._mirror: EncryptedDocument | None = None
         #: set by :meth:`taint`: the next full save re-encrypts afresh
@@ -78,7 +73,6 @@ class EncryptionEngine:
             scheme=self._scheme,
             block_chars=self._block_chars,
             rng=self._rng,
-            index_factory=self._index_factory,
             version=version,
         )
         self._tainted = False
@@ -124,7 +118,6 @@ class EncryptionEngine:
             wire_text,
             password=self._password,
             rng=self._rng,
-            index_factory=self._index_factory,
         )
         self._keys = self._mirror.key_material
         self._scheme = self._mirror.scheme

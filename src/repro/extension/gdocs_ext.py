@@ -83,7 +83,6 @@ class GDocsExtension:
         scheme: str = "recb",
         block_chars: int = 8,
         rng=None,
-        index_factory=None,
         countermeasures: Countermeasures | None = None,
         clock: SimClock | None = None,
         decrypt_acks: bool = False,
@@ -96,7 +95,6 @@ class GDocsExtension:
         self._scheme = scheme
         self._block_chars = block_chars
         self._rng = rng
-        self._index_factory = index_factory
         self._counter = countermeasures or Countermeasures.none()
         self._clock = clock
         #: beyond-the-paper option: decrypt Ack content instead of
@@ -141,7 +139,6 @@ class GDocsExtension:
                 scheme=self._scheme,
                 block_chars=self._block_chars,
                 rng=self._rng,
-                index_factory=self._index_factory,
             )
         return self._engines[doc_id]
 

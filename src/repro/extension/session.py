@@ -75,7 +75,6 @@ class PrivateEditingSession:
         latency: LatencyModel | None = None,
         extension_enabled: bool = True,
         rng=None,
-        index_factory=None,
         decrypt_acks: bool = False,
         stego: bool = False,
         freshness: FreshnessMonitor | None = None,
@@ -132,7 +131,6 @@ class PrivateEditingSession:
                 scheme=scheme,
                 block_chars=block_chars,
                 rng=rng,
-                index_factory=index_factory,
                 clock=self.channel.clock,
                 decrypt_acks=decrypt_acks,
                 stego=stego,
@@ -148,9 +146,7 @@ class PrivateEditingSession:
         else:
             extension = WholeFileExtension(
                 backend, self.vault, scheme=scheme,
-                block_chars=block_chars, rng=rng,
-                index_factory=index_factory,
-            )
+                block_chars=block_chars, rng=rng)
             self.client = ResilientClient(self.channel, doc_id, backend,
                                           policy=retry_policy)
         self.extension = extension if extension_enabled else None

@@ -31,14 +31,12 @@ class WholeFileExtension:
     """Mediator encrypting the content of whole-file saves."""
 
     def __init__(self, backend: ServiceBackend, vault: PasswordVault, *,
-                 scheme: str = "recb", block_chars: int = 8, rng=None,
-                 index_factory=None):
+                 scheme: str = "recb", block_chars: int = 8, rng=None):
         self._backend = backend
         self._vault = vault
         self._scheme = scheme
         self._block_chars = block_chars
         self._rng = rng
-        self._index_factory = index_factory
         self._engines: dict[str, EncryptionEngine] = {}
         self.warnings: list[str] = []
 
@@ -52,7 +50,6 @@ class WholeFileExtension:
                 scheme=self._scheme,
                 block_chars=self._block_chars,
                 rng=self._rng,
-                index_factory=self._index_factory,
             )
         return self._engines[doc_id]
 

@@ -170,6 +170,9 @@ class Trace:
     seed: int
     mode: str = "engine"
     scheme: str = "recb"
+    #: the mirror's index structure in engine traces; networked modes
+    #: draw it too, so seeded traces keep their bytes, but run the
+    #: default skip list (every structure yields the same wire)
     index: str = "skiplist"
     store: str = "both"
     block_chars: int = 8

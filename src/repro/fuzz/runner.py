@@ -6,13 +6,14 @@ Three execution modes, selected by ``Trace.mode``:
     The core pipeline with no network: an :class:`EncryptedDocument`
     built over the trace's scheme × index, with the resulting cdeltas
     applied to a *flat wire string* and a :class:`LeafText` — the
-    gdocs store's bounded leaves — which must stay byte-equal to the
-    client's own rewrite, while the leaf table's midstate digest and
-    the mirror's ``wire_hash`` must equal the SHA-1 of that rewrite
-    (the Ack check).  A per-block twin of the mirror (one block per
-    leaf, the paper's index; :func:`repro.core.document.per_block`),
-    built from its own copy of the seed, takes the same deltas and
-    must return the same cdeltas and pass the same document checks.
+    stored-wire type of the gdocs store and of the mirror itself —
+    which must stay byte-equal to the client's own rewrite, while the
+    leaf table's midstate digest and the mirror's ``wire_hash`` must
+    equal the SHA-1 of that rewrite (the Ack check).  A per-block twin
+    of the mirror (one block per leaf, the paper's index;
+    :func:`repro.core.document.per_block`), built from its own copy of
+    the seed, takes the same deltas and must return the same cdeltas
+    and pass the same document checks.
     Checks run after every op; the trace ends with a fresh
     ``load_document`` round-trip (full parse + decrypt + RPC checksum
     verification).
@@ -70,6 +71,7 @@ from repro.client.coalesce import EditCoalescer
 from repro.client.workspace import Workspace
 from repro.core.document import create_document, per_block
 from repro.core.keys import KeyMaterial
+from repro.core.leaves import LeafText
 from repro.core.scheme import scheme_factory
 from repro.crypto.random import DeterministicRandomSource
 from repro.datastructures import IndexedAVL, IndexedSkipList, ReferenceIndex
@@ -101,7 +103,6 @@ from repro.obs.metrics import counter
 from repro.security.adversary import ActiveServerAdversary
 from repro.services import registry
 from repro.services.gdocs import protocol as gdocs_protocol
-from repro.services.gdocs.leaves import LeafText
 from repro.services.gdocs.server import GDocsServer
 
 __all__ = ["SENTINEL", "FuzzReport", "FuzzRunner", "run_trace", "execute_trace"]
@@ -192,7 +193,7 @@ def _run_engine(trace: Trace) -> str:
             flat = cdelta.apply(flat)
             check_store("flat", flat, reference, step)
         if leaves is not None:
-            cdelta.apply(leaves)
+            leaves.apply_delta(cdelta)
             check_store("leaf", leaves.join(), reference, step)
             check_equal("ack-divergence", leaves.hexdigest(), acked, step,
                         "leaf store Ack hash vs the SHA-1 of the reference")
@@ -308,7 +309,6 @@ def _session(trace: Trace, *, server=None, seed_salt: int = 0,
         scheme=trace.scheme,
         block_chars=trace.block_chars,
         rng=DeterministicRandomSource((trace.seed << 4) + seed_salt + 1),
-        index_factory=_INDEX_FACTORIES[trace.index],
         faults=faults,
         retry_policy=RetryPolicy(seed=trace.seed + seed_salt),
         verify_acks=True,
@@ -484,7 +484,6 @@ def _run_workspace(trace: Trace) -> str:
         server=server,
         scheme=trace.scheme,
         block_chars=trace.block_chars,
-        index_factory=_INDEX_FACTORIES[trace.index],
         rng_seed=trace.seed,
     )
     # the catalog channel keeps only a ring of recent exchanges; the

@@ -16,10 +16,11 @@ threat analysis depends on them:
 * **quota** — Google enforced a maximum file size of 500 kB, which is
   why ciphertext blow-up matters (SV-C).
 
-Storage is a :class:`~repro.services.gdocs.leaves.LeafText`: the text
-as leaves of at most ``2 * LEAF_CHARS`` characters, each with its end
-offset and the SHA-1 midstate after it.  An incremental save rewrites
-only the leaves it touches, and the Ack's ``contentFromServerHash``
+Storage is a :class:`~repro.core.leaves.LeafText`, the same stored-wire
+type the client's mirror keeps: the text as leaves of at most
+``2 * LEAF_CHARS`` characters, each with its end offset and the SHA-1
+midstate after it.  An incremental save rewrites only the leaves it
+touches, and the Ack's ``contentFromServerHash``
 (:meth:`StoredDocument.content_hash`) hashes from the first changed
 leaf on, so both cost the edit and the suffix after it, not a join of
 the document.  History is one per-revision log: the head plus, per
@@ -37,13 +38,13 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.core.delta import Delta
+from repro.core.leaves import LeafText
 from repro.errors import (
     DeltaApplicationError,
     ProtocolError,
     QuotaExceededError,
 )
-from repro.obs import gauge
-from repro.services.gdocs.leaves import LeafText
+from repro.obs import counter, gauge
 
 __all__ = [
     "MAX_DOCUMENT_CHARS",
@@ -62,6 +63,11 @@ DEFAULT_MAX_HISTORY = 256
 #: characters held by every stored document in the process: each
 #: document adds its own length changes, so servers sum
 _STORED_BYTES = gauge("services.gdocs.stored_bytes")
+
+#: leaves a store apply rewrote (the store's cost, not the document's);
+#: the name predates the leaf table, and perfbench's per-layer list
+#: reads it
+_LEAVES_WALKED = counter("gdocs.pieces.walked")
 
 
 class RevisionHistory:
@@ -254,9 +260,11 @@ class StoredDocument:
         delta = Delta.parse(delta_text)
         before = self._table.length
         inverse = delta.inverse(self._table.apply_delta(delta))
+        _LEAVES_WALKED.inc(self._table.walked)
         if self._table.length > MAX_DOCUMENT_CHARS:
             would_be = self._table.length
             self._table.apply_delta(inverse)
+            _LEAVES_WALKED.inc(self._table.walked)
             raise QuotaExceededError(
                 f"document {self.doc_id!r} would be {would_be} "
                 f"chars; limit is {MAX_DOCUMENT_CHARS}"

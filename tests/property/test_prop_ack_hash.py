@@ -1,29 +1,28 @@
 """Midstate Ack hashes equal ``protocol.content_hash`` on every input.
 
-Both sides of a gdocs save keep SHA-1 midstates instead of hashing the
-whole stored text: the store one after each of its leaves
-(``StoredDocument.content_hash``), the mirror one every ``STRIDE``
-characters of its kept wire (``EncryptedDocument.wire_hash``).  Every
-change must cut them back to its first changed character, or the next
-digest resumes from a chaining value of text that is gone.  Random
-histories here check both against the definition,
-``protocol.content_hash`` of the joined text, at points the history
-picks, so midstates live across several changes between checks.  Small
-leaf caps and strides put leaf and stride boundaries everywhere.
+Both sides of a gdocs save keep the stored text in a
+:class:`repro.core.leaves.LeafText`, with a SHA-1 midstate after each
+of its leaves, instead of hashing the whole text: the store
+(``StoredDocument.content_hash``) and the mirror's kept wire
+(``EncryptedDocument.wire_hash``).  Every change must drop the
+midstates from its first changed leaf on, or the next digest resumes
+from a chaining value of text that is gone.  Random histories here
+check both against the definition, ``protocol.content_hash`` of the
+joined text, at points the history picks, so midstates live across
+several changes between checks.  Small leaf caps put leaf boundaries
+everywhere.
 """
 
 import random
 
 import pytest
 
-from repro.core import KeyMaterial, create_document, load_document
+from repro.core import KeyMaterial, create_document, leaves, load_document
 from repro.core.transform import EncryptionEngine
-from repro.crypto import sha1
 from repro.crypto.random import DeterministicRandomSource
 from repro.errors import QuotaExceededError
 from repro.extension.session import PrivateEditingSession
 from repro.security.adversary import ActiveServerAdversary
-from repro.services.gdocs import leaves
 from repro.services.gdocs.protocol import content_hash
 from repro.services.gdocs.storage import MAX_DOCUMENT_CHARS, DocumentStore
 
@@ -117,9 +116,9 @@ def _mirror_step(rng, doc, reach):
 
 
 @pytest.mark.parametrize("scheme", ["recb", "rpc"])
-@pytest.mark.parametrize("stride", [32, 512, sha1.STRIDE])
-def test_mirror_digest_is_content_hash(scheme, stride, monkeypatch):
-    monkeypatch.setattr(sha1, "STRIDE", stride)
+@pytest.mark.parametrize("leaf_chars", [32, 512, leaves.LEAF_CHARS])
+def test_mirror_digest_is_content_hash(scheme, leaf_chars, monkeypatch):
+    monkeypatch.setattr(leaves, "LEAF_CHARS", leaf_chars)
     for seed in range(12):
         rng = random.Random(seed)
         doc = create_document(_text(rng, rng.randrange(0, 3_000)),
@@ -135,7 +134,7 @@ def test_mirror_digest_is_content_hash(scheme, stride, monkeypatch):
 @pytest.mark.parametrize("scheme", ["recb", "rpc"])
 def test_spliced_full_save_after_reopen(scheme, monkeypatch):
     """A reopened mirror (``load``) spliced by a full save's delta."""
-    monkeypatch.setattr(sha1, "STRIDE", 256)
+    monkeypatch.setattr(leaves, "LEAF_CHARS", 256)
     rng = random.Random(5)
     first = EncryptionEngine("pw", scheme=scheme,
                              rng=DeterministicRandomSource(2))

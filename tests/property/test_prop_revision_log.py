@@ -16,7 +16,7 @@ import pytest
 from repro.core.delta import Delta
 from repro.errors import QuotaExceededError
 from repro.security.adversary import ActiveServerAdversary
-from repro.services.gdocs.leaves import LEAF_CHARS
+from repro.core.leaves import LEAF_CHARS
 from repro.services.gdocs.storage import MAX_DOCUMENT_CHARS, DocumentStore
 
 SEEDS = 100

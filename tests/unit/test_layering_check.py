@@ -38,6 +38,14 @@ def test_client_importing_a_server_module_is_flagged(lint):
     assert "server internals" in problems[0]
 
 
+def test_every_banned_server_module_exists(lint):
+    """A ban on a module that is gone guards nothing: when a server
+    module moves or goes, its entry must follow."""
+    for module in lint.SERVER_MODULES:
+        path = lint.SRC.parent.joinpath(*module.split("."))
+        assert path.with_suffix(".py").is_file() or path.is_dir(), module
+
+
 def test_client_importing_the_registry_is_flagged(lint):
     problems = lint.check_source(
         "repro.client.sneaky",

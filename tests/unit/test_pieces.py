@@ -1,9 +1,9 @@
 """Leaf-table store: string equivalence, atomicity, history cap.
 
 The gdocs server stores each document as a
-:class:`~repro.services.gdocs.leaves.LeafText` — the text as a table of
-bounded pieces, its leaves — and applies deltas by rewriting only the
-leaves they touch.  These tests pin the two load-bearing claims: (1)
+:class:`~repro.core.leaves.LeafText` — the text as a table of bounded
+pieces, its leaves, the same stored-wire type the client's mirror keeps
+— and applies deltas by rewriting only the leaves they touch.  These tests pin the two load-bearing claims: (1)
 the leaf apply path is *observationally identical* to ``Delta.apply``
 on a plain string, under arbitrary random edit histories and across
 leaf splits and merges, and the deleted spans it returns invert every
@@ -16,10 +16,13 @@ import random
 
 import pytest
 
+from repro.core import leaves
 from repro.core.delta import Delta
+from repro.core.leaves import LeafText
+from repro.crypto.random import DeterministicRandomSource
 from repro.errors import DeltaApplicationError, QuotaExceededError
-from repro.services.gdocs import leaves
-from repro.services.gdocs.leaves import LeafText
+from repro.extension.session import PrivateEditingSession
+from repro.obs import capture
 from repro.services.gdocs.storage import (
     MAX_DOCUMENT_CHARS,
     DocumentStore,
@@ -63,7 +66,7 @@ class TestPieceTableEquivalence:
         for _ in range(rounds):
             delta = random_delta(rng, len(text))
             text = delta.apply(text)
-            delta.apply(table)  # duck-typed leaf-table target
+            table.apply_delta(delta)
             assert table.length == len(text)
         assert table.join() == text
         cap = 2 * leaves.LEAF_CHARS
@@ -76,8 +79,10 @@ class TestPieceTableEquivalence:
         text = "hello world" * (size // 11)
         table = LeafText(text)
         digest = table.hexdigest()
-        with pytest.raises(DeltaApplicationError):
-            Delta.parse(f"={len(text) - 5}\t-99").apply(table)
+        with pytest.raises(DeltaApplicationError,
+                           match=f"delta consumes {len(text) + 94} chars, "
+                                 f"text has {len(text)}"):
+            table.apply_delta(Delta.parse(f"={len(text) - 5}\t-99"))
         assert table.join() == text
         assert table.length == len(text)
         assert table.hexdigest() == digest
@@ -161,3 +166,23 @@ class TestQuotaAtomicity:
         assert doc.length == MAX_DOCUMENT_CHARS
         assert doc.revision == 1
         assert doc.content.startswith("ab")
+
+
+class TestStoreCounters:
+    def test_verified_delta_save_walks_one_store_leaf(self):
+        """``gdocs.pieces.walked`` counts the store's leaves only: the
+        mirror applies every cdelta to a ``LeafText`` of its own, and
+        that apply must not add to the store's counter."""
+        session = PrivateEditingSession("walked", "pw", verify_acks=True,
+                                        rng=DeterministicRandomSource(4))
+        session.open()
+        session.type_text(0, "a short document, one leaf on both sides")
+        assert session.save().kind == "full"
+        session.type_text(2, "very ")
+        with capture() as cap:
+            outcome = session.save()
+        assert outcome.kind == "delta" and outcome.ok
+        assert not outcome.complaints
+        stored = session.server.store.get("walked")
+        assert len(stored._table._leaves) == 1
+        assert cap["gdocs.pieces.walked"] == 1

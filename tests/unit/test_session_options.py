@@ -4,9 +4,8 @@ Stego, freshness and ``decrypt_acks`` act on deltas and Ack content,
 so they need ``capabilities.incremental_updates``; the workspace
 ``indexer`` (and the audit trail its saves opt into) rides save acks,
 so it needs ``capabilities.catalog_acks``.  The whole-file services
-(Bespin, Buzzword) have neither.  ``verify_acks`` and ``index_factory`` stay
-accepted everywhere: whole-file acks abstain from the hash check by
-protocol, and the whole-file engine honours the index choice.  A
+(Bespin, Buzzword) have neither.  ``verify_acks`` stays accepted
+everywhere: whole-file acks abstain from the hash check by protocol.  A
 ``server`` next to a ``transport`` (which replaces the local server)
 raises on every service.
 """
@@ -15,7 +14,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.datastructures import IndexedAVL
 from repro.extension.catalog import WorkspaceIndexer
 from repro.extension.freshness import FreshnessMonitor
 from repro.extension.session import PrivateEditingSession
@@ -42,19 +40,11 @@ def test_whole_file_service_rejects_option(service, option):
 
 @pytest.mark.parametrize("service", WHOLE_FILE)
 def test_whole_file_service_keeps_protocol_neutral_options(service):
-    built = []
-
-    def index_factory():
-        built.append(IndexedAVL())
-        return built[-1]
-
     session = PrivateEditingSession("d", "pw", service=service,
-                                    verify_acks=True,
-                                    index_factory=index_factory)
+                                    verify_acks=True)
     session.open()
     session.type_text(0, "still private")
     assert session.save().ok
-    assert built  # the whole-file engine built its index from the factory
 
 
 @pytest.mark.parametrize("service", registry.SERVICE_NAMES)

@@ -22,13 +22,12 @@ from repro.core import (
     create_document,
     load_document,
 )
+from repro.core.leaves import LEAF_CHARS
 from repro.crypto.random import DeterministicRandomSource
-from repro.crypto.sha1 import STRIDE
 from repro.encoding.wire import Record
 from repro.extension.gdocs_ext import GDocsExtension
 from repro.extension.session import PrivateEditingSession
 from repro.obs import capture
-from repro.services.gdocs.leaves import LEAF_CHARS
 
 KEYS = KeyMaterial.from_password("sublinear", salt=b"sublinear1")
 
@@ -140,8 +139,9 @@ def test_verified_delta_save_hashes_the_changed_suffix(scheme,
     """Both SHA-1 runs of a verified delta save — the server's
     ``contentFromServerHash`` and the extension's Ack check — resume
     from midstates.  An edit in the last 1% of the document hashes the
-    suffix after its first changed wire character, plus at most one
-    leaf (2L) before it on the server and one stride on the client.
+    suffix after its first changed wire character, plus the part of the
+    first changed leaf before it, on the server and on the client,
+    which keep the same leaves of the same wire.
     An edit at character 0 hashes the whole wire on both sides."""
     text = (TEXT * 4)[:stored_chars * 2 // 7]  # ~3.5 wire chars each
     session = PrivateEditingSession("hashed", "pw", scheme=scheme,
@@ -164,7 +164,7 @@ def test_verified_delta_save_hashes_the_changed_suffix(scheme,
 
     hashed, suffix = hashed_by_save(len(text) * 99 // 100)
     assert suffix <= stored.length // 50
-    bound = 2 * suffix + 2 * LEAF_CHARS + STRIDE
+    bound = 2 * suffix + 3 * LEAF_CHARS
     assert 0 < hashed <= bound, (
         f"{scheme}: an edit {suffix} chars from the end of a "
         f"{stored.length}-char document hashed {hashed} bytes "

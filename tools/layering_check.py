@@ -12,7 +12,7 @@ enforces the layering that ``docs/architecture.md`` documents:
   response builders (``repro.services.gdocs.protocol``,
   ``repro.services.bespin``'s builders, ``repro.services.buzzword``'s
   XML helpers).  The *simulated servers* and their storage
-  (``repro.services.gdocs.server`` / ``storage`` / ``leaves``), the
+  (``repro.services.gdocs.server`` / ``storage``), the
   replication facade (``repro.services.replicated``), and the
   server-constructing ``repro.services.registry`` are off limits: a client that imports a server is a client whose
   tests prove nothing about the wire contract.
@@ -68,7 +68,6 @@ SRC = REPO / "src" / "repro"
 SERVER_MODULES = (
     "repro.services.gdocs.server",
     "repro.services.gdocs.storage",
-    "repro.services.gdocs.leaves",
     "repro.services.replicated",
 )
 

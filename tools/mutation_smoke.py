@@ -58,9 +58,9 @@ The mutation table covers one oracle per stack layer:
     every trapdoor lookup.  The workspace profile's plaintext word
     oracle must flag it (``search-mismatch``).
 ``mirror-wire-not-spliced``
-    The mirror stops splicing each update's cdelta into its kept wire
-    text (``EncryptedDocument._apply_clusters``), so ``wire()`` keeps
-    returning the pre-edit ciphertext.  The server-side stores still
+    The mirror stops applying each update's cdelta to its kept wire
+    text (``EncryptedDocument._apply_clusters``, ``LeafText.apply_delta``),
+    so ``wire()`` keeps returning the pre-edit ciphertext.  The server-side stores still
     match the records, so only the engine profile's from-records
     reference check must flag it (``wire-divergence``).
 ``full-save-skips-mirror-splice``
@@ -117,19 +117,16 @@ The mutation table covers one oracle per stack layer:
     test that counts the save exchanges a Bespin settle sends.
 
 ``leaf-midstate-not-truncated``
-    The gdocs store's leaf table (``LeafText.apply_delta``) stops
-    cutting its SHA-1 midstates back to the first leaf a multi-leaf
-    splice touched, so the next ``contentFromServerHash`` resumes from
-    a chaining value of text that is gone (or returns the old digest).
-    Fuzz documents fit in one leaf, whose splice path cuts the
-    midstates on its own line, so the entry runs the property test
-    that checks the store's digest over random multi-leaf histories.
+    The stored-wire text (``LeafText.apply_delta``, which the one-leaf
+    and the multi-leaf paths both end in) stops dropping the SHA-1
+    midstates from the first leaf an apply rewrote, so the next digest
+    resumes from a chaining value of text that is gone (or returns the
+    old digest).  The entry runs the property test that checks the
+    gdocs store's digest over random multi-leaf histories.
 ``mirror-digest-not-truncated``
-    The mirror (``EncryptedDocument._apply_clusters``) splices each
-    cdelta into its kept wire but stops cutting the wire's SHA-1
-    midstates back to the cdelta's leading ``Retain``, so
-    ``wire_hash`` — the extension's Ack check — answers for the old
-    wire.  The ci profile's engine traces must flag it
+    The same line, caught where the mirror keeps its wire in a
+    ``LeafText``: ``wire_hash`` — the extension's Ack check — answers
+    for the old wire.  The ci profile's engine traces must flag it
     (``ack-divergence``).
 ``history-skips-inverse-step``
     The server's revision log (``RevisionHistory._versions``) skips the
@@ -220,7 +217,7 @@ MUTATIONS = (
     Mutation(
         name="mirror-wire-not-spliced",
         file="repro/core/document.py",
-        target="            self._wire = cdelta.apply(self._wire)",
+        target="            self._wire.apply_delta(cdelta)",
         mutant="            pass  # MUTANT: kept wire text not spliced",
         fuzz_args=("--profile", "engine"),
         iters=10,
@@ -366,8 +363,8 @@ MUTATIONS = (
     ),
     Mutation(
         name="leaf-midstate-not-truncated",
-        file="repro/services/gdocs/leaves.py",
-        target="        self._hash.truncate(first)",
+        file="repro/core/leaves.py",
+        target="        del self._states[first:]",
         mutant="        pass  # MUTANT: stale midstates kept after a splice",
         fuzz_args=(),
         iters=1,
@@ -378,10 +375,9 @@ MUTATIONS = (
     ),
     Mutation(
         name="mirror-digest-not-truncated",
-        file="repro/core/document.py",
-        target=("            self._wire_hash.truncate(ops[0].count)"
-                "  # the leading Retain"),
-        mutant="            pass  # MUTANT: stale wire midstates kept",
+        file="repro/core/leaves.py",
+        target="        del self._states[first:]",
+        mutant="        pass  # MUTANT: stale wire midstates kept",
         fuzz_args=("--profile", "ci"),
         iters=40,
         blind_to="a mirror whose Ack check resumes from stale midstates",
