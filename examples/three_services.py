@@ -5,10 +5,11 @@ The paper built extensions for Google Documents (incremental deltas),
 Mozilla Bespin (whole-file HTTP PUT), and Adobe Buzzword (whole-document
 XML POST with <textRun> elements).  This example drives all three
 simulated services and shows each server holding only ciphertext while
-the oblivious clients work normally.  Bespin and Buzzword share one
-mediator, :class:`WholeFileExtension`, and the plain
-:class:`ResilientClient`; only their :class:`ServiceBackend` differs —
-Bespin's content is the whole PUT body, Buzzword's is each <textRun>.
+the oblivious clients work normally.  All three share one mediator,
+:class:`GDocsExtension`, built over each service's
+:class:`ServiceBackend`; Bespin and Buzzword also share the plain
+:class:`ResilientClient`.  Only their backend differs — Bespin's
+content is the whole PUT body, Buzzword's is each <textRun>.
 
 Run:  python examples/three_services.py
 """
@@ -17,9 +18,9 @@ from repro.client import ResilientClient
 from repro.crypto.random import DeterministicRandomSource
 from repro.encoding.wire import looks_encrypted
 from repro.extension import (
+    GDocsExtension,
     PasswordVault,
     PrivateEditingSession,
-    WholeFileExtension,
 )
 from repro.net.channel import Channel
 from repro.services import BespinServer, BuzzwordServer, buzzword
@@ -55,8 +56,8 @@ def bespin_demo() -> None:
     print("=== Mozilla Bespin (whole-file PUT) ===")
     server = BespinServer()
     channel = Channel(server)
-    channel.set_mediator(WholeFileExtension(
-        BESPIN, PasswordVault({"proj/config.py": "pw"}),
+    channel.set_mediator(GDocsExtension(
+        PasswordVault({"proj/config.py": "pw"}), backend=BESPIN,
         rng=DeterministicRandomSource(2),
     ))
     client = ResilientClient(channel, "proj/config.py", BESPIN)
@@ -74,8 +75,8 @@ def buzzword_demo() -> None:
     print("=== Adobe Buzzword (XML <textRun> POST) ===")
     server = BuzzwordServer()
     channel = Channel(server)
-    channel.set_mediator(WholeFileExtension(
-        BUZZWORD, PasswordVault({"memo": "pw"}),
+    channel.set_mediator(GDocsExtension(
+        PasswordVault({"memo": "pw"}), backend=BUZZWORD,
         rng=DeterministicRandomSource(3),
     ))
     client = ResilientClient(channel, "memo", BUZZWORD)

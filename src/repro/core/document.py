@@ -382,8 +382,9 @@ class EncryptedDocument(ABC):
 
     def wire_hash(self) -> str:
         """The SHA-1 hex digest of :meth:`wire` — the gdocs Ack's
-        ``contentFromServerHash`` of the stored text — hashing only the
-        wire leaves no update has changed since the last digest."""
+        ``contentFromServerHash`` of the stored text — hashing the wire
+        from the first leaf an update changed since the last digest;
+        the leaves before it reuse their SHA-1 midstates."""
         return self._kept_wire().hexdigest()
 
     def wire_length(self) -> int:

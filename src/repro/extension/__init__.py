@@ -1,5 +1,5 @@
-"""The browser-extension layer: the two mediators (incremental Google
-Documents and whole-file Bespin/Buzzword), password management,
+"""The browser-extension layer: the one mediator (incremental on Google
+Documents, whole-file on Bespin/Buzzword), password management,
 covert-channel countermeasures, and the high-level
 :class:`PrivateEditingSession`."""
 
@@ -9,11 +9,9 @@ from repro.extension.gdocs_ext import GDocsExtension
 from repro.extension.passwords import PasswordVault
 from repro.extension.proxy import MediatingProxy
 from repro.extension.session import PrivateEditingSession
-from repro.extension.whole_file import WholeFileExtension
 
 __all__ = [
     "GDocsExtension",
-    "WholeFileExtension",
     "PasswordVault",
     "Countermeasures",
     "FreshnessMonitor",

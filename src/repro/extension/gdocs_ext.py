@@ -1,7 +1,8 @@
-"""The Google Documents extension (SIV, Fig. 1 and Fig. 2).
+"""The extension's one mediator (SIV, Fig. 1 and Fig. 2; SIII).
 
 ``GDocsExtension`` is the :class:`repro.net.channel.Mediator` that the
-paper's pseudocode sketches:
+paper's pseudocode sketches.  On an incremental protocol (Google
+Documents, the default ``backend``):
 
 * a ``docContents`` full save → encrypt the contents field (by IncE on
   the mirror decrypted at open, when that mirror is trusted);
@@ -19,6 +20,15 @@ and on the return path:
   Ack — the paper found single-user editing works flawlessly with the
   empty string and ``0`` substituted, and multi-user editing degrades
   to conflict complaints (reproduced in the integration tests).
+
+A backend without ``capabilities.incremental_updates`` (Bespin,
+Buzzword: every save re-sends the whole document) takes one short
+branch each way instead: the backend's ``classify`` says what a request
+is, reads and DELETEs pass, every other non-save is dropped (Buzzword's
+word count included), and each content chunk ``map_content`` finds — the
+whole PUT body for Bespin, each ``<textRun>`` body for Buzzword, whose
+XML structure stays visible — is encrypted afresh on the way out and
+decrypted on the way back.
 """
 
 from __future__ import annotations
@@ -44,7 +54,7 @@ from repro.net.http import HttpRequest, HttpResponse
 from repro.net.latency import SimClock
 from repro.obs import counter
 from repro.services.backend import GDOCS, KIND_OPEN, KIND_OTHER, \
-    KIND_READ, KIND_SAVE_FULL
+    KIND_READ, KIND_SAVE_FULL, ServiceBackend
 from repro.services.catalog import A_AUDIT_LINK, F_AUDIT, F_INDEX, \
     encode_records
 from repro.services.gdocs import protocol
@@ -75,7 +85,7 @@ IDEM_REWRITE_CACHE_SIZE = 64
 
 
 class GDocsExtension:
-    """Request mediator providing private editing on Google Documents."""
+    """Request mediator providing private editing on any service."""
 
     def __init__(
         self,
@@ -90,7 +100,24 @@ class GDocsExtension:
         freshness: FreshnessMonitor | None = None,
         verify_acks: bool = False,
         indexer=None,
+        backend: ServiceBackend = GDOCS,
     ):
+        caps = backend.capabilities
+        for option, value, flag in (
+                ("countermeasures", countermeasures, "incremental_updates"),
+                ("decrypt_acks", decrypt_acks, "incremental_updates"),
+                ("stego", stego, "incremental_updates"),
+                ("freshness", freshness, "incremental_updates"),
+                ("indexer", indexer, "catalog_acks")):
+            # an option the protocol cannot express raises rather than
+            # being silently ignored
+            if value not in (None, False) and not getattr(caps, flag):
+                raise ValueError(f"{option} needs a service with {flag}; "
+                                 f"{backend.name!r} has none")
+        self._backend = backend
+        #: the save re-sends the whole document: no mirror, no delta,
+        #: no Ack to neutralize (Bespin, Buzzword)
+        self._whole_file = not caps.incremental_updates
         self._vault = vault
         self._scheme = scheme
         self._block_chars = block_chars
@@ -109,8 +136,9 @@ class GDocsExtension:
         self._freshness = freshness
         #: check every Ack's contentFromServerHash against the mirror's
         #: expected stored bytes, flagging a conflict on divergence so
-        #: the client resyncs.  Costs one hash of the full mirror wire
-        #: per save — off by default, enabled by fault-tolerant sessions
+        #: the client resyncs.  Costs one hash of the mirror wire from
+        #: the first leaf the save changed — off by default, enabled by
+        #: fault-tolerant sessions (whole-file acks carry no hash)
         self._verify_acks = verify_acks
         #: workspace seam (PR 10): a
         #: repro.extension.catalog.WorkspaceIndexer fed the plaintext of
@@ -132,7 +160,8 @@ class GDocsExtension:
     # -- engine management ----------------------------------------------
 
     def engine(self, doc_id: str) -> EncryptionEngine:
-        """The per-document encryption state (created on first use)."""
+        """The per-document encryption state (created on first use); a
+        whole-file document's chunks all share its key."""
         if doc_id not in self._engines:
             self._engines[doc_id] = EncryptionEngine(
                 password=self._vault.get(doc_id),
@@ -147,7 +176,10 @@ class GDocsExtension:
     def on_request(self, request: HttpRequest) -> HttpRequest | None:
         """Fig. 2: encrypt docContents, transform delta, pass opens and
         fetches, drop the rest — by ``GDocsBackend.classify``'s
-        grammar, read off the one parse of the client's body."""
+        grammar, read off the one parse of the client's body.  A
+        whole-file backend takes its own short branch."""
+        if self._whole_file:
+            return self._rewrite_whole_file(request)
         form = request.form if request.method == "POST" and request.body \
             else {}
         kind = GDOCS.classify_form(request, form)
@@ -174,6 +206,20 @@ class GDocsExtension:
             while len(self._idem_rewrites) > IDEM_REWRITE_CACHE_SIZE:
                 self._idem_rewrites.popitem(last=False)
         return rewritten
+
+    def _rewrite_whole_file(self, request: HttpRequest) -> HttpRequest | None:
+        """Encrypt each content chunk of a whole-file save afresh (never
+        spliced: docs/security.md), pass reads and DELETEs, drop the
+        rest."""
+        kind = self._backend.classify(request)
+        if kind == KIND_READ or (kind == KIND_SAVE_FULL
+                                 and request.method == "DELETE"):
+            return request  # a DELETE carries no content to protect
+        if kind != KIND_SAVE_FULL:
+            return None
+        engine = self.engine(self._backend.doc_id_of(request))
+        body = self._backend.map_content(request.body, engine.encrypt)
+        return request.with_body(body)
 
     def _rewrite_full_save(
         self, doc_id: str, request: HttpRequest, form: dict[str, str]
@@ -252,7 +298,9 @@ class GDocsExtension:
         """Decrypt content on the return path; neutralize Ack fields."""
         if not response.ok:
             return response
-        doc_id = request.query.get("docID", "")
+        doc_id = self._backend.doc_id_of(request)
+        if self._whole_file:
+            return self._decrypt_whole_file(doc_id, request, response)
         if request.method == "GET":
             return self._decrypt_fetch(doc_id, response)
         try:
@@ -268,6 +316,22 @@ class GDocsExtension:
         if protocol.F_SID in fields:
             return self._decrypt_open(doc_id, response, fields)
         return response
+
+    def _decrypt_whole_file(
+        self, doc_id: str, request: HttpRequest, response: HttpResponse
+    ) -> HttpResponse:
+        """Decrypt each content chunk a whole-file read returns."""
+        if self._backend.classify(request) != KIND_READ:
+            return response
+
+        def decrypt(content: str) -> str:
+            if not looks_encrypted(content):
+                return content  # listings, never-encrypted files
+            plain = self._try_decrypt(doc_id, content)
+            return content if plain is None else plain
+
+        return response.with_body(
+            self._backend.map_content(response.body, decrypt))
 
     def _decrypt_fetch(
         self, doc_id: str, response: HttpResponse

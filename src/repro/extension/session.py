@@ -11,22 +11,22 @@ object, which is what the examples and macro-benchmarks drive.
 
 The stack is service-parameterized: ``service`` picks any name from
 :data:`repro.services.registry.SERVICE_NAMES` ("gdocs", "bespin",
-"buzzword", "replicated"), the registry builds the server, and one
-capability check picks the mediator/client pair.  A backend with
-``incremental_updates`` gets :class:`~repro.extension.gdocs_ext.GDocsExtension`
-and :class:`~repro.client.gdocs_client.GDocsClient`; every other backend
-gets :class:`~repro.extension.whole_file.WholeFileExtension` and a plain
-:class:`~repro.client.resilient.ResilientClient`.  The user-facing
-surface (open / type / save / ``server_view``) is identical across
-services — the paper's claim that the mediation approach generalizes,
-in executable form.
+"buzzword", "replicated"), the registry builds the server, and the one
+mediator, :class:`~repro.extension.gdocs_ext.GDocsExtension`, is built
+over the service's backend.  The only capability check left here picks
+the client: a backend with ``incremental_updates`` gets
+:class:`~repro.client.gdocs_client.GDocsClient`, every other backend a
+plain :class:`~repro.client.resilient.ResilientClient`.  The
+user-facing surface (open / type / save / ``server_view``) is identical
+across services — the paper's claim that the mediation approach
+generalizes, in executable form.
 
-Options a service's protocol cannot express raise ``ValueError``
-rather than being ignored: stego, freshness and ``decrypt_acks`` need
-incremental updates; the workspace ``indexer`` (whose saves always opt
-into the audit trail) needs ``capabilities.catalog_acks``; and a
-``server`` passed alongside a ``transport`` (which replaces the local
-server) is an error.
+Options a service's protocol cannot express raise ``ValueError`` from
+the mediator's constructor rather than being ignored: stego, freshness
+and ``decrypt_acks`` need incremental updates; the workspace
+``indexer`` (whose saves always opt into the audit trail) needs
+``capabilities.catalog_acks``.  A ``server`` passed alongside a
+``transport`` (which replaces the local server) is an error too.
 
 Two calls state what every fault harness checks after a chaos run:
 :meth:`~PrivateEditingSession.settle` (the recovery saves) and
@@ -41,7 +41,6 @@ from repro.client.resilient import ResilientClient, SaveOutcome
 from repro.extension.freshness import FreshnessMonitor
 from repro.extension.gdocs_ext import GDocsExtension
 from repro.extension.passwords import PasswordVault
-from repro.extension.whole_file import WholeFileExtension
 from repro.net.channel import Channel
 from repro.net.latency import LatencyModel
 from repro.services import registry
@@ -51,15 +50,6 @@ __all__ = ["PrivateEditingSession", "SETTLE_RETRIES"]
 #: saves :meth:`PrivateEditingSession.settle` may add after the first
 #: while the outcome is not clean
 SETTLE_RETRIES = 4
-
-#: (option, capability flag it needs) — set on a backend without the
-#: flag, the option raises instead of being silently ignored
-_REQUIRES = (
-    ("decrypt_acks", "incremental_updates"),
-    ("stego", "incremental_updates"),
-    ("freshness", "incremental_updates"),
-    ("indexer", "catalog_acks"),
-)
 
 
 class PrivateEditingSession:
@@ -91,15 +81,6 @@ class PrivateEditingSession:
         #: repro.services.registry.SERVICE_NAMES name)
         self.service = service
         backend = registry.backend_for(service)
-        options = {"decrypt_acks": decrypt_acks, "stego": stego,
-                   "freshness": freshness, "indexer": indexer}
-        for option, flag in _REQUIRES:
-            if options[option] not in (None, False) and \
-                    not getattr(backend.capabilities, flag):
-                raise ValueError(
-                    f"{option} needs a service with {flag}; "
-                    f"{service!r} has none"
-                )
         #: transport: an optional repro.net.transport.Transport that
         #: replaces the in-process server entirely (e.g. an
         #: AsyncioSocketTransport to a remote repro.net.server); when
@@ -125,28 +106,26 @@ class PrivateEditingSession:
         self.channel = Channel(target, latency=latency, clock=clock,
                                max_log=max_log, faults=faults)
         self.vault = PasswordVault({doc_id: password})
+        extension = GDocsExtension(
+            self.vault,
+            scheme=scheme,
+            block_chars=block_chars,
+            rng=rng,
+            clock=self.channel.clock,
+            decrypt_acks=decrypt_acks,
+            stego=stego,
+            freshness=freshness,
+            verify_acks=verify_acks,
+            # the workspace seam: a shared
+            # repro.extension.catalog.WorkspaceIndexer, threaded per
+            # session by repro.client.workspace.Workspace
+            indexer=indexer,
+            backend=backend,
+        )
         if backend.capabilities.incremental_updates:
-            extension = GDocsExtension(
-                self.vault,
-                scheme=scheme,
-                block_chars=block_chars,
-                rng=rng,
-                clock=self.channel.clock,
-                decrypt_acks=decrypt_acks,
-                stego=stego,
-                freshness=freshness,
-                verify_acks=verify_acks,
-                # the workspace seam: a shared
-                # repro.extension.catalog.WorkspaceIndexer, threaded per
-                # session by repro.client.workspace.Workspace
-                indexer=indexer,
-            )
             self.client = GDocsClient(self.channel, doc_id,
                                       policy=retry_policy)
         else:
-            extension = WholeFileExtension(
-                backend, self.vault, scheme=scheme,
-                block_chars=block_chars, rng=rng)
             self.client = ResilientClient(self.channel, doc_id, backend,
                                           policy=retry_policy)
         self.extension = extension if extension_enabled else None

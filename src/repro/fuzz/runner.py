@@ -315,7 +315,9 @@ def _session(trace: Trace, *, server=None, seed_salt: int = 0,
         decrypt_acks=decrypt_acks,
         service=trace.service,
     )
-    if isinstance(session.extension, GDocsExtension):
+    if session.client.backend.capabilities.incremental_updates:
+        # the oracle reads the gdocs form's docContents field; whole-file
+        # saves carry no such form
         session.channel.set_mediator(_FullSaveOracle(session.extension))
     return session
 

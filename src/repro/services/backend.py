@@ -19,9 +19,9 @@ one cloud editor —
 * **content framing** (``map_content``): where the document content
   sits inside a body — the whole body, or each Buzzword ``<textRun>``;
 * **routing helpers**: the request grammar (``classify``: what a
-  request is, :data:`KIND_OTHER` for everything the mediators drop)
-  and which document a request addresses, shared by both mediators
-  and the replication facade
+  request is, :data:`KIND_OTHER` for everything the mediator drops)
+  and which document a request addresses, shared by the mediator and
+  the replication facade
   :class:`repro.services.replicated.ReplicatedService`; plus the three
   writers only the facade needs — per-provider session rewriting, raw
   stored-byte copies between replicas, and the open answer it
@@ -154,9 +154,9 @@ class ServiceBackend(Protocol):
     """Everything provider-specific, behind one interface.
 
     The first block (builders + parsers) serves the client core and
-    the replication facade; ``map_content`` serves the whole-file
-    mediator; ``classify``/``doc_id_of`` serve both mediators and the
-    facade, and the facade alone writes through ``rewrite_session``,
+    the replication facade; ``map_content`` serves the mediator's
+    whole-file branch; ``classify``/``doc_id_of`` serve the mediator and
+    the facade, and the facade alone writes through ``rewrite_session``,
     ``store_request`` and ``synthesize_open``.  Implementations are
     stateless — all session state lives in the caller.
     """
@@ -214,9 +214,10 @@ class ServiceBackend(Protocol):
 
     def map_content(self, body: str, fn: Callable[[str], str]) -> str:
         """``body`` with every piece of document content inside it
-        rewritten through ``fn`` and the framing left as it is — how a
-        whole-file mediator encrypts a save body or decrypts a read,
-        and how the convergence oracle decrypts stored bytes."""
+        rewritten through ``fn`` and the framing left as it is — how
+        the mediator's whole-file branch encrypts a save body or
+        decrypts a read, and how the convergence oracle decrypts stored
+        bytes."""
         ...
 
     # -- routing: the request grammar ------------------------------------

@@ -116,8 +116,8 @@ class TestWholeFileReplication:
 
     def _stack(self):
         from repro.client.resilient import ResilientClient
+        from repro.extension.gdocs_ext import GDocsExtension
         from repro.extension.passwords import PasswordVault
-        from repro.extension.whole_file import WholeFileExtension
         from repro.net.channel import Channel
         from repro.net.policy import RetryPolicy
         from repro.services.backend import BESPIN
@@ -127,8 +127,8 @@ class TestWholeFileReplication:
         service = ReplicatedService(backends, service=BESPIN)
         channel = Channel(service)
         path = "proj/notes.txt"
-        channel.set_mediator(WholeFileExtension(
-            BESPIN, PasswordVault({path: "pw"}),
+        channel.set_mediator(GDocsExtension(
+            PasswordVault({path: "pw"}), backend=BESPIN,
             rng=DeterministicRandomSource(5),
         ))
         client = ResilientClient(channel, path, BESPIN,

@@ -7,9 +7,9 @@ from repro.client.resilient import ResilientClient
 from repro.crypto.random import DeterministicRandomSource
 from repro.encoding.wire import looks_encrypted, split_header
 from repro.errors import BlockedRequestError
+from repro.extension.gdocs_ext import GDocsExtension
 from repro.extension.passwords import PasswordVault
 from repro.extension.session import PrivateEditingSession
-from repro.extension.whole_file import WholeFileExtension
 from repro.net.channel import Channel
 from repro.net.http import HttpRequest
 from repro.services import bespin, buzzword
@@ -51,8 +51,8 @@ class TestBespinPrivateEditing:
         server = BespinServer()
         ch = Channel(server)
         vault = PasswordVault({"proj/secret.py": "pw"})
-        ext = WholeFileExtension(BESPIN, vault,
-                                 rng=DeterministicRandomSource(1))
+        ext = GDocsExtension(vault, backend=BESPIN,
+                             rng=DeterministicRandomSource(1))
         ch.set_mediator(ext)
         return server, ch
 
@@ -82,8 +82,9 @@ class TestBespinPrivateEditing:
             ch.send(HttpRequest("POST", f"http://{bespin.HOST}/admin"))
 
     def test_delete_passes_unmodified(self):
-        ext = WholeFileExtension(BESPIN, PasswordVault({"p/a.py": "pw"}),
-                                 rng=DeterministicRandomSource(1))
+        ext = GDocsExtension(PasswordVault({"p/a.py": "pw"}),
+                             backend=BESPIN,
+                             rng=DeterministicRandomSource(1))
         delete = HttpRequest("DELETE", bespin.file_url("p/a.py"))
         forwarded = ext.on_request(delete)
         assert forwarded == delete
@@ -137,8 +138,8 @@ class TestBuzzwordPrivateEditing:
         server = BuzzwordServer()
         ch = Channel(server)
         vault = PasswordVault({"d1": "pw"})
-        ext = WholeFileExtension(BUZZWORD, vault,
-                                 rng=DeterministicRandomSource(2))
+        ext = GDocsExtension(vault, backend=BUZZWORD,
+                             rng=DeterministicRandomSource(2))
         ch.set_mediator(ext)
         return server, ch
 

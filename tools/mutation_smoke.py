@@ -134,6 +134,14 @@ The mutation table covers one oracle per stack layer:
     returns the version after the one asked for.  Clients never read
     history, so no fuzz oracle sees it; the entry runs the property
     test that compares the log with a flat list of every version.
+``whole-file-save-passes-plaintext``
+    The mediator's whole-file branch
+    (``GDocsExtension._rewrite_whole_file``, the Bespin/Buzzword save
+    path) returns the save request as the client wrote it, so the
+    server stores plaintext.  The service fuzz cannot name this one: it
+    stops at the plaintext read back as ``crash-CiphertextFormatError``
+    before its ``plaintext-leak`` oracle runs.  The entry runs the unit
+    test that checks a Bespin save stores only ciphertext.
 
 Mutations are applied textually so the tool exercises the real on-disk
 pipeline end to end; the original tree is never touched.
@@ -395,6 +403,18 @@ MUTATIONS = (
         kind="",
         test=("tests/property/test_prop_revision_log.py::"
               "test_history_matches_a_flat_list[None]"),
+    ),
+    Mutation(
+        name="whole-file-save-passes-plaintext",
+        file="repro/extension/gdocs_ext.py",
+        target="        return request.with_body(body)",
+        mutant="        return request  # MUTANT: whole-file save unencrypted",
+        fuzz_args=(),
+        iters=1,
+        blind_to="a whole-file save that reaches the server in plaintext",
+        kind="",
+        test=("tests/unit/test_bespin_buzzword.py::"
+              "TestBespinPrivateEditing::test_server_sees_only_ciphertext"),
     ),
 )
 
